@@ -93,7 +93,8 @@ def cmd_step_demo(args):
     cache = build_phi_cache(pb.A, h, required_requests(t))
     u1, stages = step(pb, t, cache, pb.t0, pb.u0, return_stages=True)
     print(f"method {t.name} on {pb.name}: one step of h = {h:g} from t = {pb.t0:g}")
-    print(f"phi cache: {len(cache)} matrices of dimension {cache.n}")
+    form = "eigenvalue vectors" if cache.spectral else "matrices"
+    print(f"phi cache: {len(cache)} {form} of dimension {cache.n}")
     for i, u in enumerate(stages, start=2):
         print(f"stage {i}: c = {t.node(i)}, ||U_{i}|| = {np.linalg.norm(u):.6e}")
     print(f"||u_1|| = {np.linalg.norm(u1):.6e}")

@@ -7,11 +7,18 @@ increments, reads
     u_{n+1} = u_n + h phi_1(hA) F(t_n, u_n)         + h sum_i   b_i(hA)  D_i
     D_j     = g(t_n + c_j h, U_j) - g(t_n, u_n).
 
-All phi matrices come from a PhiCache built once per (A, h); the step loop
-itself only does matrix-vector products and g evaluations.  Stage 1 is
-U_1 = u_n and never materialized.  Non-autonomous g is handled by passing
-stage times directly, which is equivalent to autonomization for these
-methods.
+Every phi_k(c hA) comes from a PhiCache built once per (A, h), and the
+coefficients a_ij, b_i are assembled once from its entries.  The step runs in
+the cache's basis V, in which A = V diag(w) V^T: F(t_n, u_n) and each D_j go
+into it with V^T, the coefficients act there, and each stage U_i and u_{n+1}
+return with one V.  For a spectral cache (zero, diagonal and symmetric
+tridiagonal A) the coefficients are length-n vectors of eigenvalue
+functions acting elementwise, so a step of s stages makes 2s basis changes
+(none when V is the identity) and no n x n matrix is ever formed.  For a
+dense cache V is the identity and the coefficients are matrices acting by
+matrix-vector products.  Stage 1 is U_1 = u_n and never materialized.
+Non-autonomous g is handled by passing stage times directly, which is
+equivalent to autonomization for these methods.
 """
 
 from dataclasses import dataclass
@@ -90,38 +97,49 @@ def required_requests(t):
 
 
 def _method_tables(t, cache):
-    """Assemble per-stage coefficient matrices from cached phi matrices."""
-    def combo_matrix(combo):
-        m = np.zeros((cache.n, cache.n))
+    """Assemble the coefficients from the cache entries in its basis."""
+    def coefficient(combo):
+        m = 0.0
         for alpha, j, scale in combo.terms:
-            m = m + float(alpha) * cache.get(j, scale)
+            m = m + float(alpha) * cache.get(j, scale, eigenbasis=True)
         return m
 
-    stage_phi1 = {i: cache.get(1, t.node(i)) for i in range(2, t.s + 1) if t.node(i) > 0}
-    a_mats = {key: combo_matrix(v) for key, v in t.a.items()}
-    b_mats = {i: combo_matrix(v) for i, v in t.b.items()}
-    return cache.get(1, Fraction(1)), stage_phi1, a_mats, b_mats
+    stage_phi1 = {i: cache.get(1, t.node(i), eigenbasis=True)
+                  for i in range(2, t.s + 1) if t.node(i) > 0}
+    a_co = {key: coefficient(v) for key, v in t.a.items() if v.terms}
+    b_co = {i: coefficient(v) for i, v in t.b.items() if v.terms}
+    return cache.get(1, Fraction(1), eigenbasis=True), stage_phi1, a_co, b_co
+
+
+def _eval_g(pb, t, u):
+    out = np.asarray(pb.g(t, u), dtype=float)
+    if out.shape != u.shape:
+        raise ValueError(f"g(t, u) returned shape {out.shape}, expected {u.shape}")
+    return out
 
 
 def _advance(pb, t, cache, tables, tn, un):
-    phi1_full, stage_phi1, a_mats, b_mats = tables
+    phi1_full, stage_phi1, a_co, b_co = tables
     h = cache.h
-    gn = np.asarray(pb.g(tn, un), dtype=float)
-    fn = pb.A.matvec(un) + gn
+    act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis
+    gn = _eval_g(pb, tn, un)
+    fn = to_basis(pb.A.matvec(un) + gn)
     d = {}
     stages = []
     for i in range(2, t.s + 1):
         ci = float(t.node(i))
-        u_i = un.copy() if t.node(i) == 0 else un + (ci * h) * (stage_phi1[i] @ fn)
+        acc = (ci * h) * act(stage_phi1[i], fn) if ci > 0 else np.zeros_like(fn)
         for j in range(2, i):
-            am = a_mats.get((i, j))
+            am = a_co.get((i, j))
             if am is not None:
-                u_i = u_i + h * (am @ d[j])
-        d[i] = np.asarray(pb.g(tn + ci * h, u_i), dtype=float) - gn
+                acc = acc + h * act(am, d[j])
+        u_i = un + from_basis(acc)
+        d[i] = to_basis(_eval_g(pb, tn + ci * h, u_i) - gn)
         stages.append(u_i)
-    u_next = un + h * (phi1_full @ fn)
-    for i, bm in b_mats.items():
-        u_next = u_next + h * (bm @ d[i])
+    acc = h * act(phi1_full, fn)
+    for i, bm in b_co.items():
+        acc = acc + h * act(bm, d[i])
+    u_next = un + from_basis(acc)
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError(f"non-finite state after step from t = {tn}")
     return u_next, stages

@@ -1,10 +1,12 @@
 """Linear operators for the stiff part of a semilinear problem.
 
 The integrator only ever needs two things from the operator A: matrix-vector
-products inside the step loop, and enough structure to build phi-function
-matrices once per (A, h) pair.  Structured variants (zero, diagonal, symmetric
-tridiagonal) expose that structure so the cache can use spectral evaluation;
-the dense variant falls back on the augmented-exponential route.
+products inside the step loop, and enough structure to build the phi-function
+cache once per (A, h) pair.  Structured variants (zero, diagonal, symmetric
+tridiagonal) supply an eigendecomposition, so the cache holds each phi entry
+as a vector of eigenvalue functions and the integrator steps in the
+eigenbasis; the dense variant supplies none and falls back on the
+augmented-exponential route.
 """
 
 import hashlib
@@ -34,6 +36,14 @@ class LinearOperator(ABC):
     def fingerprint(self):
         """Content hash identifying the operator (used to validate caches)."""
 
+    def eigendecomposition(self):
+        """(w, V) with A = V @ diag(w) @ V.T and V orthogonal, V None for the
+        identity; None when A offers no cheap eigendecomposition."""
+        return None
+
+    def eigenvalues(self):
+        return self.eigendecomposition()[0].copy()
+
     def _digest(self, tag, *arrays):
         h = hashlib.sha256()
         h.update(tag.encode())
@@ -61,8 +71,8 @@ class ZeroOperator(LinearOperator):
     def dense(self):
         return np.zeros((self._n, self._n))
 
-    def eigenvalues(self):
-        return np.zeros(self._n)
+    def eigendecomposition(self):
+        return np.zeros(self._n), None
 
     @property
     def fingerprint(self):
@@ -88,8 +98,8 @@ class DiagonalOperator(LinearOperator):
     def dense(self):
         return np.diag(self.diag)
 
-    def eigenvalues(self):
-        return self.diag.copy()
+    def eigendecomposition(self):
+        return self.diag, None
 
     @property
     def fingerprint(self):
@@ -140,9 +150,6 @@ class SymTridiagonalOperator(LinearOperator):
                 self._eig = eigh_tridiagonal(self.diag, self.off)
         return self._eig
 
-    def eigenvalues(self):
-        return self.eigendecomposition()[0].copy()
-
     @property
     def fingerprint(self):
         return self._digest("symtri", self.diag, self.off)
@@ -179,8 +186,3 @@ class DenseOperator(LinearOperator):
     def fingerprint(self):
         return self._digest("dense", self.a)
 
-
-def operator_norm2(op):
-    """Spectral norm of a symmetric operator (max |eigenvalue|)."""
-    w = op.eigenvalues()
-    return float(np.abs(w).max()) if w.size else 0.0

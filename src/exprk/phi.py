@@ -5,9 +5,10 @@ phi_0(z) = exp(z) and, for j >= 1,
     phi_j(z) = integral_0^1 exp((1-theta) z) theta^(j-1)/(j-1)! dtheta,
 
 equivalently phi_{j+1}(z) = (phi_j(z) - 1/j!)/z with phi_j(0) = 1/j!.
-The scheme coefficients are linear combinations of phi_j(c h A), so the
-matrix-valued phi_j at a handful of scales c is everything the integrator
-needs; build_phi_cache computes them once per (A, h).
+The scheme coefficients are linear combinations of phi_j(c h A), so phi_j at
+a handful of scales c is everything the integrator needs; build_phi_cache
+computes them once per (A, h), as eigenvalue vectors when A supplies an
+eigendecomposition and as matrices otherwise.
 """
 
 from fractions import Fraction
@@ -17,13 +18,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .operators import (DenseOperator, DiagonalOperator, LinearOperator,
-                        SymTridiagonalOperator, ZeroOperator)
+from .operators import LinearOperator
 
 # Below this modulus the downward recurrence from exp(z) loses digits to
 # cancellation, so a truncated Taylor series is used instead.
 PHI_TAYLOR_RADIUS = 1.0
 PHI_TAYLOR_TERMS = 25
+# Above this real part exp(z) overflows, and the recurrence with it.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 class QuadratureError(ArithmeticError):
@@ -39,7 +41,9 @@ def phi_scalar(j, z):
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
-    regimes.
+    regimes.  Where exp(z) overflows, phi_j(z) = e^z / z^j - sum_{k<j}
+    z^(k-j) / k! is evaluated with e^z split as e^(z/2) e^(z/2), which stays
+    finite while phi_j(z) does (up to Re z ~ 1419).
     """
     if j < 0:
         raise ValueError("phi index must be >= 0")
@@ -53,6 +57,11 @@ def phi_scalar(j, z):
         for m in range(1, PHI_TAYLOR_TERMS):
             term *= zc / (m + j)
             val += term
+    elif zc.real > LOG_FLOAT_MAX:
+        half = np.exp(zc / 2)
+        val = half * (half / zc ** j)
+        for k in range(j):
+            val -= zc ** (k - j) / factorial(k)
     else:
         val = np.exp(zc)
         for k in range(j):
@@ -153,32 +162,61 @@ def phi_request(j, scale):
 
 
 class PhiCache:
-    """Read-only table of phi_j(scale * h * A) matrices.
+    """Read-only table of phi_j(scale * h * A), keyed by exact rational
+    (j, scale) pairs so lookups never suffer float drift.
 
-    Keyed by exact rational (j, scale) pairs so lookups never suffer float
-    drift; carries the operator fingerprint and the step size it was built
-    for, which the stepper validates before use.
+    A spectral cache stores each entry as the length-n vector
+    phi_j(scale * h * w) over the eigenvalues w of A, plus the one shared
+    orthogonal basis V (None for the identity), so that
+    phi_j(scale * h * A) = V @ diag(entry) @ V.T.  A dense cache stores the
+    matrices themselves.  The cache carries the operator fingerprint and the
+    step size it was built for, which the stepper validates before use.
     """
 
-    def __init__(self, fingerprint, h, n, table):
+    def __init__(self, fingerprint, h, n, table, basis=None, spectral=False):
         self.fingerprint = fingerprint
         self.h = float(h)
         self.n = int(n)
+        self.spectral = bool(spectral)
+        self.basis = basis
         self._table = {}
-        for key, mat in table.items():
-            mat = np.asarray(mat, dtype=float)
-            mat.flags.writeable = False
-            self._table[phi_request(*key)] = mat
+        for key, val in table.items():
+            val = np.asarray(val, dtype=float)
+            val.flags.writeable = False
+            self._table[phi_request(*key)] = val
 
-    def get(self, j, scale):
-        """Return the cached phi_j(scale * h * A); KeyError on a miss."""
+    def get(self, j, scale, eigenbasis=False):
+        """Return the cached phi_j(scale * h * A); KeyError on a miss.
+
+        By default the result is the dense matrix, formed on demand for a
+        spectral cache.  With eigenbasis=True it is the entry as the
+        integrator applies it in the basis V: the eigenvalue vector of a
+        spectral cache, the matrix of a dense one.
+        """
         key = phi_request(j, scale)
         try:
-            return self._table[key]
+            val = self._table[key]
         except KeyError:
             raise CacheMissError(
                 f"phi_{key.j} at scale {key.scale} not in cache "
                 f"(built with {len(self._table)} entries)") from None
+        if eigenbasis or not self.spectral:
+            return val
+        mat = np.diag(val) if self.basis is None else (self.basis * val) @ self.basis.T
+        mat.flags.writeable = False
+        return mat
+
+    def to_basis(self, x):
+        """Coordinates V^T x of a state-space vector x."""
+        return x if self.basis is None else self.basis.T @ x
+
+    def from_basis(self, y):
+        """The state-space vector V y with coordinates y."""
+        return y if self.basis is None else self.basis @ y
+
+    def apply(self, coef, y):
+        """Apply coef, a combination of eigenbasis entries, to coordinates y."""
+        return coef * y if self.spectral else coef @ y
 
     def __contains__(self, key):
         return phi_request(*key) in self._table
@@ -191,12 +229,14 @@ class PhiCache:
 
 
 def build_phi_cache(a, h, requests):
-    """Build the phi matrices phi_j(scale * h * A) for each request.
+    """Build phi_j(scale * h * A) for each (j, scale) request.
 
-    Structured operators get spectral evaluation: diagonal and symmetric
-    tridiagonal A cost one eigendecomposition total, after which each entry is
-    a scaled outer product.  Dense A pays one augmented exponential per
-    request.  Duplicate requests collapse; each matrix is computed once.
+    An operator that supplies its eigendecomposition (w, V) -- zero, diagonal
+    and symmetric tridiagonal A -- gets a spectral cache: each entry is the
+    O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
+    matrix is formed besides the basis.  Dense A pays one augmented
+    exponential per request and its entries are matrices.  Duplicate
+    requests collapse; each entry is computed once.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
@@ -204,21 +244,14 @@ def build_phi_cache(a, h, requests):
     if not (np.isfinite(h) and h > 0):
         raise ValueError("step size must be positive and finite")
     keys = sorted({phi_request(*r) for r in requests})
+    eig = a.eigendecomposition()
+    if eig is not None:
+        w, v = eig
+        table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
+        return PhiCache(a.fingerprint, h, a.n, table, basis=v, spectral=True)
+    m = a.dense()
     table = {}
-    if isinstance(a, ZeroOperator):
-        eye = np.eye(a.n)
-        for j, scale in keys:
-            table[(j, scale)] = eye / factorial(j)
-    elif isinstance(a, DiagonalOperator):
-        for j, scale in keys:
-            table[(j, scale)] = np.diag(_phi_values(j, float(scale) * h * a.diag))
-    elif isinstance(a, SymTridiagonalOperator):
-        w, v = a.eigendecomposition()
-        for j, scale in keys:
-            table[(j, scale)] = (v * _phi_values(j, float(scale) * h * w)) @ v.T
-    else:
-        m = a.dense()
-        for j, scale in keys:
-            scaled = float(scale) * h * m
-            table[(j, scale)] = matrix_exp(scaled) if j == 0 else phi_matrix(j, scaled)
+    for j, scale in keys:
+        scaled = float(scale) * h * m
+        table[(j, scale)] = matrix_exp(scaled) if j == 0 else phi_matrix(j, scaled)
     return PhiCache(a.fingerprint, h, a.n, table)

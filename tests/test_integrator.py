@@ -9,10 +9,11 @@ from conftest import rk_integrate
 from exprk.integrator import (BlowUpError, CacheMismatchError,
                               SemilinearProblem, StepRecord, integrate,
                               required_requests, step)
-from exprk.operators import (DiagonalOperator, SymTridiagonalOperator,
-                             ZeroOperator)
+from exprk.operators import (DenseOperator, DiagonalOperator,
+                             SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import CacheMissError, PhiRequest, build_phi_cache
 from exprk.tableau import classical_limit, get_tableau
+from exprk.testbed import discrete_l2_error, heat_problem
 
 F = Fraction
 
@@ -174,7 +175,6 @@ def test_linear_exactness_on_heat_operator(heat200, name, n_steps):
 
 
 def test_heat_error_regression(heat200, tab5):
-    from exprk.testbed import discrete_l2_error
     u = integrate(heat200, tab5, 256, record="none")
     err = discrete_l2_error(u, heat200, 1.0)
     assert err < 1e-8   # coarse guarantee the harness relies on
@@ -183,7 +183,6 @@ def test_heat_error_regression(heat200, tab5):
 
 def test_autonomization_equivalence(tab5):
     """Appending t as a state and solving autonomously changes nothing."""
-    from exprk.testbed import heat_problem
     pb = heat_problem(20)
     n = pb.A.n
     aug = SymTridiagonalOperator(np.append(pb.A.diag, 0.0),
@@ -230,6 +229,48 @@ def test_nonstiff_fifth_order(tab5):
             assert 4.6 <= np.log2(errs[n] / errs[2 * n]) <= 5.4, n
             checked += 1
     assert checked >= 4  # bases 8..64 must qualify; 128 saturates at ~1 ulp
+
+
+def test_error_is_independent_of_stiffness(tab5):
+    """The paper's claim: the error constant of expRK5s8 does not grow with
+    ||A||, so at fixed h the error is the same on every grid."""
+    errs = []
+    for n in (50, 200, 1000, 2000):
+        pb = heat_problem(n)
+        errs.append(discrete_l2_error(integrate(pb, tab5, 16, record="none"), pb, 1.0))
+    assert max(errs) <= 1.05 * min(errs), errs
+
+
+def _route_operators():
+    rng = np.random.default_rng(11)
+    for n in (7, 19, 40):
+        yield SymTridiagonalOperator(rng.uniform(-30.0, -1.0, n), rng.uniform(-5.0, 5.0, n - 1))
+    yield DiagonalOperator(np.array([-40.0, -3.0, 0.0, 1.5, -0.2]))
+    yield ZeroOperator(6)
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expRK2s2", "expEuler"])
+@pytest.mark.parametrize("op", list(_route_operators()), ids=lambda op: f"{type(op).__name__}{op.n}")
+def test_spectral_route_matches_dense_route(name, op):
+    rng = np.random.default_rng(op.n)
+    w = rng.uniform(-1.0, 1.0, (op.n, op.n))
+    g = lambda t, u: np.sin(w @ u) + np.cos(t)
+    u0 = rng.uniform(-1.0, 1.0, op.n)
+    t = get_tableau(name)
+    got = integrate(SemilinearProblem(A=op, g=g, u0=u0), t, 8, record="none")
+    want = integrate(SemilinearProblem(A=DenseOperator(op.dense()), g=g, u0=u0), t, 8,
+                     record="none")
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [lambda u: np.ones(1), lambda u: u[:, None],
+                                 lambda u: 1.0])
+def test_g_of_wrong_shape_is_rejected(bad):
+    pb = SemilinearProblem(A=DiagonalOperator(np.array([-1.0, -2.0, -3.0])),
+                           g=lambda t, u: bad(u), u0=np.ones(3))
+    for name in ("expRK5s8", "expEuler"):
+        with pytest.raises(ValueError, match=r"g\(t, u\) returned shape .* expected \(3,\)"):
+            integrate(pb, get_tableau(name), 2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

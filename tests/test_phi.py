@@ -36,6 +36,24 @@ def test_phi_scalar_matches_quadrature_oracle(j, z):
     assert abs(phi_scalar(j, z) - phi_quadrature_oracle(j, z)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("j", range(1, 8))
+@pytest.mark.parametrize("z", [700.0, 710.0, 715.0, 740.0])
+def test_phi_scalar_large_positive_argument(j, z):
+    """Past exp overflow phi_j stays finite and accurate while it is
+    representable (it overflows for j <= 4 at z = 740)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(z)
+        want = mpmath.exp(x) / x ** j - sum(x ** (k - j) / mpmath.factorial(k)
+                                            for k in range(j))
+    got = phi_scalar(j, z)
+    if want > np.finfo(float).max:
+        assert got == np.inf
+    else:
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
+
 @pytest.mark.parametrize("j", range(1, 6))
 def test_branch_continuity_at_taylor_radius(j):
     """Series and recurrence agree where the evaluation branch switches."""
@@ -185,15 +203,42 @@ def test_cache_diagonal_and_zero_routes():
         assert np.array_equal(cache.get(j, s), np.eye(3) / factorial(j))
 
 
+def test_spectral_cache_holds_vectors_and_one_basis():
+    rng = np.random.default_rng(5)
+    n = 30
+    tri = SymTridiagonalOperator(rng.uniform(-4.0, -1.0, n), rng.uniform(-1.0, 1.0, n - 1))
+    cache = build_phi_cache(tri, 0.3, [phi_request(j, s) for j, s in REQS])
+    assert cache.spectral
+    w, v = tri.eigendecomposition()
+    assert cache.basis is v
+    for j, s in REQS:
+        vec = cache.get(j, s, eigenbasis=True)
+        assert vec.shape == (n,)
+        assert np.array_equal(vec, [phi_scalar(j, float(s) * 0.3 * x) for x in w])
+    dense = [val for val in vars(cache).values()
+             if isinstance(val, np.ndarray) and val.ndim == 2]
+    assert all(val is v for val in dense)
+    assert all(val.ndim == 1 for val in cache._table.values())
+
+    d = DiagonalOperator(np.array([-1.0, 2.0]))
+    cache = build_phi_cache(d, 0.5, [phi_request(1, 1)])
+    assert cache.spectral and cache.basis is None
+    assert cache.get(1, 1, eigenbasis=True).shape == (2,)
+    m = DenseOperator(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    cache = build_phi_cache(m, 0.5, [phi_request(1, 1)])
+    assert not cache.spectral and cache.basis is None
+    assert cache.get(1, 1, eigenbasis=True) is cache.get(1, 1)
+
+
 def test_cache_is_read_only_and_reports_misses():
     d = DiagonalOperator(np.array([-1.0, -2.0]))
     cache = build_phi_cache(d, 0.1, [phi_request(1, 1)])
     assert len(cache) == 1
     assert (1, Fraction(1)) in cache
     assert cache.keys() == {PhiRequest(1, Fraction(1))}
-    mat = cache.get(1, 1)
-    with pytest.raises(ValueError):
-        mat[0, 0] = 99.0
+    for mat in (cache.get(1, 1), cache.get(1, 1, eigenbasis=True)):
+        with pytest.raises(ValueError):
+            mat[0] = 99.0
     with pytest.raises(CacheMissError):
         cache.get(2, 1)
     # CacheMissError is a KeyError so plain dict-style handling also works
