@@ -14,7 +14,9 @@ into it with V^T, the coefficients act there, and each stage U_i and u_{n+1}
 return with one V.  For a spectral cache (zero, diagonal and symmetric
 tridiagonal A) the coefficients are length-n vectors of eigenvalue
 functions acting elementwise, so a step of s stages makes 2s basis changes
-(none when V is the identity) and no n x n matrix is ever formed.  For a
+(none when V is the identity) and no n x n matrix is ever formed besides V.
+For a large constant-coefficient tridiagonal A, V is a SineBasis and each
+basis change is an O(n log n) DST-I instead of a dense product.  For a
 dense cache V is the identity and the coefficients are matrices acting by
 matrix-vector products.  Stage 1 is U_1 = u_n and never materialized.
 Non-autonomous g is handled by passing stage times directly, which is

@@ -6,13 +6,22 @@ cache once per (A, h) pair.  Structured variants (zero, diagonal, symmetric
 tridiagonal) supply an eigendecomposition, so the cache holds each phi entry
 as a vector of eigenvalue functions and the integrator steps in the
 eigenbasis; the dense variant supplies none and falls back on the
-augmented-exponential route.
+augmented-exponential route.  The basis is an orthogonal ndarray, or, for a
+large constant-coefficient tridiagonal A, a SineBasis that applies the
+eigenvectors as a fast sine transform without forming them.
 """
 
 import hashlib
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+# From this size up a constant-coefficient tridiagonal A is diagonalised by
+# the sine transform: a DST-I basis change then costs no more than a product
+# with the dense eigenbasis even when n + 1 is prime (the transform's slowest
+# case), and eigh_tridiagonal is skipped.  Measured with one BLAS thread; the
+# table is in CHANGES.md.
+DST_MIN_N = 512
 
 
 class LinearOperator(ABC):
@@ -38,7 +47,11 @@ class LinearOperator(ABC):
 
     def eigendecomposition(self):
         """(w, V) with A = V @ diag(w) @ V.T and V orthogonal, V None for the
-        identity; None when A offers no cheap eigendecomposition."""
+        identity; None when A offers no cheap eigendecomposition.
+
+        V is an ndarray or a SineBasis; either supports V @ x, V.T @ x and
+        np.asarray(V).  The order of the eigenvalues w is unspecified.
+        """
         return None
 
     def eigenvalues(self):
@@ -106,6 +119,33 @@ class DiagonalOperator(LinearOperator):
         return self._digest("diag", self.diag)
 
 
+class SineBasis:
+    """The orthonormal DST-I matrix S[j, k] = sqrt(2/(n+1)) sin(pi jk/(n+1)),
+    j, k = 1..n: the eigenvectors of every constant-coefficient symmetric
+    tridiagonal matrix, column k for the eigenvalue d + 2e cos(pi k/(n+1)).
+
+    Used like the ndarray V it stands for: S is symmetric and its own
+    inverse, so V @ x and V.T @ x are the same O(n log n) transform along the
+    first axis of x, and np.asarray(V) forms the dense matrix on demand.
+    """
+
+    def __init__(self, n):
+        from scipy.fft import dst  # imported only where a sine basis is used
+
+        self._dst = dst
+        self.shape = (int(n), int(n))
+
+    @property
+    def T(self):
+        return self
+
+    def __matmul__(self, x):
+        return self._dst(np.asarray(x, dtype=float), type=1, axis=0, norm="ortho")
+
+    def __array__(self, dtype=None, copy=None):
+        return (self @ np.eye(self.shape[0])).astype(dtype or float, copy=False)
+
+
 class SymTridiagonalOperator(LinearOperator):
     """Symmetric tridiagonal A, stored by main and off diagonal.
 
@@ -140,14 +180,27 @@ class SymTridiagonalOperator(LinearOperator):
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
     def eigendecomposition(self):
-        """Return (w, V) with A = V @ diag(w) @ V.T, V orthogonal."""
-        if self._eig is None:
-            from scipy.linalg import eigh_tridiagonal
+        """Return (w, V) with A = V @ diag(w) @ V.T, V orthogonal, in an
+        unspecified order of w.
 
-            if self.n == 1:
-                self._eig = (self.diag.copy(), np.eye(1))
+        A constant main diagonal d and off diagonal e (exactly equal entries)
+        with n >= DST_MIN_N give the closed-form eigenvalues
+        d + 2e cos(pi k/(n+1)), k = 1..n, and V a SineBasis, so no n x n
+        array is formed.  Any other A gets eigh_tridiagonal's ascending w and
+        dense V.
+        """
+        if self._eig is None:
+            d, e = self.diag, self.off
+            if self.n >= DST_MIN_N and np.all(d == d[0]) and np.all(e == e[0]):
+                k = np.arange(1, self.n + 1)
+                w = d[0] + 2.0 * e[0] * np.cos(np.pi * k / (self.n + 1))
+                self._eig = (w, SineBasis(self.n))
+            elif self.n == 1:
+                self._eig = (d.copy(), np.eye(1))
             else:
-                self._eig = eigh_tridiagonal(self.diag, self.off)
+                from scipy.linalg import eigh_tridiagonal
+
+                self._eig = eigh_tridiagonal(d, e)
         return self._eig
 
     @property

@@ -8,7 +8,9 @@ equivalently phi_{j+1}(z) = (phi_j(z) - 1/j!)/z with phi_j(0) = 1/j!.
 The scheme coefficients are linear combinations of phi_j(c h A), so phi_j at
 a handful of scales c is everything the integrator needs; build_phi_cache
 computes them once per (A, h), as eigenvalue vectors when A supplies an
-eigendecomposition and as matrices otherwise.
+eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
+matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
+in which case a spectral cache holds O(n) numbers in total.
 """
 
 from fractions import Fraction
@@ -168,7 +170,9 @@ class PhiCache:
     A spectral cache stores each entry as the length-n vector
     phi_j(scale * h * w) over the eigenvalues w of A, plus the one shared
     orthogonal basis V (None for the identity), so that
-    phi_j(scale * h * A) = V @ diag(entry) @ V.T.  A dense cache stores the
+    phi_j(scale * h * A) = V @ diag(entry) @ V.T.  V is an ndarray or a
+    SineBasis that applies the DST-I; the cache only uses V @ y and V.T @ x
+    and forms np.asarray(V) just for a dense get.  A dense cache stores the
     matrices themselves.  The cache carries the operator fingerprint and the
     step size it was built for, which the stepper validates before use.
     """
@@ -202,7 +206,11 @@ class PhiCache:
                 f"(built with {len(self._table)} entries)") from None
         if eigenbasis or not self.spectral:
             return val
-        mat = np.diag(val) if self.basis is None else (self.basis * val) @ self.basis.T
+        if self.basis is None:
+            mat = np.diag(val)
+        else:
+            v = np.asarray(self.basis)
+            mat = (v * val) @ v.T
         mat.flags.writeable = False
         return mat
 
@@ -234,9 +242,10 @@ def build_phi_cache(a, h, requests):
     An operator that supplies its eigendecomposition (w, V) -- zero, diagonal
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
-    matrix is formed besides the basis.  Dense A pays one augmented
-    exponential per request and its entries are matrices.  Duplicate
-    requests collapse; each entry is computed once.
+    matrix is formed besides the basis (and none at all when V is a
+    SineBasis).  Dense A pays one augmented exponential per request and its
+    entries are matrices.  Duplicate requests collapse; each entry is
+    computed once.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")

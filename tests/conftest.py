@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+from exprk.operators import SymTridiagonalOperator
 from exprk.tableau import exprk5s8, get_tableau
 from exprk.testbed import heat_problem
+
+
+class EighTridiagonal(SymTridiagonalOperator):
+    """A symmetric tridiagonal operator that always takes the eigh_tridiagonal
+    route, whatever its size and structure: the reference for the sine basis."""
+
+    def eigendecomposition(self):
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(self.diag, self.off)
 
 
 def rk_integrate(bt, f, u0, t0, t_end, n_steps):

@@ -1,15 +1,16 @@
 """Stepper and fixed-step driver: exactness, consistency, equivalences."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import rk_integrate
+from conftest import EighTridiagonal, rk_integrate
 from exprk.integrator import (BlowUpError, CacheMismatchError,
                               SemilinearProblem, StepRecord, integrate,
                               required_requests, step)
-from exprk.operators import (DenseOperator, DiagonalOperator,
+from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import CacheMissError, PhiRequest, build_phi_cache
 from exprk.tableau import classical_limit, get_tableau
@@ -235,7 +236,7 @@ def test_error_is_independent_of_stiffness(tab5):
     """The paper's claim: the error constant of expRK5s8 does not grow with
     ||A||, so at fixed h the error is the same on every grid."""
     errs = []
-    for n in (50, 200, 1000, 2000):
+    for n in (50, 200, 1000, 2000, 4000, 8000):
         pb = heat_problem(n)
         errs.append(discrete_l2_error(integrate(pb, tab5, 16, record="none"), pb, 1.0))
     assert max(errs) <= 1.05 * min(errs), errs
@@ -261,6 +262,27 @@ def test_spectral_route_matches_dense_route(name, op):
     want = integrate(SemilinearProblem(A=DenseOperator(op.dense()), g=g, u0=u0), t, 8,
                      record="none")
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _toeplitz_problem(n):
+    """A constant-coefficient tridiagonal A with d != -2e, and a nonlinear g."""
+    c = float(n + 1) ** 2
+    a = SymTridiagonalOperator(np.full(n, -3.0 * c), np.full(n - 1, 0.8 * c))
+    x = np.arange(1, n + 1) / (n + 1)
+    return SemilinearProblem(A=a, g=lambda t, u: np.sin(u) + np.cos(t) * x,
+                             u0=x * (1.0 - x))
+
+
+@pytest.mark.parametrize("make", [lambda: heat_problem(600), lambda: heat_problem(1000),
+                                  lambda: _toeplitz_problem(700)],
+                         ids=["heat600", "heat1000", "toeplitz700"])
+def test_sine_basis_route_matches_eigh_route(tab5, make):
+    pb = make()
+    assert isinstance(pb.A.eigendecomposition()[1], SineBasis)
+    got = integrate(pb, tab5, 64, record="none")
+    ref = dataclasses.replace(pb, A=EighTridiagonal(pb.A.diag, pb.A.off))
+    want = integrate(ref, tab5, 64, record="none")
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("bad", [lambda u: np.ones(1), lambda u: u[:, None],

@@ -6,12 +6,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from exprk.operators import (DenseOperator, DiagonalOperator,
-                             SymTridiagonalOperator, ZeroOperator)
+from conftest import EighTridiagonal
+from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
+                             SineBasis, SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import (PHI_TAYLOR_RADIUS, CacheMissError, PhiRequest,
                        QuadratureError, build_phi_cache, matrix_exp,
                        phi_matrix, phi_quadrature_oracle, phi_request,
                        phi_scalar, phi_symmetric)
+from exprk.testbed import heat_problem
 
 ORACLE_GRID = [-50.0, -10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0]
 
@@ -52,6 +54,35 @@ def test_phi_scalar_large_positive_argument(j, z):
         assert got == np.inf
     else:
         assert abs(got - float(want)) <= 1e-14 * float(want)
+
+
+# Negative arguments log-spaced out to the stiffest step of heat8000
+# (z ~ -1.6e7 / 16), arguments dense around the Taylor switch at |z| = 1, and
+# positive arguments up to 50.
+PHI_SWEEP_Z = np.concatenate([-np.logspace(-4, 7, 111),
+                              np.linspace(-1.1, -0.9, 41), np.linspace(0.9, 1.1, 41),
+                              np.logspace(-4, np.log10(50.0), 61)])
+
+
+def _mp_phi(mpmath, j, z):
+    """phi_j(z) in 50-digit arithmetic: the Taylor series for |z| < 1, the
+    closed form (e^z - sum_{k<j} z^k/k!)/z^j elsewhere."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(z)
+        if abs(x) < 1:
+            return sum(x ** m / mpmath.factorial(m + j) for m in range(60))
+        return (mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(j))) / x ** j
+
+
+@pytest.mark.parametrize("j", range(0, 8))
+def test_phi_scalar_matches_mpmath_sweep(j):
+    """Relative error at most 2e-12 over [-1e7, 50]; the worst measured is
+    1.26e-12, at j = 7 and z = 1.02, just past the Taylor switch."""
+    mpmath = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny  # e^z underflows for j = 0 and z < -708
+    for z in PHI_SWEEP_Z:
+        want = float(_mp_phi(mpmath, j, z))
+        assert abs(phi_scalar(j, z) - want) <= 2e-12 * abs(want) + tiny, (j, z)
 
 
 @pytest.mark.parametrize("j", range(1, 6))
@@ -255,3 +286,51 @@ def test_cache_dedups_requests_and_validates_h():
         build_phi_cache(d, np.nan, [(1, 1)])
     with pytest.raises(TypeError):
         build_phi_cache(np.eye(2), 0.5, [(1, 1)])
+
+
+# ---------------------------------------------------------------------------
+# sine basis of constant-coefficient tridiagonal A
+
+@pytest.mark.parametrize("n", [600, 1000, 2000])
+def test_toeplitz_tridiagonal_gets_closed_form_sine_basis(n):
+    """n = 600 has n + 1 prime, the DST's slow Bluestein case."""
+    from scipy.linalg import eigh_tridiagonal
+
+    a = heat_problem(n).A
+    w, v = a.eigendecomposition()
+    assert isinstance(v, SineBasis)
+    want = eigh_tridiagonal(a.diag, a.off, eigvals_only=True)
+    scale = np.abs(want).max()
+    assert np.abs(np.sort(w) - want).max() <= 1e-13 * scale
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.abs(v.T @ (v @ x) - x).max() <= 1e-13 * np.abs(x).max()
+    for k in (0, 1, n // 2, n - 1):
+        vk = v @ np.eye(n)[:, k]
+        assert np.abs(a.matvec(vk) - w[k] * vk).max() <= 1e-13 * scale
+
+
+def test_other_tridiagonal_keeps_dense_eigenbasis():
+    heat = heat_problem(DST_MIN_N + 88).A
+    d = heat.diag.copy()
+    d[d.size // 2] *= 1.25
+    e = heat.off.copy()
+    e[0] *= 0.5
+    for a in (SymTridiagonalOperator(d, heat.off), SymTridiagonalOperator(heat.diag, e),
+              heat_problem(DST_MIN_N - 1).A):
+        w, v = a.eigendecomposition()
+        assert isinstance(v, np.ndarray) and v.shape == (a.n, a.n)
+        assert np.all(np.diff(w) >= 0.0)
+
+
+def test_sine_basis_cache_dense_get_matches_eigh_route():
+    a = heat_problem(600).A
+    h = 1.0 / 64
+    reqs = [phi_request(j, s) for j, s in REQS]
+    cache = build_phi_cache(a, h, reqs)
+    assert isinstance(cache.basis, SineBasis)
+    ref = build_phi_cache(EighTridiagonal(a.diag, a.off), h, reqs)
+    assert isinstance(ref.basis, np.ndarray)
+    for key in reqs:
+        got = cache.get(*key)
+        assert not got.flags.writeable
+        assert np.abs(got - ref.get(*key)).max() <= 1e-12
