@@ -10,15 +10,17 @@ a handful of scales c is everything the integrator needs; build_phi_cache
 computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
-in which case a spectral cache holds O(n) numbers in total.
+in which case a spectral cache holds O(n) numbers in total.  Matrices come
+from phi_matrices, one scaling-and-modified-squaring chain that yields
+phi_0(M)..phi_j(M) together from n x n products alone.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import ceil, factorial, log2
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .operators import LinearOperator
 
@@ -26,6 +28,10 @@ from .operators import LinearOperator
 # cancellation, so a truncated Taylor series is used instead.
 PHI_TAYLOR_RADIUS = 1.0
 PHI_TAYLOR_TERMS = 25
+# phi_matrices scales M until ||M||_1 <= PHI_SQUARING_THETA and sums this
+# many Taylor terms there, truncating at ||X||^18/(18+j)! <= 1/18! < 1.6e-16.
+PHI_SQUARING_THETA = 1.0
+PHI_SQUARING_TERMS = 18
 # Above this real part exp(z) overflows, and the recurrence with it.
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
@@ -95,40 +101,73 @@ def phi_quadrature_oracle(j, z, tol=1e-12):
     return val
 
 
-def matrix_exp(m):
-    """Matrix exponential (Pade approximation with scaling and squaring)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return scipy.linalg.expm(m)
+def phi_matrices(jmax, m):
+    """[phi_0(M), ..., phi_jmax(M)] by scaling and modified squaring.
 
+    M is scaled by 2^-s so that X = 2^-s M has ||X||_1 <= PHI_SQUARING_THETA;
+    phi_jmax(X) is the Taylor polynomial of PHI_SQUARING_TERMS terms in
+    Horner form, the lower phi_k(X) follow from phi_k = X phi_{k+1} + I/k!,
+    and s modified squarings
 
-def phi_matrix(j, m):
-    """Matrix phi_j(M) via one exponential of an augmented block matrix.
+        phi_k(2X) = 2^-k [phi_0(X) phi_k(X) + sum_{i=1..k} phi_i(X)/(k-i)!]
 
-    Embed M in the n(j+1)-dimensional block matrix W with W[0,0] = M and
-    identity blocks on the block superdiagonal; then exp(W) carries
-    [exp(M), phi_1(M), ..., phi_j(M)] in its top block row, and phi_j(M) is
-    the top-right block.  One exponential per (j, M), no recurrence, so no
-    cancellation for ill-conditioned M.
+    take every phi_k back to M (Skaflestad & Wright, Appl. Numer. Math.
+    2009).  All products are n x n: PHI_SQUARING_TERMS - 1 + jmax +
+    s (jmax + 1) of them.
     """
-    if j < 1:
-        raise ValueError("phi index must be >= 1 (use matrix_exp for j = 0)")
+    jmax = int(jmax)
+    if jmax < 0:
+        raise ValueError("phi index must be >= 0")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     n = m.shape[0]
-    w = np.zeros((n * (j + 1), n * (j + 1)))
-    w[:n, :n] = m
-    for k in range(j):
-        rows = slice(k * n, (k + 1) * n)
-        cols = slice((k + 1) * n, (k + 2) * n)
-        w[rows, cols] = np.eye(n)
-    return scipy.linalg.expm(w)[:n, j * n:(j + 1) * n]
+    norm = np.abs(m).sum(axis=0).max(initial=0.0)
+    s = max(0, ceil(log2(norm / PHI_SQUARING_THETA))) if norm > 0 else 0
+    x = np.ldexp(m, -s)
+    top = np.zeros((n, n))
+    top.ravel()[::n + 1] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
+    for k in range(PHI_SQUARING_TERMS - 2, -1, -1):
+        top = x @ top
+        top.ravel()[::n + 1] += 1.0 / factorial(k + jmax)
+    phis = np.empty((jmax + 1, n, n))
+    phis[jmax] = top
+    for k in range(jmax - 1, -1, -1):
+        np.matmul(x, phis[k + 1], out=phis[k])
+        phis[k].ravel()[::n + 1] += 1.0 / factorial(k)
+    halve, mix = _squaring_weights(jmax)
+    for _ in range(s):
+        doubled = np.matmul(phis[0], phis)
+        doubled *= halve
+        doubled += (mix @ phis.reshape(jmax + 1, -1)).reshape(phis.shape)
+        phis = doubled
+    return list(phis)
+
+
+@lru_cache(maxsize=None)
+def _squaring_weights(jmax):
+    """2^-k as a (jmax+1, 1, 1) array, and the matrix of 2^-k/(k-i)! for
+    1 <= i <= k (zero elsewhere): the two parts of one modified squaring."""
+    ks = range(jmax + 1)
+    halve = np.array([0.5 ** k for k in ks])[:, None, None]
+    mix = np.array([[0.5 ** k / factorial(k - i) if 1 <= i <= k else 0.0
+                     for i in ks] for k in ks])
+    halve.flags.writeable = mix.flags.writeable = False
+    return halve, mix
+
+
+def matrix_exp(m):
+    """Matrix exponential, phi_0(M), by scaling and squaring (phi_matrices)."""
+    return phi_matrices(0, m)[0]
+
+
+def phi_matrix(j, m):
+    """Matrix phi_j(M), j >= 1: the last of phi_matrices(j, M)."""
+    if j < 1:
+        raise ValueError("phi index must be >= 1 (use matrix_exp for j = 0)")
+    return phi_matrices(j, m)[j]
 
 
 def phi_symmetric(j, m):
@@ -243,9 +282,11 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A pays one augmented exponential per request and its
-    entries are matrices.  Duplicate requests collapse; each entry is
-    computed once.
+    SineBasis).  Dense A pays one squaring chain per scale (phi_matrices at
+    the largest j requested at that scale, which yields every lower j too)
+    and its entries are n x n matrices.  Duplicate requests collapse; each
+    entry is computed once.  An entry that overflows raises OverflowError
+    naming j, the scale and h.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
@@ -254,13 +295,23 @@ def build_phi_cache(a, h, requests):
         raise ValueError("step size must be positive and finite")
     keys = sorted({phi_request(*r) for r in requests})
     eig = a.eigendecomposition()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eig is not None:
+            w, v = eig
+            table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
+        else:
+            m = a.dense()
+            by_scale = {}
+            for j, scale in keys:
+                by_scale.setdefault(scale, []).append(j)
+            table = {}
+            for scale, js in by_scale.items():
+                phis = phi_matrices(max(js), float(scale) * h * m)
+                table.update({(j, scale): phis[j] for j in js})
+    for (j, scale), val in table.items():
+        if not np.all(np.isfinite(val)):
+            raise OverflowError(f"phi_{j}(scale * h * A) overflows at scale {scale}, "
+                                f"h = {h!r}")
     if eig is not None:
-        w, v = eig
-        table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
         return PhiCache(a.fingerprint, h, a.n, table, basis=v, spectral=True)
-    m = a.dense()
-    table = {}
-    for j, scale in keys:
-        scaled = float(scale) * h * m
-        table[(j, scale)] = matrix_exp(scaled) if j == 0 else phi_matrix(j, scaled)
     return PhiCache(a.fingerprint, h, a.n, table)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from exprk.operators import SymTridiagonalOperator
 from exprk.tableau import exprk5s8, get_tableau
@@ -16,6 +17,24 @@ class EighTridiagonal(SymTridiagonalOperator):
         from scipy.linalg import eigh_tridiagonal
 
         return eigh_tridiagonal(self.diag, self.off)
+
+
+def augmented_phi(j, m):
+    """phi_j(M) as one exponential of an augmented block matrix: the
+    reference for the library's scaling-and-squaring kernel.
+
+    Embed M in the n(j+1)-dimensional block matrix W with W[0,0] = M and
+    identity blocks on the block superdiagonal; then exp(W) carries
+    [exp(M), phi_1(M), ..., phi_j(M)] in its top block row, and phi_j(M) is
+    the top-right block, computed by scipy's Pade expm.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    w = np.zeros((n * (j + 1), n * (j + 1)))
+    w[:n, :n] = m
+    for k in range(j):
+        w[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+    return scipy.linalg.expm(w)[:n, j * n:(j + 1) * n]
 
 
 def rk_integrate(bt, f, u0, t0, t_end, n_steps):

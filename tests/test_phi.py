@@ -1,18 +1,25 @@
 """Phi-function evaluation: scalar routes, matrix routes, oracles, cache."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import EighTridiagonal
+import exprk.phi
+from conftest import EighTridiagonal, augmented_phi
+from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import (PHI_TAYLOR_RADIUS, CacheMissError, PhiRequest,
                        QuadratureError, build_phi_cache, matrix_exp,
-                       phi_matrix, phi_quadrature_oracle, phi_request,
-                       phi_scalar, phi_symmetric)
+                       phi_matrices, phi_matrix, phi_quadrature_oracle,
+                       phi_request, phi_scalar, phi_symmetric)
+from exprk.tableau import get_tableau
 from exprk.testbed import heat_problem
 
 ORACLE_GRID = [-50.0, -10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0]
@@ -176,6 +183,73 @@ def test_matrix_routes_validate_input(func):
 def test_phi_matrix_rejects_index_zero():
     with pytest.raises(ValueError):
         phi_matrix(0, np.eye(2))
+    with pytest.raises(ValueError):
+        phi_matrices(-1, np.eye(2))
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.3, 1.0, 1.5, 40.0, 900.0])
+def test_phi_matrices_match_augmented_exponential(norm):
+    """Every phi_k up to jmax = 4, with no squaring (||M||_1 <= 1) and with
+    up to ten."""
+    m = np.random.default_rng(17).standard_normal((6, 6)) - 2.0 * np.eye(6)
+    m *= norm / np.abs(m).sum(axis=0).max()
+    got = phi_matrices(4, m)
+    assert len(got) == 5
+    for k, val in enumerate(got):
+        want = augmented_phi(k, m)
+        assert np.abs(val - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(matrix_exp(m), got[0])
+    assert np.array_equal(phi_matrix(3, m), phi_matrices(3, m)[3])
+
+
+def _advdiff_matrix(n, beta):
+    """Central differences for u'' + beta u' on n interior points of (0, 1)
+    with zero Dirichlet ends: nonsymmetric and non-normal."""
+    dx = 1.0 / (n + 1)
+    return (np.diag(np.full(n, -2.0 / dx ** 2))
+            + np.diag(np.full(n - 1, 1.0 / dx ** 2 + beta / (2.0 * dx)), 1)
+            + np.diag(np.full(n - 1, 1.0 / dx ** 2 - beta / (2.0 * dx)), -1))
+
+
+def _mp_augmented_phi(mpmath, j, m):
+    """phi_j(M) from a 40-digit mpmath exponential of the augmented matrix."""
+    n = m.shape[0]
+    with mpmath.workdps(40):
+        w = mpmath.zeros(n * (j + 1))
+        for r in range(n):
+            for c in range(n):
+                w[r, c] = mpmath.mpf(float(m[r, c]))
+        for k in range(j * n):
+            w[k, k + n] = 1
+        e = mpmath.expm(w)
+        return np.array([[float(e[r, j * n + c]) for c in range(n)] for r in range(n)])
+
+
+def _mp_cases():
+    """Non-normal test matrices with ||M||_1 from 13 to 860, and the bound on
+    the error of the dense route relative to the largest entry."""
+    rng = np.random.default_rng(7)
+    gauss5 = 3.0 * rng.standard_normal((5, 5))
+    # eigenvalues -1..-700 under off-diagonal entries up to about 100, rotated
+    # so that it is not triangular: the hard case for squaring
+    tri = np.diag([-1.0, -10.0, -100.0, -700.0]) + np.triu(50.0 * rng.standard_normal((4, 4)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return {"gauss5": (gauss5, 1e-14),
+            "jordan4": (-20.0 * np.eye(4) + 30.0 * np.eye(4, k=1), 1e-14),
+            "advdiff5": (4.0 * _advdiff_matrix(5, 20.0), 1e-14),
+            "stiff4": (q @ tri @ q.T, 1e-12)}
+
+
+@pytest.mark.parametrize("j", [1, 4])
+@pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
+def test_phi_matrices_match_mpmath(case, j):
+    """Measured at most 6.9e-16 on the first three (advdiff5 squares ten
+    times).  On stiff4 it is 1.7e-13 (j = 1) and 6.0e-14 (j = 4), where
+    scipy's augmented expm gives 6.5e-14 and 2.1e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    m, bound = _mp_cases()[case]
+    want = _mp_augmented_phi(mpmath, j, m)
+    assert np.abs(phi_matrices(j, m)[j] - want).max() <= bound * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +272,8 @@ REQS = [(1, Fraction(1, 2)), (1, Fraction(1)), (2, Fraction(1)),
 
 
 def _cache_reference(a_dense, h):
-    """Dense-route phi matrices used to cross-check structured routes."""
-    out = {}
-    for j, s in REQS:
-        m = float(s) * h * a_dense
-        out[(j, s)] = matrix_exp(m) if j == 0 else phi_matrix(j, m)
-    return out
+    """Augmented-exponential phi matrices used to cross-check every route."""
+    return {(j, s): augmented_phi(j, float(s) * h * a_dense) for j, s in REQS}
 
 
 def test_cache_routes_agree_across_operator_variants():
@@ -259,6 +329,78 @@ def test_spectral_cache_holds_vectors_and_one_basis():
     cache = build_phi_cache(m, 0.5, [phi_request(1, 1)])
     assert not cache.spectral and cache.basis is None
     assert cache.get(1, 1, eigenbasis=True) is cache.get(1, 1)
+
+
+EXPRK5S8_REQUESTS = sorted(required_requests(get_tableau("expRK5s8")))
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_dense_route_matches_spectral_route_on_heat(n):
+    """||hA||_1 is 2.6e3 (n = 100) and 4.0e4 (n = 400) at h = 1/16; measured
+    9.6e-14 and 6.9e-13 relative to the largest entry."""
+    a = heat_problem(n).A
+    h = 1.0 / 16
+    dense = build_phi_cache(DenseOperator(a.dense()), h, EXPRK5S8_REQUESTS)
+    ref = build_phi_cache(EighTridiagonal(a.diag, a.off), h, EXPRK5S8_REQUESTS)
+    assert not dense.spectral and ref.spectral
+    for key in EXPRK5S8_REQUESTS:
+        want = ref.get(*key)
+        assert np.abs(dense.get(*key) - want).max() <= 1e-12 * np.abs(want).max(), key
+
+
+def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
+    m = _advdiff_matrix(50, beta=20.0)
+    h = 1.0 / 64
+    cache = build_phi_cache(DenseOperator(m), h, EXPRK5S8_REQUESTS)
+    for j, s in EXPRK5S8_REQUESTS:
+        want = augmented_phi(j, float(s) * h * m)
+        assert np.abs(cache.get(j, s) - want).max() <= 1e-12 * np.abs(want).max(), (j, s)
+
+
+def test_dense_cache_makes_one_squaring_chain_per_scale(monkeypatch):
+    chains, expms = [], []
+    kernel, expm = exprk.phi.phi_matrices, scipy.linalg.expm
+    monkeypatch.setattr(exprk.phi, "phi_matrices",
+                        lambda j, m: chains.append(j) or kernel(j, m))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
+    a = DenseOperator(_advdiff_matrix(20, beta=20.0))
+    cache = build_phi_cache(a, 1.0 / 64, EXPRK5S8_REQUESTS)
+    assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
+    assert len(chains) == len({s for _, s in EXPRK5S8_REQUESTS}) == 5
+    # one chain per scale, to the largest j requested there: phi_2 at 1/4,
+    # phi_3 at 1/2, phi_4 at 1/5, 2/3 and 1
+    assert sorted(chains) == [2, 3, 4, 4, 4]
+    assert expms == []
+    for key in EXPRK5S8_REQUESTS:
+        with pytest.raises(ValueError):
+            cache.get(*key)[0] = 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("op", [DenseOperator(np.diag([800.0, -1.0])),
+                                DiagonalOperator(np.array([800.0, -1.0]))],
+                         ids=["dense", "diagonal"])
+def test_overflowing_phi_entry_fails_before_the_first_step(op):
+    with pytest.raises(OverflowError, match=r"phi_\d.*scale \d+(/\d+)?, h = 1\.0"):
+        build_phi_cache(op, 1.0, EXPRK5S8_REQUESTS)
+    pb = SemilinearProblem(A=op, g=lambda t, u: np.zeros_like(u), u0=np.ones(2))
+    with pytest.raises(OverflowError):
+        integrate(pb, get_tableau("expRK5s8"), 1)
+
+
+def test_finite_phi_past_exp_overflow_still_builds():
+    assert phi_scalar(7, 715.0) == pytest.approx(3.470661580076906e290, rel=1e-14)
+    cache = build_phi_cache(DiagonalOperator(np.array([715.0, -1.0])), 1.0, [(7, 1)])
+    assert cache.get(7, 1, eigenbasis=True)[0] == phi_scalar(7, 715.0)
+
+
+def test_importing_exprk_loads_no_scipy_linalg_or_fft():
+    code = ("import sys, exprk; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.fft') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(exprk.phi.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_cache_is_read_only_and_reports_misses():
