@@ -9,6 +9,11 @@ displayed, and "weakened" with condition 8 imposed only at Z = 0 and the
 outer weights b_i(Z) of conditions 9-16 replaced by the scalars b_i(0) --
 still sufficient for fifth order on parabolic problems.
 
+Every condition nests the same pieces, so each is stored as a Word: an
+outer weight b_i, zero or more links (a power of c and a probe matrix J, K or
+L, or the bilinear map B) leading inward through the rows of a, and a psi
+defect at the leaf; one recursive routine evaluates them all.
+
 Checking an identity over *all* matrices is impossible numerically; the
 checker evaluates residuals on a batch of seeded random probes plus
 structured diagonal/permutation probes chosen to separate the terms.  A
@@ -19,17 +24,17 @@ probes is the (probabilistic) verdict that it holds.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import DenseOperator
 from .phi import build_phi_cache
-from .tableau import eval_combo, phi_term
+from .tableau import eval_combo, psi_values, psi_weight
 
 __all__ = [
     "ProbeSet", "ConditionReport", "ConditionRow", "condition_residual",
-    "check", "structured_probes", "draw_probe_sets", "CONDITION_ORDERS",
+    "check", "structured_probes", "draw_probe_sets", "CONDITION_ORDERS", "WORDS",
     "classical_order_conditions",
 ]
 
@@ -113,155 +118,121 @@ def _bilinear_columns(tensor, u_mat, v_mat):
     return np.einsum("rpq,pc,qc->rc", tensor, u_mat, v_mat)
 
 
+class Word(NamedTuple):
+    """One stiff order condition as a nested sum around a psi defect.
+
+    A word with no links is the weight defect psi_j.  Otherwise the residual
+    is sum_i W_i X_1 [sum_k a_ik X_2 [... psi_{j,k}]], with the outer weight
+    W_i = b_i(Z) and the links (p, X) read from the outer sum inward: each
+    link multiplies its term by c^p of its stage index and interleaves the
+    probe matrix X (J, K or L), or, for the letter B, applies the bilinear
+    map to the inner value taken twice.
+    """
+
+    order: int
+    psi: int
+    links: tuple = ()
+
+
+_J, _K, _L = (0, "J"), (1, "K"), (2, "L")
+
+# condition id -> its word, numbered as in the paper
+WORDS = {
+    1: Word(2, 2), 2: Word(3, 3), 3: Word(3, 2, (_J,)),
+    4: Word(4, 4), 5: Word(4, 3, (_J,)), 6: Word(4, 2, (_J, _J)),
+    7: Word(4, 2, (_K,)),
+    8: Word(5, 5), 9: Word(5, 4, (_J,)), 10: Word(5, 3, (_J, _J)),
+    11: Word(5, 2, (_J, _J, _J)), 12: Word(5, 2, (_J, _K)),
+    13: Word(5, 3, (_K,)), 14: Word(5, 2, (_K, _J)),
+    15: Word(5, 2, ((0, "B"),)), 16: Word(5, 2, (_L,)),
+}
+
+# condition id -> the order it belongs to
+CONDITION_ORDERS = {cid: w.order for cid, w in WORDS.items()}
+
+MODES = ("strong", "weakened")
+
+
 class _ProbeTables:
     """Everything condition evaluation needs at one probe, assembled once.
 
     Coefficient matrices are built from a phi cache on Z (h = 1) exactly as
-    the stepper builds them, and the psi matrices are evaluated per their
-    definitions (weighted row sums minus the scaled phi term), so residuals
-    reflect genuine float evaluation, not pre-cancelled rationals.
+    the stepper builds them, and each psi defect is evaluated once, through
+    its definition (tableau.psi_values), so residuals reflect genuine float
+    evaluation, not pre-cancelled rationals.
     """
 
     def __init__(self, t, probe):
         self.t = t
         self.p = probe
-        pairs = {(j, s) for j, s in t.phi_pairs()}
+        pairs = t.phi_pairs()
         pairs |= {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
         pairs |= {(m, Fraction(1)) for m in (2, 3, 4, 5)}
         cache = build_phi_cache(DenseOperator(probe.Z), 1.0, pairs)
         self.get = cache.get
-        self.b_mat = {i: eval_combo(v, probe.Z, cache.get) for i, v in t.b.items()}
-        self.b0 = {i: float(v.at_zero()) for i, v in t.b.items()}
-        self.a_mat = {k: eval_combo(v, probe.Z, cache.get) for k, v in t.a.items()}
-        self.c = [float(ci) for ci in t.c]
         self.eye = np.eye(probe.d)
+        self.b_mat = {i: eval_combo(v, probe.Z, cache.get) for i, v in t.b.items()}
+        self.b_at_zero = {i: float(v.at_zero()) * self.eye for i, v in t.b.items()}
+        a_mat = {k: eval_combo(v, probe.Z, cache.get) for k, v in t.a.items()}
+        self.rows = {i: {k: a_mat[(i, k)] for k in range(2, i) if (i, k) in a_mat}
+                     for i in range(2, t.s + 1)}
+        self.c = [float(ci) for ci in t.c]
+        self._psi = {}
 
-    def weight_indices(self):
-        return sorted(self.b_mat)
-
-    def psi_weight_mat(self, j):
-        acc = -self.get(j, Fraction(1))
-        for i, bm in self.b_mat.items():
-            acc = acc + (self.c[i - 1] ** (j - 1) / factorial(j - 1)) * bm
-        return acc
-
-    def psi_stage_mat(self, j, i):
-        ci = self.t.node(i)
-        acc = -float(ci ** j) * self.get(j, ci) if ci > 0 else np.zeros_like(self.eye)
-        for k in range(2, i):
-            am = self.a_mat.get((i, k))
-            if am is not None:
-                acc = acc + (self.c[k - 1] ** (j - 1) / factorial(j - 1)) * am
-        return acc
-
-    def psi5_at_zero(self):
-        acc = -1.0 / factorial(5)
-        for i, b0 in self.b0.items():
-            acc += b0 * self.c[i - 1] ** 4 / factorial(4)
-        return acc
+    def psi(self, j, i=None):
+        """psi_j (i None) or psi_{j,i} at this probe, evaluated once."""
+        key = (j, i)
+        if key not in self._psi:
+            if i is None:
+                val = psi_values(j, self.t, self.b_mat, self.get(j, Fraction(1)))
+            else:
+                ci = self.t.node(i)
+                target = (float(ci ** j) * self.get(j, ci) if ci > 0
+                          else np.zeros_like(self.eye))
+                val = psi_values(j, self.t, self.rows[i], target)
+            self._psi[key] = val
+        return self._psi[key]
 
 
-def _outer_weight(tab, i, mode):
-    """Outer multiplier for conditions 9-16: b_i(Z), or b_i(0) when weakened."""
-    if mode == "weakened":
-        return tab.b0[i] * tab.eye
-    return tab.b_mat[i]
-
-
-def _condition_matrix(cid, tab, mode):
-    """Residual matrix (or scalar for condition 8 weakened) of one condition."""
-    t, p = tab.t, tab.p
-    if cid in (1, 2, 4):
-        return tab.psi_weight_mat({1: 2, 2: 3, 4: 4}[cid])
-    if cid == 8:
-        if mode == "weakened":
-            return np.array([[tab.psi5_at_zero()]])
-        return tab.psi_weight_mat(5)
-
+def _nest(tab, links, j, coeffs):
+    """sum_i c_i^p coeffs_i X [inner_i], inner_i being psi_{j,i} at the last link."""
+    (power, letter), rest = links[0], links[1:]
     acc = np.zeros_like(tab.eye)
-    if cid == 3:
-        for i in tab.weight_indices():
-            acc = acc + tab.b_mat[i] @ p.J @ tab.psi_stage_mat(2, i)
-    elif cid == 5:
-        for i in tab.weight_indices():
-            acc = acc + tab.b_mat[i] @ p.J @ tab.psi_stage_mat(3, i)
-    elif cid == 6:
-        for i in tab.weight_indices():
-            inner = np.zeros_like(acc)
-            for j in range(2, i):
-                am = tab.a_mat.get((i, j))
-                if am is not None:
-                    inner = inner + am @ p.J @ tab.psi_stage_mat(2, j)
-            acc = acc + tab.b_mat[i] @ p.J @ inner
-    elif cid == 7:
-        for i in tab.weight_indices():
-            acc = acc + tab.c[i - 1] * (tab.b_mat[i] @ p.K @ tab.psi_stage_mat(2, i))
-    elif cid == 9:
-        for i in tab.weight_indices():
-            acc = acc + _outer_weight(tab, i, mode) @ p.J @ tab.psi_stage_mat(4, i)
-    elif cid == 10:
-        for i in tab.weight_indices():
-            inner = np.zeros_like(acc)
-            for j in range(2, i):
-                am = tab.a_mat.get((i, j))
-                if am is not None:
-                    inner = inner + am @ p.J @ tab.psi_stage_mat(3, j)
-            acc = acc + _outer_weight(tab, i, mode) @ p.J @ inner
-    elif cid == 11:
-        for i in tab.weight_indices():
-            mid = np.zeros_like(acc)
-            for j in range(2, i):
-                am_ij = tab.a_mat.get((i, j))
-                if am_ij is None:
-                    continue
-                inner = np.zeros_like(acc)
-                for k in range(2, j):
-                    am_jk = tab.a_mat.get((j, k))
-                    if am_jk is not None:
-                        inner = inner + am_jk @ p.J @ tab.psi_stage_mat(2, k)
-                mid = mid + am_ij @ p.J @ inner
-            acc = acc + _outer_weight(tab, i, mode) @ p.J @ mid
-    elif cid == 12:
-        for i in tab.weight_indices():
-            inner = np.zeros_like(acc)
-            for j in range(2, i):
-                am = tab.a_mat.get((i, j))
-                if am is not None:
-                    inner = inner + tab.c[j - 1] * (am @ p.K @ tab.psi_stage_mat(2, j))
-            acc = acc + _outer_weight(tab, i, mode) @ p.J @ inner
-    elif cid == 13:
-        for i in tab.weight_indices():
-            acc = acc + tab.c[i - 1] * (_outer_weight(tab, i, mode) @ p.K
-                                        @ tab.psi_stage_mat(3, i))
-    elif cid == 14:
-        for i in tab.weight_indices():
-            inner = np.zeros_like(acc)
-            for j in range(2, i):
-                am = tab.a_mat.get((i, j))
-                if am is not None:
-                    inner = inner + am @ p.J @ tab.psi_stage_mat(2, j)
-            acc = acc + tab.c[i - 1] * (_outer_weight(tab, i, mode) @ p.K @ inner)
-    elif cid == 15:
-        for i in tab.weight_indices():
-            psi = tab.psi_stage_mat(2, i)
-            acc = acc + _outer_weight(tab, i, mode) @ _bilinear_columns(p.B, psi, psi)
-    elif cid == 16:
-        for i in tab.weight_indices():
-            acc = acc + tab.c[i - 1] ** 2 * (_outer_weight(tab, i, mode) @ p.L
-                                             @ tab.psi_stage_mat(2, i))
-    else:
-        raise ValueError(f"unknown condition id {cid}")
+    for i in sorted(coeffs):
+        inner = _nest(tab, rest, j, tab.rows[i]) if rest else tab.psi(j, i)
+        if letter == "B":
+            term = coeffs[i] @ _bilinear_columns(tab.p.B, inner, inner)
+        else:
+            term = coeffs[i] @ getattr(tab.p, letter) @ inner
+        if power:
+            term = tab.c[i - 1] ** power * term
+        acc = acc + term
     return acc
+
+
+def _residual(word, tab, mode):
+    """Max-abs residual of one word at one probe.
+
+    Weakened mode changes only order 5: the outer weights become the scalars
+    b_i(0), and the weight defect psi_5 is taken at Z = 0 alone.
+    """
+    weakened = mode == "weakened" and word.order == 5
+    if word.links:
+        value = _nest(tab, word.links, word.psi, tab.b_at_zero if weakened else tab.b_mat)
+    elif weakened:
+        value = psi_weight(word.psi, tab.t, 0.0)
+    else:
+        value = tab.psi(word.psi)
+    return float(np.abs(value).max())
 
 
 def condition_residual(cid, t, p, mode="strong"):
     """Max-abs residual of one condition at one probe set."""
-    if cid not in CONDITION_ORDERS:
+    if cid not in WORDS:
         raise ValueError(f"unknown condition id {cid}")
-    if mode not in ("strong", "weakened"):
+    if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    tab = _ProbeTables(t, p)
-    return float(np.abs(_condition_matrix(cid, tab, mode)).max())
+    return _residual(WORDS[cid], _ProbeTables(t, p), mode)
 
 
 @dataclass(frozen=True)
@@ -313,15 +284,14 @@ class ConditionReport:
         return out
 
 
-def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0,
-          include_structured=True):
+def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
     """Run all 16 conditions in both modes over a probe batch.
 
     p may be a single ProbeSet or a sequence of them; by default n_probes
-    seeded random probes are drawn.  Structured diagonal/permutation probes
-    are appended unless include_structured is False.  The report carries the
-    highest p in {1..4} whose strong conditions all pass, and the weakened
-    order-5 verdict (strong 1-7 plus weakened 8-16).
+    seeded random probes are drawn.  The structured diagonal/permutation
+    probes are always appended.  The report carries the highest p in {1..4}
+    whose strong conditions all pass, and the weakened order-5 verdict
+    (strong 1-7 plus weakened 8-16).
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -331,19 +301,18 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0,
         probes = [p]
     else:
         probes = list(p)
-    if include_structured:
-        probes = probes + _structured_probe_sets()
+    probes = probes + _structured_probe_sets()
 
-    worst = {(cid, mode): 0.0 for cid in CONDITION_ORDERS
-             for mode in ("strong", "weakened")}
+    worst = {(cid, mode): 0.0 for cid in WORDS for mode in MODES}
     for probe in probes:
         tab = _ProbeTables(t, probe)
-        for cid in CONDITION_ORDERS:
-            for mode in ("strong", "weakened"):
-                res = float(np.abs(_condition_matrix(cid, tab, mode)).max())
-                key = (cid, mode)
-                if res > worst[key]:
-                    worst[key] = res
+        for cid, word in WORDS.items():
+            # below order 5 the two modes are one condition: evaluate it once
+            strong = _residual(word, tab, "strong")
+            weak = _residual(word, tab, "weakened") if word.order == 5 else strong
+            for mode, res in zip(MODES, (strong, weak)):
+                if res > worst[(cid, mode)]:
+                    worst[(cid, mode)] = res
 
     rows = tuple(ConditionRow(cid, mode, CONDITION_ORDERS[cid], worst[(cid, mode)],
                               worst[(cid, mode)] <= tolerance)

@@ -170,15 +170,6 @@ def phi_matrix(j, m):
     return phi_matrices(j, m)[j]
 
 
-def phi_symmetric(j, m):
-    """Spectral evaluation of phi_j(M) for symmetric M (test oracle)."""
-    m = np.asarray(m, dtype=float)
-    if not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
-        raise ValueError("spectral route needs a symmetric matrix")
-    w, v = np.linalg.eigh(m)
-    return (v * _phi_values(j, w)) @ v.T
-
-
 def _phi_values(j, zs):
     """phi_j over a 1-d array of real arguments."""
     return np.array([phi_scalar(j, z) for z in np.asarray(zs, dtype=float)])

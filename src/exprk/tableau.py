@@ -30,8 +30,8 @@ from .phi import phi_matrix, phi_scalar
 __all__ = [
     "PhiCombo", "phi_term", "eval_combo", "ExpRKTableau", "ButcherTableau",
     "exprk5s8", "baseline_tableaux", "three_node_weights", "get_tableau",
-    "tableau_names", "psi_weight", "psi_stage", "psi_weight_combo",
-    "psi_stage_combo", "classical_limit", "tableau_to_text",
+    "tableau_names", "psi_values", "psi_weight", "psi_stage",
+    "psi_weight_combo", "psi_stage_combo", "classical_limit", "tableau_to_text",
     "tableau_from_text", "TableauFormatError",
 ]
 
@@ -309,15 +309,26 @@ def get_tableau(name):
 # psi_j compares the weights against phi_j, psi_{j,i} compares row i of a
 # against c_i^j phi_j(c_i z).
 
+def psi_values(j, t, coeffs, target):
+    """sum_k coeffs[k] c_k^{j-1}/(j-1)! - target, from evaluated coefficients.
+
+    The one numeric definition of both psi defects: with coeffs the values of
+    the weights b_k and target phi_j it is psi_j; with coeffs the values of
+    row i of a and target c_i^j phi_j(c_i z) it is psi_{j,i}.  The values may
+    be scalars or matrices, all taken at the same argument.
+    """
+    acc = -target
+    for k, v in coeffs.items():
+        acc = acc + (float(t.node(k)) ** (j - 1) / factorial(j - 1)) * v
+    return acc
+
+
 def psi_weight(j, t, z, phi=None):
     """psi_j(z) = sum_i b_i(z) c_i^{j-1}/(j-1)! - phi_j(z), evaluated numerically."""
     if j < 2:
         raise ValueError("psi index must be >= 2")
-    acc = eval_combo(phi_term(-1, j), z, phi)
-    for i, combo in t.b.items():
-        w = float(Fraction(t.node(i) ** (j - 1), factorial(j - 1)))
-        acc = acc + w * eval_combo(combo, z, phi)
-    return acc
+    b = {i: eval_combo(combo, z, phi) for i, combo in t.b.items()}
+    return psi_values(j, t, b, eval_combo(phi_term(1, j), z, phi))
 
 
 def psi_stage(j, i, t, z, phi=None):
@@ -327,16 +338,9 @@ def psi_stage(j, i, t, z, phi=None):
     if not 2 <= i <= t.s:
         raise IndexError(f"stage index {i} out of range 2..{t.s}")
     ci = t.node(i)
-    if ci > 0:
-        acc = eval_combo(phi_term(-(ci ** j), j, ci), z, phi)
-    else:
-        acc = eval_combo(PhiCombo(), z, phi)
-    for k in range(2, i):
-        combo = t.a.get((i, k))
-        if combo is not None:
-            w = float(Fraction(t.node(k) ** (j - 1), factorial(j - 1)))
-            acc = acc + w * eval_combo(combo, z, phi)
-    return acc
+    row = {k: eval_combo(t.a[(i, k)], z, phi) for k in range(2, i) if (i, k) in t.a}
+    target = phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo()
+    return psi_values(j, t, row, eval_combo(target, z, phi))
 
 
 def psi_weight_combo(j, t):

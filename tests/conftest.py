@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from exprk.operators import SymTridiagonalOperator
+from exprk.phi import phi_scalar
 from exprk.tableau import exprk5s8, get_tableau
 from exprk.testbed import heat_problem
 
@@ -35,6 +36,16 @@ def augmented_phi(j, m):
     for k in range(j):
         w[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
     return scipy.linalg.expm(w)[:n, j * n:(j + 1) * n]
+
+
+def phi_symmetric(j, m):
+    """phi_j(M) for symmetric M through its eigendecomposition: the spectral
+    reference for the matrix routes."""
+    m = np.asarray(m, dtype=float)
+    if not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
+        raise ValueError("spectral route needs a symmetric matrix")
+    w, v = np.linalg.eigh(m)
+    return (v * np.array([phi_scalar(j, z) for z in w])) @ v.T
 
 
 def rk_integrate(bt, f, u0, t0, t_end, n_steps):

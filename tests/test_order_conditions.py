@@ -1,11 +1,14 @@
 """Stiff order-condition verification in strong and weakened modes."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
-from exprk.order_conditions import (CONDITION_ORDERS, ProbeSet, check,
+from conftest import augmented_phi
+from exprk.order_conditions import (CONDITION_ORDERS, ProbeSet,
+                                    _structured_probe_sets, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
 from exprk.tableau import ExpRKTableau, exprk5s8, get_tableau, phi_term
@@ -28,6 +31,13 @@ def _with_weight_scaled(t, i, factor):
     b[i] = b[i] * factor
     a = {k: v for k, v in t.a.items()}
     return ExpRKTableau(name=f"{t.name}-scaled", c=t.c, a=a, b=b)
+
+
+def _perturbed(t):
+    """Copy of t with a 1e-3 bump on b_8's phi_4 coefficient."""
+    b = {i: t.weight(i) for i in (6, 7, 8)}
+    b[8] = b[8] + phi_term(F(1, 1000), 4, 1)
+    return ExpRKTableau(name="perturbed", c=t.c, a=dict(t.a), b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +136,8 @@ def test_check_exprk5s8_profile(tab5):
     weak = {r.id: r for r in rep.rows if r.mode == "weakened"}
     for i in range(1, 17):
         assert weak[i].passed, f"weakened condition {i} failed"
+    for i in range(1, 8):  # the modes differ only at order 5
+        assert weak[i].residual == strong[i].residual
     for i in list(range(1, 8)) + list(range(11, 17)):
         assert strong[i].passed, f"strong condition {i} failed"
     for i in (8, 9, 10):
@@ -163,10 +175,7 @@ def test_check_accepts_explicit_probes(tab5):
 
 def test_perturbed_weight_detected(tab5):
     """A 1e-3 bump on b_8's phi_4 coefficient must break condition 4."""
-    b = {i: tab5.weight(i) for i in (6, 7, 8)}
-    b[8] = b[8] + phi_term(F(1, 1000), 4, 1)
-    tp = ExpRKTableau(name="perturbed", c=tab5.c, a=dict(tab5.a), b=b)
-    rep = check(tp, tolerance=1e-9, n_probes=50, dim=3, seed=0)
+    rep = check(_perturbed(tab5), tolerance=1e-9, n_probes=50, dim=3, seed=0)
     assert rep.weakened_order5 is False
     r4 = [r for r in rep.rows if r.id == 4 and r.mode == "strong"][0]
     assert not r4.passed
@@ -239,3 +248,116 @@ def test_report_texts(tab5):
     assert rep.row(9, "strong").passed is False
     with pytest.raises(KeyError):
         rep.row(1, "medium")
+
+
+# ---------------------------------------------------------------------------
+# independent transcription
+
+def _transcribed_residuals(t, p):
+    """{(cid, mode): residual} of the 16 conditions, each written out from its
+    formula in the paper.
+
+    Deliberately shares no evaluator with the library: phi values come from
+    the augmented-matrix exponential, coefficients are summed from their
+    combo terms here, and condition 8's weakened form is exact rational
+    arithmetic, so agreement with condition_residual is evidence.
+    """
+    d = p.d
+    zero, eye = np.zeros((d, d)), np.eye(d)
+    phis = {}
+
+    def phi(j, s):
+        if (j, s) not in phis:
+            phis[j, s] = augmented_phi(j, float(s) * p.Z)
+        return phis[j, s]
+
+    def coef(combo):
+        return sum((float(al) * phi(j, s) for al, j, s in combo.terms), zero)
+
+    c = [float(ci) for ci in t.c]
+    stages = range(2, t.s + 1)
+    b = {i: coef(t.weight(i)) for i in stages}
+    b_at_0 = {i: float(t.weight(i).at_zero()) * eye for i in stages}
+    a = {(i, k): coef(t.a_combo(i, k)) for i in stages for k in range(2, i)}
+
+    def psi_w(j):
+        return (sum((b[i] * c[i - 1] ** (j - 1) / factorial(j - 1) for i in stages), zero)
+                - phi(j, 1))
+
+    def psi_s(j, i):
+        ci = t.node(i)
+        target = float(ci ** j) * phi(j, ci) if ci > 0 else zero
+        return (sum((a[i, k] * c[k - 1] ** (j - 1) / factorial(j - 1)
+                     for k in range(2, i)), zero) - target)
+
+    def row_sum(i, f):
+        # sum_k a_ik X_k over the stages before i
+        return sum((a[i, k] @ f(k) for k in range(2, i)), zero)
+
+    def bilinear(u, v):
+        return np.stack([p.B.reshape(d, d * d) @ np.outer(u[:, col], v[:, col]).ravel()
+                         for col in range(d)], axis=1)
+
+    J, K, L = p.J, p.K, p.L
+    out = {}
+    for mode in ("strong", "weakened"):
+        w = b if mode == "strong" else b_at_0
+
+        def total(f, weights):
+            return sum((f(i, weights[i]) for i in stages), zero)
+
+        r = {
+            1: psi_w(2), 2: psi_w(3), 4: psi_w(4),
+            3: total(lambda i, bi: bi @ J @ psi_s(2, i), b),
+            5: total(lambda i, bi: bi @ J @ psi_s(3, i), b),
+            6: total(lambda i, bi: bi @ J @ row_sum(i, lambda k: J @ psi_s(2, k)), b),
+            7: total(lambda i, bi: c[i - 1] * bi @ K @ psi_s(2, i), b),
+            9: total(lambda i, wi: wi @ J @ psi_s(4, i), w),
+            10: total(lambda i, wi: wi @ J @ row_sum(i, lambda k: J @ psi_s(3, k)), w),
+            11: total(lambda i, wi: wi @ J @ row_sum(
+                i, lambda k: J @ row_sum(k, lambda m: J @ psi_s(2, m))), w),
+            12: total(lambda i, wi: wi @ J @ row_sum(
+                i, lambda k: c[k - 1] * K @ psi_s(2, k)), w),
+            13: total(lambda i, wi: c[i - 1] * wi @ K @ psi_s(3, i), w),
+            14: total(lambda i, wi: c[i - 1] * wi @ K @ row_sum(
+                i, lambda k: J @ psi_s(2, k)), w),
+            15: total(lambda i, wi: wi @ bilinear(psi_s(2, i), psi_s(2, i)), w),
+            16: total(lambda i, wi: c[i - 1] ** 2 * wi @ L @ psi_s(2, i), w),
+        }
+        if mode == "strong":
+            r[8] = psi_w(5)
+        else:
+            r[8] = np.array(float(sum((t.weight(i).at_zero() * t.node(i) ** 4 / 24
+                                       for i in stages), F(0)) - F(1, 120)))
+        for cid, val in r.items():
+            out[cid, mode] = float(np.abs(val).max())
+    return out
+
+
+def _bumped_rows(t):
+    """expRK5s8 with 1/10 phi_2(c_i z) added to every a_i2: no psi_{j,i}
+    vanishes and every stage links to stage 2, so each nested word, not
+    only the weight defects, has a residual far above rounding."""
+    a = dict(t.a)
+    for i in range(3, t.s + 1):
+        a[i, 2] = t.a_combo(i, 2) + phi_term(F(1, 10), 2, t.node(i))
+    return ExpRKTableau(name="bumped-rows", c=t.c, a=a, b=dict(t.b))
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "perturbed",
+                                  "bumped-rows"])
+def test_condition_residual_matches_independent_transcription(name, tab5):
+    made = {"perturbed": _perturbed, "bumped-rows": _bumped_rows}
+    t = made[name](tab5) if name in made else get_tableau(name)
+    probes = draw_probe_sets(10, d=3, seed=21) + _structured_probe_sets()
+    assert len(probes) == 53
+    worst = 0.0
+    for p in probes:
+        want = _transcribed_residuals(t, p)
+        got = {(cid, mode): condition_residual(cid, t, p, mode)
+               for cid in CONDITION_ORDERS for mode in ("strong", "weakened")}
+        for cid in range(1, 8):
+            assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
+        for key in want:
+            worst = max(worst, abs(got[key] - want[key]))
+    assert worst <= 1e-13, worst

@@ -11,14 +11,14 @@ import pytest
 import scipy.linalg
 
 import exprk.phi
-from conftest import EighTridiagonal, augmented_phi
+from conftest import EighTridiagonal, augmented_phi, phi_symmetric
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import (PHI_TAYLOR_RADIUS, CacheMissError, PhiRequest,
                        QuadratureError, build_phi_cache, matrix_exp,
                        phi_matrices, phi_matrix, phi_quadrature_oracle,
-                       phi_request, phi_scalar, phi_symmetric)
+                       phi_request, phi_scalar)
 from exprk.tableau import get_tableau
 from exprk.testbed import heat_problem
 
