@@ -38,11 +38,6 @@ __all__ = [
     "classical_order_conditions",
 ]
 
-# condition id -> the order it belongs to
-CONDITION_ORDERS = {1: 2, 2: 3, 3: 3, 4: 4, 5: 4, 6: 4, 7: 4,
-                    8: 5, 9: 5, 10: 5, 11: 5, 12: 5, 13: 5, 14: 5, 15: 5, 16: 5}
-
-
 @dataclass(frozen=True)
 class ProbeSet:
     """One bundle of probe matrices: Z plays hA; J, K, L interleave; B is
@@ -159,12 +154,14 @@ class _ProbeTables:
     Coefficient matrices are built from a phi cache on Z (h = 1) exactly as
     the stepper builds them, and each psi defect is evaluated once, through
     its definition (tableau.psi_values), so residuals reflect genuine float
-    evaluation, not pre-cancelled rationals.
+    evaluation, not pre-cancelled rationals.  at_zero memoises psi_j at Z = 0,
+    which depends on the tableau alone, so the probes of one check share it.
     """
 
-    def __init__(self, t, probe):
+    def __init__(self, t, probe, at_zero):
         self.t = t
         self.p = probe
+        self._at_zero = at_zero
         pairs = t.phi_pairs()
         pairs |= {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
         pairs |= {(m, Fraction(1)) for m in (2, 3, 4, 5)}
@@ -193,6 +190,12 @@ class _ProbeTables:
             self._psi[key] = val
         return self._psi[key]
 
+    def psi_at_zero(self, j):
+        """The weight defect psi_j at Z = 0, evaluated once per memo."""
+        if j not in self._at_zero:
+            self._at_zero[j] = psi_weight(j, self.t, 0.0)
+        return self._at_zero[j]
+
 
 def _nest(tab, links, j, coeffs):
     """sum_i c_i^p coeffs_i X [inner_i], inner_i being psi_{j,i} at the last link."""
@@ -220,7 +223,7 @@ def _residual(word, tab, mode):
     if word.links:
         value = _nest(tab, word.links, word.psi, tab.b_at_zero if weakened else tab.b_mat)
     elif weakened:
-        value = psi_weight(word.psi, tab.t, 0.0)
+        value = tab.psi_at_zero(word.psi)
     else:
         value = tab.psi(word.psi)
     return float(np.abs(value).max())
@@ -232,7 +235,7 @@ def condition_residual(cid, t, p, mode="strong"):
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    return _residual(WORDS[cid], _ProbeTables(t, p), mode)
+    return _residual(WORDS[cid], _ProbeTables(t, p, {}), mode)
 
 
 @dataclass(frozen=True)
@@ -304,8 +307,9 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
     probes = probes + _structured_probe_sets()
 
     worst = {(cid, mode): 0.0 for cid in WORDS for mode in MODES}
+    at_zero = {}
     for probe in probes:
-        tab = _ProbeTables(t, probe)
+        tab = _ProbeTables(t, probe, at_zero)
         for cid, word in WORDS.items():
             # below order 5 the two modes are one condition: evaluate it once
             strong = _residual(word, tab, "strong")

@@ -11,8 +11,11 @@ computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
 in which case a spectral cache holds O(n) numbers in total.  Matrices come
-from phi_matrices, one scaling-and-modified-squaring chain that yields
-phi_0(M)..phi_j(M) together from n x n products alone.
+from scaling-and-modified-squaring chains, each of which yields
+phi_0..phi_j together from n x n products alone.  Since the chain on M passes
+through M/2, M/4, ... on its way back from 2^-s M, scales that differ by a
+power of two (a scale family, such as 1, 1/2 and 1/4) share one chain:
+expRK5s8's five scales cost three.  phi_matrices is the single-scale case.
 """
 
 from fractions import Fraction
@@ -104,28 +107,47 @@ def phi_quadrature_oracle(j, z, tol=1e-12):
 def phi_matrices(jmax, m):
     """[phi_0(M), ..., phi_jmax(M)] by scaling and modified squaring.
 
-    M is scaled by 2^-s so that X = 2^-s M has ||X||_1 <= PHI_SQUARING_THETA;
-    phi_jmax(X) is the Taylor polynomial of PHI_SQUARING_TERMS terms in
-    Horner form, the lower phi_k(X) follow from phi_k = X phi_{k+1} + I/k!,
-    and s modified squarings
-
-        phi_k(2X) = 2^-k [phi_0(X) phi_k(X) + sum_{i=1..k} phi_i(X)/(k-i)!]
-
-    take every phi_k back to M (Skaflestad & Wright, Appl. Numer. Math.
-    2009).  All products are n x n: PHI_SQUARING_TERMS - 1 + jmax +
-    s (jmax + 1) of them.
+    M is scaled by 2^-s to 1-norm at most PHI_SQUARING_THETA, a Taylor
+    polynomial gives phi_jmax there and s modified squarings bring every
+    phi_j back to M.  This is the depth-0 case of the one chain routine,
+    _squaring_chain, that build_phi_cache runs once per scale family.
     """
     jmax = int(jmax)
     if jmax < 0:
         raise ValueError("phi index must be >= 0")
+    got = _squaring_chain(m, {(j, 0) for j in range(jmax + 1)})
+    return [got[j, 0] for j in range(jmax + 1)]
+
+
+def _squaring_chain(m, wants):
+    """{(j, k): phi_j(2^-k M)} for each pair in wants, from one chain.
+
+    M is scaled by 2^-s, with s the larger of the deepest k wanted and the
+    least s that gives X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA;
+    phi_jmax(X), jmax the largest j wanted, is the Taylor polynomial of
+    PHI_SQUARING_TERMS terms in Horner form, the lower phi_j(X) follow from
+    phi_j = X phi_{j+1} + I/j!, and each modified squaring
+
+        phi_j(2X) = 2^-j [phi_0(X) phi_j(X) + sum_{i=1..j} phi_i(X)/(j-i)!]
+
+    takes the whole stack one power of two closer to M (Skaflestad & Wright,
+    Appl. Numer. Math. 2009); phi_j(2^-k M) is copied out after s - k of
+    them.  All products are n x n: PHI_SQUARING_TERMS - 1 + jmax +
+    s (jmax + 1) of them.  The squarings alternate between two preallocated
+    stacks (with a third for the mixing term), so a chain allocates nothing
+    per squaring beyond the entries it copies out.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     n = m.shape[0]
+    jmax = max(j for j, _ in wants)
     norm = np.abs(m).sum(axis=0).max(initial=0.0)
-    s = max(0, ceil(log2(norm / PHI_SQUARING_THETA))) if norm > 0 else 0
+    s = max(k for _, k in wants)
+    if norm > 0:
+        s = max(s, ceil(log2(norm / PHI_SQUARING_THETA)))
     x = np.ldexp(m, -s)
     top = np.zeros((n, n))
     top.ravel()[::n + 1] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
@@ -138,12 +160,17 @@ def phi_matrices(jmax, m):
         np.matmul(x, phis[k + 1], out=phis[k])
         phis[k].ravel()[::n + 1] += 1.0 / factorial(k)
     halve, mix = _squaring_weights(jmax)
-    for _ in range(s):
-        doubled = np.matmul(phis[0], phis)
-        doubled *= halve
-        doubled += (mix @ phis.reshape(jmax + 1, -1)).reshape(phis.shape)
-        phis = doubled
-    return list(phis)
+    doubled, mixed = np.empty_like(phis), np.empty((jmax + 1, n * n))
+    got = {}
+    for k in range(s, -1, -1):
+        if k < s:
+            np.matmul(phis[0], phis, out=doubled)
+            doubled *= halve
+            np.matmul(mix, phis.reshape(mixed.shape), out=mixed)
+            doubled += mixed.reshape(phis.shape)
+            phis, doubled = doubled, phis
+        got.update({(j, k): phis[j].copy() for j, kj in wants if kj == k})
+    return got
 
 
 @lru_cache(maxsize=None)
@@ -266,6 +293,13 @@ class PhiCache:
         return set(self._table)
 
 
+def _odd_part(scale):
+    """scale / 2^e with odd numerator and denominator: two scales share it
+    exactly when they differ by a power of two."""
+    p, q = scale.numerator, scale.denominator
+    return Fraction(p // (p & -p), q // (q & -q))
+
+
 def build_phi_cache(a, h, requests):
     """Build phi_j(scale * h * A) for each (j, scale) request.
 
@@ -273,11 +307,14 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A pays one squaring chain per scale (phi_matrices at
-    the largest j requested at that scale, which yields every lower j too)
-    and its entries are n x n matrices.  Duplicate requests collapse; each
-    entry is computed once.  An entry that overflows raises OverflowError
-    naming j, the scale and h.
+    SineBasis).  Dense A pays one squaring chain per scale family, the
+    scales that differ by a power of two: the chain runs on top * h * A, top
+    the family's largest scale, to the largest j requested anywhere in the
+    family (which yields every lower j too), and the member top / 2^k is
+    read out k squarings before its end.  expRK5s8's scales 1, 1/2, 1/4,
+    1/5 and 2/3 make three chains.  Dense entries are n x n matrices.
+    Duplicate requests collapse; each entry is computed once.  An entry
+    that overflows raises OverflowError naming j, the scale and h.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
@@ -292,13 +329,17 @@ def build_phi_cache(a, h, requests):
             table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
         else:
             m = a.dense()
-            by_scale = {}
+            families = {}
             for j, scale in keys:
-                by_scale.setdefault(scale, []).append(j)
+                families.setdefault(_odd_part(scale), []).append((j, scale))
             table = {}
-            for scale, js in by_scale.items():
-                phis = phi_matrices(max(js), float(scale) * h * m)
-                table.update({(j, scale): phis[j] for j in js})
+            for members in families.values():
+                top = max(scale for _, scale in members)
+                # (j, scale) is phi_j at depth k = log2(top / scale) of the chain
+                at = {(j, scale): (j, (top / scale).numerator.bit_length() - 1)
+                      for j, scale in members}
+                got = _squaring_chain(float(top) * h * m, set(at.values()))
+                table.update({key: got[jk] for key, jk in at.items()})
     for (j, scale), val in table.items():
         if not np.all(np.isfinite(val)):
             raise OverflowError(f"phi_{j}(scale * h * A) overflows at scale {scale}, "

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import augmented_phi
-from exprk.order_conditions import (CONDITION_ORDERS, ProbeSet,
+from exprk.order_conditions import (CONDITION_ORDERS, MODES, WORDS, ProbeSet,
+                                    _ProbeTables, _residual,
                                     _structured_probe_sets, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
@@ -352,10 +353,16 @@ def test_condition_residual_matches_independent_transcription(name, tab5):
     probes = draw_probe_sets(10, d=3, seed=21) + _structured_probe_sets()
     assert len(probes) == 53
     worst = 0.0
-    for p in probes:
+    at_zero = {}
+    for n, p in enumerate(probes):
         want = _transcribed_residuals(t, p)
-        got = {(cid, mode): condition_residual(cid, t, p, mode)
-               for cid in CONDITION_ORDERS for mode in ("strong", "weakened")}
+        # one table per probe and check()'s own evaluator, as check() does it
+        tab = _ProbeTables(t, p, at_zero)
+        got = {(cid, mode): _residual(WORDS[cid], tab, mode)
+               for cid in CONDITION_ORDERS for mode in MODES}
+        # and one call per probe through the public entry point
+        cid, mode = n % 16 + 1, MODES[n % 2]
+        assert condition_residual(cid, t, p, mode) == got[cid, mode], (cid, mode, p.label)
         for cid in range(1, 8):
             assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
         for key in want:

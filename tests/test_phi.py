@@ -357,23 +357,57 @@ def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
         assert np.abs(cache.get(j, s) - want).max() <= 1e-12 * np.abs(want).max(), (j, s)
 
 
-def test_dense_cache_makes_one_squaring_chain_per_scale(monkeypatch):
-    chains, expms = [], []
-    kernel, expm = exprk.phi.phi_matrices, scipy.linalg.expm
-    monkeypatch.setattr(exprk.phi, "phi_matrices",
-                        lambda j, m: chains.append(j) or kernel(j, m))
+def _count_chains(monkeypatch):
+    """Record the wanted (j, depth) pairs of every squaring chain run."""
+    chains = []
+    kernel = exprk.phi._squaring_chain
+    monkeypatch.setattr(exprk.phi, "_squaring_chain",
+                        lambda m, wants: chains.append(wants) or kernel(m, wants))
+    return chains
+
+
+def test_dense_cache_makes_one_squaring_chain_per_scale_family(monkeypatch):
+    chains, expms = _count_chains(monkeypatch), []
+    expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
     a = DenseOperator(_advdiff_matrix(20, beta=20.0))
     cache = build_phi_cache(a, 1.0 / 64, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
-    assert len(chains) == len({s for _, s in EXPRK5S8_REQUESTS}) == 5
-    # one chain per scale, to the largest j requested there: phi_2 at 1/4,
-    # phi_3 at 1/2, phi_4 at 1/5, 2/3 and 1
-    assert sorted(chains) == [2, 3, 4, 4, 4]
+    # scales 1, 1/2 and 1/4 differ by powers of two and share the chain on
+    # hA, read out after s, s - 1 and s - 2 squarings; 1/5 and 2/3 get one
+    # chain each; every chain runs to phi_4
+    assert len(chains) == 3
+    assert sorted(max(j for j, _ in w) for w in chains) == [4, 4, 4]
+    assert sorted(sorted({k for _, k in w}) for w in chains) == [[0], [0], [0, 1, 2]]
+    assert sum(len(w) for w in chains) == 17
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
         with pytest.raises(ValueError):
             cache.get(*key)[0] = 1.0
+
+
+def _probe_sized_z():
+    z = np.random.default_rng(11).uniform(-1.0, 1.0, (3, 3))
+    return 0.8 * z / np.abs(z).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("m, h, requests, n_chains", [
+    # ||Z||_1 = 0.8 needs no squaring, but the family {1, 1/2, 1/4} does
+    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 3, id="probe-sized-z"),
+    pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
+                 [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1,
+                 id="non-dyadic-family"),
+    pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
+                 sorted(required_requests(get_tableau("expRK2s2"))), 1, id="expRK2s2"),
+])
+def test_family_chain_entries_match_augmented_exponential(monkeypatch, m, h, requests,
+                                                          n_chains):
+    chains = _count_chains(monkeypatch)
+    cache = build_phi_cache(DenseOperator(m), h, requests)
+    assert len(chains) == n_chains
+    for j, s in requests:
+        want = augmented_phi(j, float(s) * h * m)
+        assert np.abs(cache.get(j, s) - want).max() <= 1e-12 * np.abs(want).max(), (j, s)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
