@@ -16,6 +16,8 @@ phi_0..phi_j together from n x n products alone.  Since the chain on M passes
 through M/2, M/4, ... on its way back from 2^-s M, scales that differ by a
 power of two (a scale family, such as 1, 1/2 and 1/4) share one chain:
 expRK5s8's five scales cost three.  phi_matrices is the single-scale case.
+A chain also runs on a stack of matrices at once, each scaled by its own
+power of two; the order-condition checker builds its probes' phi tables so.
 """
 
 from fractions import Fraction
@@ -115,6 +117,9 @@ def phi_matrices(jmax, m):
     jmax = int(jmax)
     if jmax < 0:
         raise ValueError("phi index must be >= 0")
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("matrix must be square")
     got = _squaring_chain(m, {(j, 0) for j in range(jmax + 1)})
     return [got[j, 0] for j in range(jmax + 1)]
 
@@ -122,55 +127,75 @@ def phi_matrices(jmax, m):
 def _squaring_chain(m, wants):
     """{(j, k): phi_j(2^-k M)} for each pair in wants, from one chain.
 
-    M is scaled by 2^-s, with s the larger of the deepest k wanted and the
-    least s that gives X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA;
-    phi_jmax(X), jmax the largest j wanted, is the Taylor polynomial of
-    PHI_SQUARING_TERMS terms in Horner form, the lower phi_j(X) follow from
-    phi_j = X phi_{j+1} + I/j!, and each modified squaring
+    M is an n x n matrix or a (..., n, n) stack, and every entry read out
+    has M's shape.  Each matrix is scaled by 2^-s, with its own s the larger
+    of the deepest k wanted and the least s that gives X = 2^-s M a 1-norm of
+    at most PHI_SQUARING_THETA; phi_jmax(X), jmax the largest j wanted, is
+    the Taylor polynomial of PHI_SQUARING_TERMS terms in Horner form, the
+    lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!, and each modified
+    squaring
 
         phi_j(2X) = 2^-j [phi_0(X) phi_j(X) + sum_{i=1..j} phi_i(X)/(j-i)!]
 
-    takes the whole stack one power of two closer to M (Skaflestad & Wright,
+    takes a matrix's phis one power of two closer to M (Skaflestad & Wright,
     Appl. Numer. Math. 2009); phi_j(2^-k M) is copied out after s - k of
-    them.  All products are n x n: PHI_SQUARING_TERMS - 1 + jmax +
-    s (jmax + 1) of them.  The squarings alternate between two preallocated
-    stacks (with a third for the mixing term), so a chain allocates nothing
-    per squaring beyond the entries it copies out.
+    them.  The stack is sorted by s, largest first, so the matrices still
+    squaring at any level are a leading slice of it, and a matrix computes
+    exactly what the chain on it alone computes.  Per matrix, all products
+    are n x n: PHI_SQUARING_TERMS - 1 + jmax + s (jmax + 1) of them.  The
+    squarings alternate between two preallocated stacks (with a third for
+    the mixing term), so a chain allocates nothing per squaring beyond the
+    entries it copies out.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    n = m.shape[0]
+    shape, n = m.shape, m.shape[-1]
+    m = m.reshape(-1, n, n)
     jmax = max(j for j, _ in wants)
-    norm = np.abs(m).sum(axis=0).max(initial=0.0)
-    s = max(k for _, k in wants)
-    if norm > 0:
-        s = max(s, ceil(log2(norm / PHI_SQUARING_THETA)))
-    x = np.ldexp(m, -s)
-    top = np.zeros((n, n))
-    top.ravel()[::n + 1] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
+    deepest = max(k for _, k in wants)
+    norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = [max(deepest, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else deepest
+         for v in norms.tolist()]
+    order = sorted(range(len(s)), key=lambda i: -s[i])
+    unsort = sorted(range(len(s)), key=order.__getitem__)
+    s = [s[i] for i in order]
+    x = m[order]
+    np.ldexp(x, -np.array(s)[:, None, None], out=x)
+    top = np.zeros_like(x)
+    _diagonal(top)[...] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
     for k in range(PHI_SQUARING_TERMS - 2, -1, -1):
         top = x @ top
-        top.ravel()[::n + 1] += 1.0 / factorial(k + jmax)
-    phis = np.empty((jmax + 1, n, n))
-    phis[jmax] = top
+        _diagonal(top)[...] += 1.0 / factorial(k + jmax)
+    phis = np.empty((len(x), jmax + 1, n, n))
+    phis[:, jmax] = top
     for k in range(jmax - 1, -1, -1):
-        np.matmul(x, phis[k + 1], out=phis[k])
-        phis[k].ravel()[::n + 1] += 1.0 / factorial(k)
+        np.matmul(x, phis[:, k + 1], out=phis[:, k])
+        _diagonal(phis)[:, k] += 1.0 / factorial(k)
     halve, mix = _squaring_weights(jmax)
-    doubled, mixed = np.empty_like(phis), np.empty((jmax + 1, n * n))
+    # a matrix joins the squarings at its own level s, reading its Taylor
+    # phis from whichever stack is current then: both hold them
+    doubled, mixed = phis.copy(), np.empty((len(x), jmax + 1, n * n))
     got = {}
-    for k in range(s, -1, -1):
-        if k < s:
-            np.matmul(phis[0], phis, out=doubled)
-            doubled *= halve
-            np.matmul(mix, phis.reshape(mixed.shape), out=mixed)
-            doubled += mixed.reshape(phis.shape)
+    for k in range(s[0], -1, -1):
+        live = sum(sk > k for sk in s)
+        if live:
+            src, dst = phis[:live], doubled[:live]
+            np.matmul(src[:, :1], src, out=dst)
+            dst *= halve
+            np.matmul(mix, src.reshape(live, jmax + 1, n * n), out=mixed[:live])
+            dst += mixed[:live].reshape(src.shape)
             phis, doubled = doubled, phis
-        got.update({(j, k): phis[j].copy() for j, kj in wants if kj == k})
+        got.update({(j, k): phis[unsort, j].reshape(shape) for j, kj in wants if kj == k})
     return got
+
+
+def _diagonal(stack):
+    """Writable view of the diagonals of a C-contiguous (..., n, n) stack."""
+    n = stack.shape[-1]
+    return stack.reshape(stack.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
 @lru_cache(maxsize=None)
@@ -300,6 +325,42 @@ def _odd_part(scale):
     return Fraction(p // (p & -p), q // (q & -q))
 
 
+def phi_matrix_table(m, h, keys):
+    """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
+
+    M is a square matrix or a (..., n, n) stack of them, and each entry has
+    M's shape.  One squaring chain runs per scale family, the scales that
+    differ by a power of two: it runs on top * h * M, top the family's
+    largest scale, to the largest j requested anywhere in the family (which
+    yields every lower j too), and the member top / 2^k is read out k
+    squarings before its end.  expRK5s8's scales 1, 1/2, 1/4, 1/5 and 2/3
+    make three chains.  An entry that overflows raises OverflowError naming
+    j, the scale and h.
+    """
+    families = {}
+    for j, scale in keys:
+        families.setdefault(_odd_part(scale), []).append((j, scale))
+    table = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in families.values():
+            top = max(scale for _, scale in members)
+            # (j, scale) is phi_j at depth k = log2(top / scale) of the chain
+            at = {(j, scale): (j, (top / scale).numerator.bit_length() - 1)
+                  for j, scale in members}
+            got = _squaring_chain(float(top) * h * m, set(at.values()))
+            table.update({key: got[jk] for key, jk in at.items()})
+    return _finite(table, h)
+
+
+def _finite(table, h):
+    """table, once every entry is checked finite."""
+    for (j, scale), val in table.items():
+        if not np.all(np.isfinite(val)):
+            raise OverflowError(f"phi_{j}(scale * h * A) overflows at scale {scale}, "
+                                f"h = {h!r}")
+    return table
+
+
 def build_phi_cache(a, h, requests):
     """Build phi_j(scale * h * A) for each (j, scale) request.
 
@@ -307,14 +368,10 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A pays one squaring chain per scale family, the
-    scales that differ by a power of two: the chain runs on top * h * A, top
-    the family's largest scale, to the largest j requested anywhere in the
-    family (which yields every lower j too), and the member top / 2^k is
-    read out k squarings before its end.  expRK5s8's scales 1, 1/2, 1/4,
-    1/5 and 2/3 make three chains.  Dense entries are n x n matrices.
-    Duplicate requests collapse; each entry is computed once.  An entry
-    that overflows raises OverflowError naming j, the scale and h.
+    SineBasis).  Dense A gets n x n matrices from phi_matrix_table, one
+    squaring chain per scale family.  Duplicate requests collapse; each
+    entry is computed once.  An entry that overflows raises OverflowError
+    naming j, the scale and h.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
@@ -323,27 +380,9 @@ def build_phi_cache(a, h, requests):
         raise ValueError("step size must be positive and finite")
     keys = sorted({phi_request(*r) for r in requests})
     eig = a.eigendecomposition()
+    if eig is None:
+        return PhiCache(a.fingerprint, h, a.n, phi_matrix_table(a.dense(), h, keys))
+    w, v = eig
     with np.errstate(over="ignore", invalid="ignore"):
-        if eig is not None:
-            w, v = eig
-            table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
-        else:
-            m = a.dense()
-            families = {}
-            for j, scale in keys:
-                families.setdefault(_odd_part(scale), []).append((j, scale))
-            table = {}
-            for members in families.values():
-                top = max(scale for _, scale in members)
-                # (j, scale) is phi_j at depth k = log2(top / scale) of the chain
-                at = {(j, scale): (j, (top / scale).numerator.bit_length() - 1)
-                      for j, scale in members}
-                got = _squaring_chain(float(top) * h * m, set(at.values()))
-                table.update({key: got[jk] for key, jk in at.items()})
-    for (j, scale), val in table.items():
-        if not np.all(np.isfinite(val)):
-            raise OverflowError(f"phi_{j}(scale * h * A) overflows at scale {scale}, "
-                                f"h = {h!r}")
-    if eig is not None:
-        return PhiCache(a.fingerprint, h, a.n, table, basis=v, spectral=True)
-    return PhiCache(a.fingerprint, h, a.n, table)
+        table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
+    return PhiCache(a.fingerprint, h, a.n, _finite(table, h), basis=v, spectral=True)

@@ -148,6 +148,16 @@ def test_cli_check_order_first_order_method(capsys):
                  "--assert-order", "5"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_cli_check_order_rejects_a_bad_tolerance(capsys, tol):
+    code = main(["check-order", "--method", "expRK5s8", f"--tol={tol}",
+                 "--assert-order", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "tolerance must be finite and positive" in captured.err
+    assert "NOT attained" not in captured.err
+
+
 def test_cli_check_order_tableau_file(tmp_path, capsys):
     path = tmp_path / "method.json"
     path.write_text(tableau_to_text(exprk5s8()))

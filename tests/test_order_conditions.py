@@ -8,7 +8,7 @@ import pytest
 
 from conftest import augmented_phi
 from exprk.order_conditions import (CONDITION_ORDERS, MODES, WORDS, ProbeSet,
-                                    _ProbeTables, _residual,
+                                    _phi_tables, _ProbeTables, _residual,
                                     _structured_probe_sets, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
@@ -172,6 +172,62 @@ def test_check_accepts_explicit_probes(tab5):
     assert rep.highest_strong_order == 4
     rep_one = check(tab5, tolerance=1e-9, p=probes[0])
     assert rep_one.weakened_order5 is True
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_check_rejects_a_tolerance_that_is_not_finite_and_positive(tab5, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        check(tab5, tolerance=tolerance, n_probes=1)
+
+
+@pytest.mark.parametrize("make", [lambda t: t, _perturbed], ids=["expRK5s8", "perturbed"])
+def test_probe_stacking_leaves_each_probe_unchanged(tab5, make):
+    """check() stacks probes by dimension; no probe's residuals may depend on
+    which other probes share its stack."""
+    t = make(tab5)
+    probes = [p for trio in zip(*(draw_probe_sets(3, d=d, seed=30 + d) for d in (2, 3, 4)))
+              for p in trio]
+    assert [p.d for p in probes[:3]] == [2, 3, 4]
+    rows = check(t, tolerance=1e-9, p=probes).rows
+    alone = [check(t, tolerance=1e-9, p=probe).rows for probe in probes]
+    for k, row in enumerate(rows):
+        assert row.residual == max(one[k].residual for one in alone), (row.id, row.mode)
+
+
+def test_a_nan_residual_fails_its_condition(tab5):
+    """J of 1e300 overflows condition 6's products to a NaN residual at one
+    probe; the row must fail, not report the other probes' maximum."""
+    q = draw_probe_sets(1, d=3, seed=2)[0]
+    huge = ProbeSet(3, q.Z, 1e300 * q.J, q.K, q.L, q.B, label="huge-J")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check(tab5, tolerance=1e-9, p=[huge] + draw_probe_sets(2, d=3, seed=5))
+    assert np.isnan(rep.row(6, "strong").residual)
+    assert not rep.row(6, "strong").passed
+
+
+def _stiff_probes(count=8, d=3, seed=3):
+    """Probes with Z = Q diag(-1e3 u) Q^T plus a uniform [-1, 1] non-normal
+    part, u uniform on [0.1, 1] and Q a random rotation: ||Z||_1 ~ 1e3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        u = rng.uniform(0.1, 1.0, d)
+        z = q @ np.diag(-1e3 * u) @ q.T + rng.uniform(-1.0, 1.0, (d, d))
+        j, kk, ll = (rng.uniform(-1.0, 1.0, (d, d)) for _ in range(3))
+        tensor = rng.uniform(-1.0, 1.0, (d, d, d))
+        out.append(ProbeSet(d, z, j, kk, ll, tensor, seed=seed, label=f"stiff-{k}"))
+    return out
+
+
+def test_stiff_probes_keep_the_verdicts(tab5):
+    """At ||Z||_1 of 500 to 1150 expRK5s8 keeps strong order 4 and the
+    weakened order-5 pass (measured: weakened 8-16 at most 2.1e-16)."""
+    probes = _stiff_probes()
+    assert min(np.abs(p.Z).sum(axis=0).max() for p in probes) > 500
+    rep = check(tab5, tolerance=1e-9, p=probes)
+    assert rep.highest_strong_order == 4
+    assert rep.weakened_order5 is True
 
 
 def test_perturbed_weight_detected(tab5):
@@ -352,19 +408,24 @@ def test_condition_residual_matches_independent_transcription(name, tab5):
     t = made[name](tab5) if name in made else get_tableau(name)
     probes = draw_probe_sets(10, d=3, seed=21) + _structured_probe_sets()
     assert len(probes) == 53
+    groups = {}
+    for n, p in enumerate(probes):
+        groups.setdefault(p.d, []).append((n, p))
     worst = 0.0
     at_zero = {}
-    for n, p in enumerate(probes):
-        want = _transcribed_residuals(t, p)
-        # one table per probe and check()'s own evaluator, as check() does it
-        tab = _ProbeTables(t, p, at_zero)
-        got = {(cid, mode): _residual(WORDS[cid], tab, mode)
-               for cid in CONDITION_ORDERS for mode in MODES}
-        # and one call per probe through the public entry point
-        cid, mode = n % 16 + 1, MODES[n % 2]
-        assert condition_residual(cid, t, p, mode) == got[cid, mode], (cid, mode, p.label)
-        for cid in range(1, 8):
-            assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
-        for key in want:
-            worst = max(worst, abs(got[key] - want[key]))
+    for group in groups.values():
+        # one phi table per dimension group and check()'s own evaluator, as check() does it
+        tables = _phi_tables(t, [p for _, p in group])
+        for (n, p), phi in zip(group, tables):
+            want = _transcribed_residuals(t, p)
+            tab = _ProbeTables(t, p, phi, at_zero)
+            got = {(cid, mode): _residual(WORDS[cid], tab, mode)
+                   for cid in CONDITION_ORDERS for mode in MODES}
+            # and one call per probe through the public entry point, a table of one
+            cid, mode = n % 16 + 1, MODES[n % 2]
+            assert condition_residual(cid, t, p, mode) == got[cid, mode], (cid, mode, p.label)
+            for cid in range(1, 8):
+                assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
+            for key in want:
+                worst = max(worst, abs(got[key] - want[key]))
     assert worst <= 1e-13, worst

@@ -177,6 +177,8 @@ def test_matrix_routes_validate_input(func):
     with pytest.raises(ValueError):
         func(np.zeros((2, 3)))
     with pytest.raises(ValueError):
+        func(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
         func(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
@@ -200,6 +202,27 @@ def test_phi_matrices_match_augmented_exponential(norm):
         assert np.abs(val - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(matrix_exp(m), got[0])
     assert np.array_equal(phi_matrix(3, m), phi_matrices(3, m)[3])
+
+
+def test_stacked_squaring_chain_matches_each_matrix_alone():
+    """A stack whose members scale by different s (a zero matrix and
+    ||M||_1 = 0.3, 3 and 1e3, out of s order) holds per member exactly what
+    the chain on that member alone computes."""
+    rng = np.random.default_rng(5)
+    members = [np.zeros((3, 3))]
+    for norm in (3.0, 1e3, 0.3):
+        # eigenvalues in the left half-plane, so phi stays bounded at 1e3
+        m = -(np.eye(3) + 0.4 * rng.uniform(-1.0, 1.0, (3, 3)))
+        members.append(norm * m / np.abs(m).sum(axis=0).max())
+    stack = np.stack(members)
+    wants = {(4, 0), (1, 0), (3, 1), (0, 1)}
+    got = exprk.phi._squaring_chain(stack, wants)
+    for key in wants:
+        assert got[key].shape == stack.shape
+    for k, m in enumerate(members):
+        alone = exprk.phi._squaring_chain(m, wants)
+        for key in wants:
+            assert np.array_equal(got[key][k], alone[key]), (k, key)
 
 
 def _advdiff_matrix(n, beta):
