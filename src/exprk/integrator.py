@@ -99,18 +99,23 @@ def required_requests(t):
 
 
 def _method_tables(t, cache):
-    """Assemble the coefficients from the cache entries in its basis."""
-    def coefficient(combo):
+    """Assemble the coefficients from the cache entries in its basis: h a_ij
+    and h b_i, with h folded in, and for each distinct positive node c (the
+    update's is c = 1) the pair c h, phi_1(c hA).  The phi_1 entry is not
+    scaled, which would copy it, n x n on the dense route."""
+    h = cache.h
+
+    def coefficient(terms):
         m = 0.0
-        for alpha, j, scale in combo.terms:
-            m = m + float(alpha) * cache.get(j, scale, eigenbasis=True)
+        for alpha, j, scale in terms:
+            m = m + (float(alpha) * h) * cache.get(j, scale, eigenbasis=True)
         return m
 
-    stage_phi1 = {i: cache.get(1, t.node(i), eigenbasis=True)
-                  for i in range(2, t.s + 1) if t.node(i) > 0}
-    a_co = {key: coefficient(v) for key, v in t.a.items() if v.terms}
-    b_co = {i: coefficient(v) for i, v in t.b.items() if v.terms}
-    return cache.get(1, Fraction(1), eigenbasis=True), stage_phi1, a_co, b_co
+    nodes = {t.node(i) for i in range(2, t.s + 1) if t.node(i) > 0} | {Fraction(1)}
+    node_co = {float(c): (float(c) * h, cache.get(1, c, eigenbasis=True)) for c in nodes}
+    a_co = {key: coefficient(v.terms) for key, v in t.a.items() if v.terms}
+    b_co = {i: coefficient(v.terms) for i, v in t.b.items() if v.terms}
+    return node_co, a_co, b_co
 
 
 def _eval_g(pb, t, u):
@@ -121,26 +126,27 @@ def _eval_g(pb, t, u):
 
 
 def _advance(pb, t, cache, tables, tn, un):
-    phi1_full, stage_phi1, a_co, b_co = tables
-    h = cache.h
+    node_co, a_co, b_co = tables
     act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis
     gn = _eval_g(pb, tn, un)
     fn = to_basis(pb.A.matvec(un) + gn)
+    # c h phi_1(c hA) F(t_n, u_n), once for each distinct node c
+    f_terms = {c: ch * act(co, fn) for c, (ch, co) in node_co.items()}
     d = {}
     stages = []
     for i in range(2, t.s + 1):
         ci = float(t.node(i))
-        acc = (ci * h) * act(stage_phi1[i], fn) if ci > 0 else np.zeros_like(fn)
+        acc = f_terms[ci] if ci > 0 else np.zeros_like(fn)
         for j in range(2, i):
             am = a_co.get((i, j))
             if am is not None:
-                acc = acc + h * act(am, d[j])
+                acc = acc + act(am, d[j])
         u_i = un + from_basis(acc)
-        d[i] = to_basis(_eval_g(pb, tn + ci * h, u_i) - gn)
+        d[i] = to_basis(_eval_g(pb, tn + ci * cache.h, u_i) - gn)
         stages.append(u_i)
-    acc = h * act(phi1_full, fn)
+    acc = f_terms[1.0]
     for i, bm in b_co.items():
-        acc = acc + h * act(bm, d[i])
+        acc = acc + act(bm, d[i])
     u_next = un + from_basis(acc)
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError(f"non-finite state after step from t = {tn}")

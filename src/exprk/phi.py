@@ -10,7 +10,8 @@ a handful of scales c is everything the integrator needs; build_phi_cache
 computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
-in which case a spectral cache holds O(n) numbers in total.  Matrices come
+in which case a spectral cache holds O(n) numbers in total, each from one
+phi_scalar call in plain float arithmetic.  Matrices come
 from scaling-and-modified-squaring chains, each of which yields
 phi_0..phi_j together from n x n products alone.  Since the chain on M passes
 through M/2, M/4, ... on its way back from 2^-s M, scales that differ by a
@@ -20,6 +21,7 @@ A chain also runs on a stack of matrices at once, each scaled by its own
 power of two; the order-condition checker builds its probes' phi tables so.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, log2
@@ -56,31 +58,39 @@ def phi_scalar(j, z):
     recurrence from exp(z) otherwise; accurate to machine precision in both
     regimes.  Where exp(z) overflows, phi_j(z) = e^z / z^j - sum_{k<j}
     z^(k-j) / k! is evaluated with e^z split as e^(z/2) e^(z/2), which stays
-    finite while phi_j(z) does (up to Re z ~ 1419).
+    finite while phi_j(z) does (up to Re z ~ 1419).  A real z takes these
+    branches in float arithmetic (math.exp) and gives a float: +inf where
+    phi_j(z) exceeds the largest float, 0.0 at -inf, nan at nan, and no
+    warning.  A complex z takes them in complex arithmetic (np.exp).
     """
     if j < 0:
         raise ValueError("phi index must be >= 0")
-    want_complex = isinstance(z, complex) or np.iscomplexobj(z)
-    zc = complex(z)
+    real = isinstance(z, float) or not (isinstance(z, complex) or np.iscomplexobj(z))
+    if real:
+        z, exp = float(z), math.exp
+        # math.exp and float ** raise OverflowError where numpy returns inf
+        if z > 2 * LOG_FLOAT_MAX or (j == 0 and z > LOG_FLOAT_MAX):
+            return math.inf
+    else:
+        z, exp = complex(z), np.exp
     if j == 0:
-        val = np.exp(zc)
-    elif abs(zc) < PHI_TAYLOR_RADIUS:
+        val = exp(z)
+    elif abs(z) < PHI_TAYLOR_RADIUS:
         term = 1.0 / factorial(j)
         val = term
         for m in range(1, PHI_TAYLOR_TERMS):
-            term *= zc / (m + j)
+            term *= z / (m + j)
             val += term
-    elif zc.real > LOG_FLOAT_MAX:
-        half = np.exp(zc / 2)
-        val = half * (half / zc ** j)
+    elif z.real > LOG_FLOAT_MAX:
+        half = exp(z / 2)
+        val = half * (half / z ** j)
         for k in range(j):
-            val -= zc ** (k - j) / factorial(k)
+            val -= z ** (k - j) / factorial(k)
     else:
-        val = np.exp(zc)
+        val = exp(z)
         for k in range(j):
-            val = (val - 1.0 / factorial(k)) / zc
-    val = complex(val)
-    return val if want_complex else val.real
+            val = (val - 1.0 / factorial(k)) / z
+    return val if real else complex(val)
 
 
 def phi_quadrature_oracle(j, z, tol=1e-12):
@@ -223,8 +233,8 @@ def phi_matrix(j, m):
 
 
 def _phi_values(j, zs):
-    """phi_j over a 1-d array of real arguments."""
-    return np.array([phi_scalar(j, z) for z in np.asarray(zs, dtype=float)])
+    """phi_j over a 1-d array of real arguments, passed as Python floats."""
+    return np.array([phi_scalar(j, z) for z in np.asarray(zs, dtype=float).tolist()])
 
 
 class PhiRequest(NamedTuple):

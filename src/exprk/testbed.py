@@ -38,9 +38,14 @@ class Grid1D:
 def heat_forcing(x, t):
     """Forcing Phi(x, t) = x(1-x)e^t + 2e^t - 1/(1 + x^2(1-x)^2 e^{2t})."""
     x = np.asarray(x, dtype=float)
+    return _forcing(x * (1.0 - x), t)
+
+
+def _forcing(q, t):
+    """heat_forcing from q = x(1-x), which heat_problem's g computes once."""
     et = np.exp(t)
-    q = x * (1.0 - x)
-    return q * et + 2.0 * et - 1.0 / (1.0 + (q * et) ** 2)
+    qe = q * et
+    return qe + 2.0 * et - 1.0 / (1.0 + qe ** 2)
 
 
 def heat_problem(n=200):
@@ -49,11 +54,10 @@ def heat_problem(n=200):
     inv_dx2 = 1.0 / grid.dx ** 2
     a = SymTridiagonalOperator(np.full(grid.n, -2.0 * inv_dx2),
                                np.full(grid.n - 1, inv_dx2))
-    x = grid.x
-    q = x * (1.0 - x)
+    q = grid.x * (1.0 - grid.x)
 
     def g(t, u):
-        return 1.0 / (1.0 + u * u) + heat_forcing(x, t)
+        return 1.0 / (1.0 + u * u) + _forcing(q, t)
 
     def exact(t):
         return q * np.exp(t)

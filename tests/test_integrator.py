@@ -242,6 +242,16 @@ def test_error_is_independent_of_stiffness(tab5):
     assert max(errs) <= 1.05 * min(errs), errs
 
 
+def test_error_is_independent_of_stiffness_to_heat64000(tab5):
+    """The same claim at 4 steps, where the error stays far above the
+    rounding floor that grows with N at 64 steps, out to ||A|| ~ 1.6e10."""
+    errs = []
+    for n in (50, 200, 2000, 8000, 16000, 32000, 64000):
+        pb = heat_problem(n)
+        errs.append(discrete_l2_error(integrate(pb, tab5, 4, record="none"), pb, 1.0))
+    assert max(errs) <= 1.05 * min(errs), errs
+
+
 def _route_operators():
     rng = np.random.default_rng(11)
     for n in (7, 19, 40):

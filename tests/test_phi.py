@@ -15,10 +15,10 @@ from conftest import EighTridiagonal, augmented_phi, phi_symmetric
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
-from exprk.phi import (PHI_TAYLOR_RADIUS, CacheMissError, PhiRequest,
-                       QuadratureError, build_phi_cache, matrix_exp,
-                       phi_matrices, phi_matrix, phi_quadrature_oracle,
-                       phi_request, phi_scalar)
+from exprk.phi import (LOG_FLOAT_MAX, PHI_TAYLOR_RADIUS, CacheMissError,
+                       PhiRequest, QuadratureError, build_phi_cache,
+                       matrix_exp, phi_matrices, phi_matrix,
+                       phi_quadrature_oracle, phi_request, phi_scalar)
 from exprk.tableau import get_tableau
 from exprk.testbed import heat_problem
 
@@ -45,7 +45,7 @@ def test_phi_scalar_matches_quadrature_oracle(j, z):
     assert abs(phi_scalar(j, z) - phi_quadrature_oracle(j, z)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("j", range(1, 8))
 @pytest.mark.parametrize("z", [700.0, 710.0, 715.0, 740.0])
 def test_phi_scalar_large_positive_argument(j, z):
@@ -61,6 +61,22 @@ def test_phi_scalar_large_positive_argument(j, z):
         assert got == np.inf
     else:
         assert abs(got - float(want)) <= 1e-14 * float(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j", range(0, 8))
+def test_phi_scalar_overflow_edge(j):
+    """Where phi_j(z) exceeds the largest float a real z gives +inf, not nan
+    or an exception; -inf gives 0 and nan stays nan, all without warning."""
+    past = [np.nextafter(2 * LOG_FLOAT_MAX, np.inf), 1500.0, np.inf]
+    if j == 0:
+        past += [np.nextafter(LOG_FLOAT_MAX, np.inf), 800.0]
+    for z in past:
+        assert phi_scalar(j, z) == np.inf, z
+    assert phi_scalar(j, -np.inf) == 0.0
+    assert np.isnan(phi_scalar(j, np.nan))
+    with pytest.raises(OverflowError, match=rf"phi_{j}.*scale 1/2, h = 2\.0"):
+        build_phi_cache(DiagonalOperator(np.array([1500.0, -1.0])), 2.0, [(j, Fraction(1, 2))])
 
 
 # Negative arguments log-spaced out to the stiffest step of heat8000
@@ -84,12 +100,23 @@ def _mp_phi(mpmath, j, z):
 @pytest.mark.parametrize("j", range(0, 8))
 def test_phi_scalar_matches_mpmath_sweep(j):
     """Relative error at most 2e-12 over [-1e7, 50]; the worst measured is
-    1.26e-12, at j = 7 and z = 1.02, just past the Taylor switch."""
+    1.14e-12, at j = 7 and z = 1.02, just past the Taylor switch."""
     mpmath = pytest.importorskip("mpmath")
     tiny = np.finfo(float).tiny  # e^z underflows for j = 0 and z < -708
     for z in PHI_SWEEP_Z:
         want = float(_mp_phi(mpmath, j, z))
         assert abs(phi_scalar(j, z) - want) <= 2e-12 * abs(want) + tiny, (j, z)
+
+
+@pytest.mark.parametrize("j", range(0, 8))
+def test_real_and_complex_routes_agree(j):
+    """A real z takes float arithmetic and returns a float that agrees with
+    the complex route, whose result stays exactly on the real axis."""
+    for z in PHI_SWEEP_Z.tolist():
+        got, via_complex = phi_scalar(j, z), phi_scalar(j, complex(z))
+        assert type(got) is float
+        assert via_complex.imag == 0.0, (j, z)
+        assert abs(got - via_complex.real) <= 2e-12 * abs(got), (j, z)
 
 
 @pytest.mark.parametrize("j", range(1, 6))
