@@ -14,7 +14,7 @@ from .phi import (PhiCache, PhiRequest, build_phi_cache, matrix_exp,
 from .tableau import (ExpRKTableau, PhiCombo, baseline_tableaux,
                       classical_limit, eval_combo, exprk5s8, get_tableau,
                       psi_stage, psi_weight)
-from .integrator import SemilinearProblem, integrate, required_requests, step
+from .integrator import SemilinearProblem, Stepper, integrate, required_requests
 from .order_conditions import ProbeSet, check, condition_residual, structured_probes
 from .testbed import discrete_l2_error, heat_problem, stability_bound_check
 from .convergence import ConvergenceReport, run_convergence

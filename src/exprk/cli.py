@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from .convergence import DEFAULT_FLOOR, DEFAULT_STEPS, run_convergence, write_csv
-from .integrator import BlowUpError, required_requests, step
+from .integrator import BlowUpError, Stepper
 from .order_conditions import check
-from .phi import build_phi_cache, phi_scalar
+from .phi import phi_scalar
 from .tableau import get_tableau, tableau_from_text, tableau_names
 from .testbed import discrete_l2_error, problem_by_name
 
@@ -87,14 +87,17 @@ def cmd_phi(args):
 
 
 def cmd_step_demo(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     t = _load_method(args.method)
     pb = problem_by_name(args.problem)
     h = (pb.t_end - pb.t0) / args.steps
-    cache = build_phi_cache(pb.A, h, required_requests(t))
-    u1, stages = step(pb, t, cache, pb.t0, pb.u0, return_stages=True)
+    stepper = Stepper(pb, t, h)
+    cache = stepper.cache
+    u1, stages = stepper(pb.t0, pb.u0, return_stages=True)
     print(f"method {t.name} on {pb.name}: one step of h = {h:g} from t = {pb.t0:g}")
     form = "eigenvalue vectors" if cache.spectral else "matrices"
-    print(f"phi cache: {len(cache)} {form} of dimension {cache.n}")
+    print(f"phi cache: {len(cache)} {form} of dimension {pb.A.n}")
     for i, u in enumerate(stages, start=2):
         print(f"stage {i}: c = {t.node(i)}, ||U_{i}|| = {np.linalg.norm(u):.6e}")
     print(f"||u_1|| = {np.linalg.norm(u1):.6e}")

@@ -7,34 +7,37 @@ increments, reads
     u_{n+1} = u_n + h phi_1(hA) F(t_n, u_n)         + h sum_i   b_i(hA)  D_i
     D_j     = g(t_n + c_j h, U_j) - g(t_n, u_n).
 
-Every phi_k(c hA) comes from a PhiCache built once per (A, h), and the
-coefficients a_ij, b_i are assembled once from its entries.  The step runs in
-the cache's basis V, in which A = V diag(w) V^T: F(t_n, u_n) and each D_j go
-into it with V^T, the coefficients act there, and each stage U_i and u_{n+1}
-return with one V.  For a spectral cache (zero, diagonal and symmetric
-tridiagonal A) the coefficients are length-n vectors of eigenvalue
-functions acting elementwise, so a step of s stages makes 2s basis changes
-(none when V is the identity) and no n x n matrix is ever formed besides V.
-For a large constant-coefficient tridiagonal A, V is a SineBasis and each
-basis change is an O(n log n) DST-I instead of a dense product.  For a
-dense cache V is the identity and the coefficients are matrices acting by
-matrix-vector products.  Stage 1 is U_1 = u_n and never materialized.
-Non-autonomous g is handled by passing stage times directly, which is
-equivalent to autonomization for these methods.
+A Stepper prepares one step size on one problem: it builds a PhiCache for
+every phi_k(c hA) the tableau needs and assembles the coefficients h a_ij,
+h b_i from its entries, once; each call then advances one step, and
+integrate is a loop of such calls.  The step runs in the cache's basis V,
+in which A = V diag(w) V^T: F(t_n, u_n) and each D_j go into it with V^T,
+the coefficients act there, and each stage U_i and u_{n+1} return with one
+V.  For a spectral cache (zero, diagonal and symmetric tridiagonal A) the
+coefficients are length-n vectors of eigenvalue functions acting
+elementwise, so a step of s stages makes 2s basis changes (none when V is
+the identity) and no n x n matrix is ever formed besides V.  For a large
+constant-coefficient tridiagonal A, V is a SineBasis and each basis change
+is an O(n log n) DST-I instead of a dense product.  For a dense cache V is
+the identity and the coefficients are matrices acting by matrix-vector
+products.  Stage 1 is U_1 = u_n and never materialized.  Non-autonomous g
+is handled by passing stage times directly, which is equivalent to
+autonomization for these methods.
 """
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .operators import LinearOperator
-from .phi import PhiCache, build_phi_cache, phi_request
-from .tableau import ExpRKTableau
+from .phi import build_phi_cache, phi_request
+from .tableau import ExpRKTableau, combo_sum
 
 __all__ = [
-    "SemilinearProblem", "StepRecord", "BlowUpError", "CacheMismatchError",
-    "step", "integrate", "required_requests",
+    "SemilinearProblem", "StepRecord", "BlowUpError", "Stepper", "integrate",
+    "required_requests",
 ]
 
 
@@ -44,10 +47,6 @@ class BlowUpError(ArithmeticError):
     def __init__(self, message, step_index=None):
         super().__init__(message)
         self.step_index = step_index
-
-
-class CacheMismatchError(ValueError):
-    """The supplied PhiCache was built for a different operator."""
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,10 @@ class SemilinearProblem:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """State at one accepted time point; stages kept only on request."""
+    """State at one accepted time point."""
 
     t: float
     u: np.ndarray
-    stages: tuple = None
 
 
 def required_requests(t):
@@ -98,26 +96,6 @@ def required_requests(t):
     return reqs
 
 
-def _method_tables(t, cache):
-    """Assemble the coefficients from the cache entries in its basis: h a_ij
-    and h b_i, with h folded in, and for each distinct positive node c (the
-    update's is c = 1) the pair c h, phi_1(c hA).  The phi_1 entry is not
-    scaled, which would copy it, n x n on the dense route."""
-    h = cache.h
-
-    def coefficient(terms):
-        m = 0.0
-        for alpha, j, scale in terms:
-            m = m + (float(alpha) * h) * cache.get(j, scale, eigenbasis=True)
-        return m
-
-    nodes = {t.node(i) for i in range(2, t.s + 1) if t.node(i) > 0} | {Fraction(1)}
-    node_co = {float(c): (float(c) * h, cache.get(1, c, eigenbasis=True)) for c in nodes}
-    a_co = {key: coefficient(v.terms) for key, v in t.a.items() if v.terms}
-    b_co = {i: coefficient(v.terms) for i, v in t.b.items() if v.terms}
-    return node_co, a_co, b_co
-
-
 def _eval_g(pb, t, u):
     out = np.asarray(pb.g(t, u), dtype=float)
     if out.shape != u.shape:
@@ -125,50 +103,59 @@ def _eval_g(pb, t, u):
     return out
 
 
-def _advance(pb, t, cache, tables, tn, un):
-    node_co, a_co, b_co = tables
-    act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis
-    gn = _eval_g(pb, tn, un)
-    fn = to_basis(pb.A.matvec(un) + gn)
-    # c h phi_1(c hA) F(t_n, u_n), once for each distinct node c
-    f_terms = {c: ch * act(co, fn) for c, (ch, co) in node_co.items()}
-    d = {}
-    stages = []
-    for i in range(2, t.s + 1):
-        ci = float(t.node(i))
-        acc = f_terms[ci] if ci > 0 else np.zeros_like(fn)
-        for j in range(2, i):
-            am = a_co.get((i, j))
-            if am is not None:
-                acc = acc + act(am, d[j])
-        u_i = un + from_basis(acc)
-        d[i] = to_basis(_eval_g(pb, tn + ci * cache.h, u_i) - gn)
-        stages.append(u_i)
-    acc = f_terms[1.0]
-    for i, bm in b_co.items():
-        acc = acc + act(bm, d[i])
-    u_next = un + from_basis(acc)
-    if not np.all(np.isfinite(u_next)):
-        raise BlowUpError(f"non-finite state after step from t = {tn}")
-    return u_next, stages
+class Stepper:
+    """Steps of size h of tableau t on problem pb, prepared once.
 
-
-def step(pb, t, cache, tn, un, return_stages=False):
-    """Advance one step of size cache.h from (tn, un).
-
-    The cache must have been built for pb.A (fingerprints are compared) and
-    must cover required_requests(t); no phi function is evaluated here.
+    The constructor checks t, builds the phi cache for required_requests(t)
+    and assembles the coefficients from its entries, in its basis: h a_ij
+    and h b_i, with h folded into each combo exactly, and for each distinct
+    positive node c (the update's is c = 1) the pair c h, phi_1(c hA).  The
+    phi_1 entry is not scaled, which would copy it, n x n on the dense
+    route.  No phi function is evaluated after construction.
     """
-    if not isinstance(cache, PhiCache):
-        raise TypeError("cache must be a PhiCache")
-    if cache.fingerprint != pb.A.fingerprint:
-        raise CacheMismatchError("cache was built for a different operator")
-    un = np.asarray(un, dtype=float)
-    if un.shape != (cache.n,):
-        raise ValueError("state dimension does not match the cache")
-    tables = _method_tables(t, cache)
-    u_next, stages = _advance(pb, t, cache, tables, tn, un)
-    return (u_next, tuple(stages)) if return_stages else u_next
+
+    def __init__(self, pb, t, h):
+        if not isinstance(t, ExpRKTableau):
+            raise TypeError("t must be an ExpRKTableau")
+        self.pb, self.t = pb, t
+        self.cache = cache = build_phi_cache(pb.A, h, required_requests(t))
+        self.h = float(h)
+        hq = Fraction(self.h)
+        nodes = {t.node(i) for i in range(2, t.s + 1) if t.node(i) > 0} | {Fraction(1)}
+        self._node_co = {float(c): (float(c) * self.h, cache.get(1, c)) for c in nodes}
+        self._a_co = {key: combo_sum(hq * v, cache.get) for key, v in t.a.items()}
+        self._b_co = {i: combo_sum(hq * v, cache.get) for i, v in t.b.items()}
+
+    def __call__(self, tn, un, return_stages=False):
+        """u_{n+1} from (tn, un); with return_stages, (u_{n+1}, (U_2, ..., U_s))."""
+        pb, t, cache = self.pb, self.t, self.cache
+        un = np.asarray(un, dtype=float)
+        if un.shape != (pb.A.n,):
+            raise ValueError(f"state has shape {un.shape}, expected ({pb.A.n},)")
+        act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis
+        gn = _eval_g(pb, tn, un)
+        fn = to_basis(pb.A.matvec(un) + gn)
+        # c h phi_1(c hA) F(t_n, u_n), once for each distinct node c
+        f_terms = {c: ch * act(co, fn) for c, (ch, co) in self._node_co.items()}
+        d = {}
+        stages = []
+        for i in range(2, t.s + 1):
+            ci = float(t.node(i))
+            acc = f_terms[ci] if ci > 0 else np.zeros_like(fn)
+            for j in range(2, i):
+                am = self._a_co.get((i, j))
+                if am is not None:
+                    acc = acc + act(am, d[j])
+            u_i = un + from_basis(acc)
+            d[i] = to_basis(_eval_g(pb, tn + ci * self.h, u_i) - gn)
+            stages.append(u_i)
+        acc = f_terms[1.0]
+        for i, bm in self._b_co.items():
+            acc = acc + act(bm, d[i])
+        u_next = un + from_basis(acc)
+        if not np.all(np.isfinite(u_next)):
+            raise BlowUpError(f"non-finite state after step from t = {tn}")
+        return (u_next, tuple(stages)) if return_stages else u_next
 
 
 def integrate(pb, t, n_steps, record="final"):
@@ -176,23 +163,23 @@ def integrate(pb, t, n_steps, record="final"):
 
     record selects the return value: "none" gives the bare final state,
     "final" a StepRecord, "trajectory" the list of StepRecords including the
-    initial state.  The phi cache is built once, for h = (t_end - t0)/n_steps.
+    initial state.  One Stepper, for h = (t_end - t0)/n_steps, makes them all.
     """
+    if not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool):
+        raise TypeError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if record not in ("none", "final", "trajectory"):
         raise ValueError("record must be one of none | final | trajectory")
-    if not isinstance(t, ExpRKTableau):
-        raise TypeError("t must be an ExpRKTableau")
+    n_steps = int(n_steps)
     h = (pb.t_end - pb.t0) / n_steps
-    cache = build_phi_cache(pb.A, h, required_requests(t))
-    tables = _method_tables(t, cache)
+    stepper = Stepper(pb, t, h)
     un = pb.u0.copy()
     out = [StepRecord(pb.t0, un.copy())]
     for k in range(n_steps):
         tn = pb.t0 + k * h
         try:
-            un, _ = _advance(pb, t, cache, tables, tn, un)
+            un = stepper(tn, un)
         except BlowUpError as exc:
             raise BlowUpError(f"blow-up at step {k} (t = {tn})", step_index=k) from exc
         if record == "trajectory":

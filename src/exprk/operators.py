@@ -44,7 +44,8 @@ class LinearOperator(ABC):
     @property
     @abstractmethod
     def fingerprint(self):
-        """Content hash identifying the operator (used to validate caches)."""
+        """Content hash identifying the operator.  Nothing in the library reads
+        it; perfbench's tracer wraps each subclass's property by name."""
 
     def eigendecomposition(self):
         """(w, V) with A = V @ diag(w) @ V.T and V orthogonal, V None for the

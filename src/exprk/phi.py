@@ -56,9 +56,10 @@ def phi_scalar(j, z):
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
-    regimes.  Where exp(z) overflows, phi_j(z) = e^z / z^j - sum_{k<j}
-    z^(k-j) / k! is evaluated with e^z split as e^(z/2) e^(z/2), which stays
-    finite while phi_j(z) does (up to Re z ~ 1419).  A real z takes these
+    regimes.  Where exp(z) overflows, the recurrence runs on
+    phi_k(z) / e^(z/2), starting from e^(z/2), and the result is scaled back
+    by e^(z/2) at the end; no intermediate (z^j in particular) overflows
+    while phi_j(z) is finite (up to Re z ~ 1419).  A real z takes these
     branches in float arithmetic (math.exp) and gives a float: +inf where
     phi_j(z) exceeds the largest float, 0.0 at -inf, nan at nan, and no
     warning.  A complex z takes them in complex arithmetic (np.exp).
@@ -68,7 +69,7 @@ def phi_scalar(j, z):
     real = isinstance(z, float) or not (isinstance(z, complex) or np.iscomplexobj(z))
     if real:
         z, exp = float(z), math.exp
-        # math.exp and float ** raise OverflowError where numpy returns inf
+        # math.exp raises OverflowError where numpy returns inf
         if z > 2 * LOG_FLOAT_MAX or (j == 0 and z > LOG_FLOAT_MAX):
             return math.inf
     else:
@@ -83,9 +84,10 @@ def phi_scalar(j, z):
             val += term
     elif z.real > LOG_FLOAT_MAX:
         half = exp(z / 2)
-        val = half * (half / z ** j)
+        val = half
         for k in range(j):
-            val -= z ** (k - j) / factorial(k)
+            val = (val - 1.0 / factorial(k) / half) / z
+        val = half * val
     else:
         val = exp(z)
         for k in range(j):
@@ -263,16 +265,12 @@ class PhiCache:
     phi_j(scale * h * w) over the eigenvalues w of A, plus the one shared
     orthogonal basis V (None for the identity), so that
     phi_j(scale * h * A) = V @ diag(entry) @ V.T.  V is an ndarray or a
-    SineBasis that applies the DST-I; the cache only uses V @ y and V.T @ x
-    and forms np.asarray(V) just for a dense get.  A dense cache stores the
-    matrices themselves.  The cache carries the operator fingerprint and the
-    step size it was built for, which the stepper validates before use.
+    SineBasis that applies the DST-I; the cache only uses V @ y and V.T @ x.
+    A dense cache stores the matrices themselves, and its basis is the
+    identity.
     """
 
-    def __init__(self, fingerprint, h, n, table, basis=None, spectral=False):
-        self.fingerprint = fingerprint
-        self.h = float(h)
-        self.n = int(n)
+    def __init__(self, table, basis=None, spectral=False):
         self.spectral = bool(spectral)
         self.basis = basis
         self._table = {}
@@ -281,30 +279,19 @@ class PhiCache:
             val.flags.writeable = False
             self._table[phi_request(*key)] = val
 
-    def get(self, j, scale, eigenbasis=False):
-        """Return the cached phi_j(scale * h * A); KeyError on a miss.
+    def get(self, j, scale):
+        """The stored entry for phi_j(scale * h * A); CacheMissError on a miss.
 
-        By default the result is the dense matrix, formed on demand for a
-        spectral cache.  With eigenbasis=True it is the entry as the
-        integrator applies it in the basis V: the eigenvalue vector of a
-        spectral cache, the matrix of a dense one.
+        That is the eigenvalue vector of a spectral cache and the matrix of a
+        dense one: the entry as it acts on coordinates in the basis V.
         """
         key = phi_request(j, scale)
         try:
-            val = self._table[key]
+            return self._table[key]
         except KeyError:
             raise CacheMissError(
                 f"phi_{key.j} at scale {key.scale} not in cache "
                 f"(built with {len(self._table)} entries)") from None
-        if eigenbasis or not self.spectral:
-            return val
-        if self.basis is None:
-            mat = np.diag(val)
-        else:
-            v = np.asarray(self.basis)
-            mat = (v * val) @ v.T
-        mat.flags.writeable = False
-        return mat
 
     def to_basis(self, x):
         """Coordinates V^T x of a state-space vector x."""
@@ -379,9 +366,10 @@ def build_phi_cache(a, h, requests):
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
     SineBasis).  Dense A gets n x n matrices from phi_matrix_table, one
-    squaring chain per scale family.  Duplicate requests collapse; each
-    entry is computed once.  An entry that overflows raises OverflowError
-    naming j, the scale and h.
+    squaring chain per scale family.  Either way PhiCache.get returns an
+    entry as stored, in the form the integrator's Stepper applies it.
+    Duplicate requests collapse; each entry is computed once.  An entry that
+    overflows raises OverflowError naming j, the scale and h.
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
@@ -391,8 +379,8 @@ def build_phi_cache(a, h, requests):
     keys = sorted({phi_request(*r) for r in requests})
     eig = a.eigendecomposition()
     if eig is None:
-        return PhiCache(a.fingerprint, h, a.n, phi_matrix_table(a.dense(), h, keys))
+        return PhiCache(phi_matrix_table(a.dense(), h, keys))
     w, v = eig
     with np.errstate(over="ignore", invalid="ignore"):
         table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
-    return PhiCache(a.fingerprint, h, a.n, _finite(table, h), basis=v, spectral=True)
+    return PhiCache(_finite(table, h), basis=v, spectral=True)

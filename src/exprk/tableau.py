@@ -28,8 +28,8 @@ import numpy as np
 from .phi import phi_matrix, phi_scalar
 
 __all__ = [
-    "PhiCombo", "phi_term", "eval_combo", "ExpRKTableau", "ButcherTableau",
-    "exprk5s8", "baseline_tableaux", "three_node_weights", "get_tableau",
+    "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
+    "ButcherTableau", "exprk5s8", "baseline_tableaux", "three_node_weights", "get_tableau",
     "tableau_names", "psi_values", "psi_weight", "psi_stage",
     "psi_weight_combo", "psi_stage_combo", "classical_limit", "tableau_to_text",
     "tableau_from_text", "TableauFormatError",
@@ -120,30 +120,42 @@ def phi_term(alpha, j, scale=1):
     return PhiCombo(((alpha, j, scale),))
 
 
+def combo_sum(f, phi):
+    """sum_m float(alpha_m) * phi(j_m, scale_m) over the terms of f.
+
+    phi maps (j, scale) to the value of phi_j(scale * z) in any form that
+    supports scalar multiples and sums: a number, a matrix, or a vector of
+    eigenvalue functions such as PhiCache.get returns for a spectral cache.
+    The terms are added in order, one at a time; the empty combo gives 0.0.
+    """
+    out = 0.0
+    for a, j, s in f.terms:
+        out = out + float(a) * phi(j, s)
+    return out
+
+
 def eval_combo(f, z, phi=None):
     """Evaluate a PhiCombo at scalar or square-matrix z.
 
     With phi=None, matrix terms are computed directly through phi_matrix.
-    Passing phi, a callable (j, scale) -> matrix such as PhiCache.get,
-    substitutes precomputed matrices instead (z then only fixes the shape
-    of the zero result for empty combos).
+    Passing phi, a callable (j, scale) -> matrix such as a phi table's
+    lookup, substitutes precomputed matrices instead (z then only fixes the
+    shape of the zero result for empty combos).
     """
     if isinstance(z, numbers.Number) or (isinstance(z, np.ndarray) and z.ndim == 0):
         zval = complex(z) if np.iscomplexobj(z) or isinstance(z, complex) else float(z)
-        out = 0.0
-        for a, j, s in f.terms:
-            out += float(a) * phi_scalar(j, float(s) * zval)
-        return out
+        return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be a scalar or a square matrix")
-    out = np.zeros_like(z)
-    for a, j, s in f.terms:
+
+    def entry(j, s):
         mat = phi(j, s) if phi is not None else phi_matrix(j, float(s) * z)
         if mat.shape != z.shape:
             raise ValueError("phi evaluator returned a mismatched shape")
-        out = out + float(a) * mat
-    return out
+        return mat
+
+    return combo_sum(f, entry) if f.terms else np.zeros_like(z)
 
 
 @dataclass(frozen=True)

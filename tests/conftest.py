@@ -48,6 +48,19 @@ def phi_symmetric(j, m):
     return (v * np.array([phi_scalar(j, z) for z in w])) @ v.T
 
 
+def dense_phi(cache, j, scale):
+    """The cache's phi_j(scale * h * A) as a matrix: V diag(entry) V^T for a
+    spectral cache (diag(entry) when V is the identity), the stored matrix
+    for a dense one."""
+    val = cache.get(j, scale)
+    if not cache.spectral:
+        return val
+    if cache.basis is None:
+        return np.diag(val)
+    v = np.asarray(cache.basis)
+    return (v * val) @ v.T
+
+
 def rk_integrate(bt, f, u0, t0, t_end, n_steps):
     """Reference classical explicit RK driver over a ButcherTableau.
 

@@ -202,6 +202,15 @@ def test_cli_step_demo(capsys):
 # ---------------------------------------------------------------------------
 # CLI: error paths
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_step_demo_rejects_nonpositive_steps(capsys, steps):
+    code = main(["step-demo", "--problem", "heat20", "--steps", steps])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: --steps must be >= 1, got {steps}" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_unknown_method(capsys):
     code = main(["converge", "--method", "rk99", "--problem", "heat20",
                  "--steps", "4,8"])

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import EighTridiagonal, rk_integrate
-from exprk.integrator import (BlowUpError, CacheMismatchError,
-                              SemilinearProblem, StepRecord, integrate,
-                              required_requests, step)
+import exprk.integrator
+from exprk.integrator import (BlowUpError, SemilinearProblem, Stepper,
+                              StepRecord, integrate, required_requests)
 from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              SymTridiagonalOperator, ZeroOperator)
-from exprk.phi import CacheMissError, PhiRequest, build_phi_cache
+from exprk.phi import PhiRequest
 from exprk.tableau import classical_limit, get_tableau
 from exprk.testbed import discrete_l2_error, heat_problem
 
@@ -72,8 +72,7 @@ def test_step_is_exact_for_linear_diagonal(name):
                            u0=np.array([1.0, -2.0, 0.7]), t_end=1.0)
     t = get_tableau(name)
     h = 0.3
-    cache = build_phi_cache(a, h, required_requests(t))
-    u1 = step(pb, t, cache, 0.0, pb.u0)
+    u1 = Stepper(pb, t, h)(0.0, pb.u0)
     assert np.abs(u1 - np.exp(h * lam) * pb.u0).max() <= 1e-14
 
 
@@ -98,8 +97,7 @@ def test_step_consistency_order(name):
     t = get_tableau(name)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
-        cache = build_phi_cache(a, h, required_requests(t))
-        u1 = step(pb, t, cache, 0.0, u0)
+        u1 = Stepper(pb, t, h)(0.0, u0)
         f0 = a.matvec(u0) + g(0.0, u0)
         errs.append(np.linalg.norm(u1 - (u0 + h * f0)))
     for e_coarse, e_fine in zip(errs, errs[1:]):
@@ -108,28 +106,41 @@ def test_step_consistency_order(name):
 
 def test_step_returns_stages(tab5):
     pb = _nonstiff_problem()
-    cache = build_phi_cache(pb.A, 0.125, required_requests(tab5))
-    u1, stages = step(pb, tab5, cache, 0.0, pb.u0, return_stages=True)
+    u1, stages = Stepper(pb, tab5, 0.125)(0.0, pb.u0, return_stages=True)
     assert len(stages) == 7  # stages 2..8; stage 1 is never materialized
     assert all(s.shape == (1,) for s in stages)
     assert np.isfinite(u1).all()
 
 
-def test_step_validates_cache(tab5):
+def test_stepper_validates_state_and_tableau(tab5):
     pb = _nonstiff_problem()
-    other = DiagonalOperator(np.array([-2.0]))
-    cache = build_phi_cache(other, 0.125, required_requests(tab5))
-    with pytest.raises(CacheMismatchError):
-        step(pb, tab5, cache, 0.0, pb.u0)
-    sparse_cache = build_phi_cache(pb.A, 0.125,
-                                   required_requests(get_tableau("expEuler")))
-    with pytest.raises(CacheMissError):
-        step(pb, tab5, sparse_cache, 0.0, pb.u0)
-    good = build_phi_cache(pb.A, 0.125, required_requests(tab5))
-    with pytest.raises(ValueError):
-        step(pb, tab5, good, 0.0, np.ones(3))
+    stepper = Stepper(pb, tab5, 0.125)
+    with pytest.raises(ValueError, match=r"state has shape \(3,\), expected \(1,\)"):
+        stepper(0.0, np.ones(3))
     with pytest.raises(TypeError):
-        step(pb, tab5, {"not": "a cache"}, 0.0, pb.u0)
+        Stepper(pb, "expRK5s8", 0.125)
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])
+def test_stepper_calls_equal_integrate(name):
+    """n calls on one Stepper are integrate's n steps, bit for bit."""
+    pb = heat_problem(30)
+    t = get_tableau(name)
+    n = 5
+    stepper = Stepper(pb, t, (pb.t_end - pb.t0) / n)
+    u = pb.u0
+    for k in range(n):
+        u = stepper(pb.t0 + k * stepper.h, u)
+    assert np.array_equal(u, integrate(pb, t, n, record="none"))
+
+
+def test_integrate_builds_one_cache(monkeypatch, tab5):
+    builds = []
+    build = exprk.integrator.build_phi_cache
+    monkeypatch.setattr(exprk.integrator, "build_phi_cache",
+                        lambda *args: builds.append(args) or build(*args))
+    integrate(heat_problem(20), tab5, 8)
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +166,21 @@ def test_integrate_record_modes(tab5):
         integrate(pb, "expRK5s8", 4)
 
 
-def test_integrate_single_step_equals_step(tab5):
+@pytest.mark.parametrize("bad, error", [(2.5, TypeError), ("4", TypeError),
+                                        (True, TypeError), (0, ValueError),
+                                        (-3, ValueError)])
+def test_integrate_rejects_bad_step_counts(monkeypatch, tab5, bad, error):
+    """A step count that is not an integer >= 1 fails before any phi work."""
+    monkeypatch.setattr(exprk.integrator, "build_phi_cache",
+                        lambda *args: pytest.fail("built a phi cache"))
+    with pytest.raises(error, match="n_steps"):
+        integrate(_nonstiff_problem(), tab5, bad)
+
+
+def test_integrate_accepts_numpy_integer_step_counts(tab5):
     pb = _nonstiff_problem()
-    cache = build_phi_cache(pb.A, 1.0, required_requests(tab5))
-    direct = step(pb, tab5, cache, 0.0, pb.u0)
-    assert np.array_equal(integrate(pb, tab5, 1, record="none"), direct)
+    got = integrate(pb, tab5, np.int64(3))
+    assert np.array_equal(got.u, integrate(pb, tab5, 3).u)
 
 
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])

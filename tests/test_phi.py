@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import exprk.phi
-from conftest import EighTridiagonal, augmented_phi, phi_symmetric
+from conftest import EighTridiagonal, augmented_phi, dense_phi, phi_symmetric
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
@@ -77,6 +77,20 @@ def test_phi_scalar_overflow_edge(j):
     assert np.isnan(phi_scalar(j, np.nan))
     with pytest.raises(OverflowError, match=rf"phi_{j}.*scale 1/2, h = 2\.0"):
         build_phi_cache(DiagonalOperator(np.array([1500.0, -1.0])), 2.0, [(j, Fraction(1, 2))])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j,z", [(8, 710.0), (20, 800.0), (50, 1000.0), (100, 1400.0),
+                                 (100, 2 * LOG_FLOAT_MAX)])
+def test_phi_scalar_large_index_past_exp_overflow(j, z):
+    """Past exp overflow phi_j(z) stays finite and accurate for large j too;
+    at the j = 100 points z^j alone exceeds the largest float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(z)
+        want = float(mpmath.exp(x) / x ** j
+                     - sum(x ** (k - j) / mpmath.factorial(k) for k in range(j)))
+    assert abs(phi_scalar(j, z) - want) <= 1e-13 * want
 
 
 # Negative arguments log-spaced out to the stiffest step of heat8000
@@ -337,21 +351,21 @@ def test_cache_routes_agree_across_operator_variants():
     for op in (tri, dense):
         cache = build_phi_cache(op, h, [phi_request(j, s) for j, s in REQS])
         for key, want in ref.items():
-            assert np.abs(cache.get(*key) - want).max() <= 1e-12
+            assert np.abs(dense_phi(cache, *key) - want).max() <= 1e-12
 
 
 def test_cache_diagonal_and_zero_routes():
     h = 0.2
     d = DiagonalOperator(np.array([-4.0, -1.0, 0.5]))
     cache = build_phi_cache(d, h, [phi_request(j, s) for j, s in REQS])
-    got = cache.get(2, Fraction(1))
+    got = dense_phi(cache, 2, Fraction(1))
     want = np.diag([phi_scalar(2, h * z) for z in (-4.0, -1.0, 0.5)])
     assert np.abs(got - want).max() <= 1e-14
 
     z = ZeroOperator(3)
     cache = build_phi_cache(z, h, [phi_request(j, s) for j, s in REQS])
     for j, s in REQS:
-        assert np.array_equal(cache.get(j, s), np.eye(3) / factorial(j))
+        assert np.array_equal(dense_phi(cache, j, s), np.eye(3) / factorial(j))
 
 
 def test_spectral_cache_holds_vectors_and_one_basis():
@@ -363,7 +377,7 @@ def test_spectral_cache_holds_vectors_and_one_basis():
     w, v = tri.eigendecomposition()
     assert cache.basis is v
     for j, s in REQS:
-        vec = cache.get(j, s, eigenbasis=True)
+        vec = cache.get(j, s)
         assert vec.shape == (n,)
         assert np.array_equal(vec, [phi_scalar(j, float(s) * 0.3 * x) for x in w])
     dense = [val for val in vars(cache).values()
@@ -374,11 +388,11 @@ def test_spectral_cache_holds_vectors_and_one_basis():
     d = DiagonalOperator(np.array([-1.0, 2.0]))
     cache = build_phi_cache(d, 0.5, [phi_request(1, 1)])
     assert cache.spectral and cache.basis is None
-    assert cache.get(1, 1, eigenbasis=True).shape == (2,)
+    assert cache.get(1, 1).shape == (2,)
     m = DenseOperator(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     cache = build_phi_cache(m, 0.5, [phi_request(1, 1)])
     assert not cache.spectral and cache.basis is None
-    assert cache.get(1, 1, eigenbasis=True) is cache.get(1, 1)
+    assert cache.get(1, 1).shape == (2, 2)
 
 
 EXPRK5S8_REQUESTS = sorted(required_requests(get_tableau("expRK5s8")))
@@ -394,7 +408,7 @@ def test_dense_route_matches_spectral_route_on_heat(n):
     ref = build_phi_cache(EighTridiagonal(a.diag, a.off), h, EXPRK5S8_REQUESTS)
     assert not dense.spectral and ref.spectral
     for key in EXPRK5S8_REQUESTS:
-        want = ref.get(*key)
+        want = dense_phi(ref, *key)
         assert np.abs(dense.get(*key) - want).max() <= 1e-12 * np.abs(want).max(), key
 
 
@@ -475,7 +489,7 @@ def test_overflowing_phi_entry_fails_before_the_first_step(op):
 def test_finite_phi_past_exp_overflow_still_builds():
     assert phi_scalar(7, 715.0) == pytest.approx(3.470661580076906e290, rel=1e-14)
     cache = build_phi_cache(DiagonalOperator(np.array([715.0, -1.0])), 1.0, [(7, 1)])
-    assert cache.get(7, 1, eigenbasis=True)[0] == phi_scalar(7, 715.0)
+    assert cache.get(7, 1)[0] == phi_scalar(7, 715.0)
 
 
 def test_importing_exprk_loads_no_scipy_linalg_or_fft():
@@ -493,9 +507,8 @@ def test_cache_is_read_only_and_reports_misses():
     assert len(cache) == 1
     assert (1, Fraction(1)) in cache
     assert cache.keys() == {PhiRequest(1, Fraction(1))}
-    for mat in (cache.get(1, 1), cache.get(1, 1, eigenbasis=True)):
-        with pytest.raises(ValueError):
-            mat[0] = 99.0
+    with pytest.raises(ValueError):
+        cache.get(1, 1)[0] = 99.0
     with pytest.raises(CacheMissError):
         cache.get(2, 1)
     # CacheMissError is a KeyError so plain dict-style handling also works
@@ -557,6 +570,5 @@ def test_sine_basis_cache_dense_get_matches_eigh_route():
     ref = build_phi_cache(EighTridiagonal(a.diag, a.off), h, reqs)
     assert isinstance(ref.basis, np.ndarray)
     for key in reqs:
-        got = cache.get(*key)
-        assert not got.flags.writeable
-        assert np.abs(got - ref.get(*key)).max() <= 1e-12
+        assert not cache.get(*key).flags.writeable
+        assert np.abs(dense_phi(cache, *key) - dense_phi(ref, *key)).max() <= 1e-12
