@@ -13,7 +13,7 @@ from .phi import (PhiCache, PhiRequest, build_phi_cache, matrix_exp,
                   phi_matrix, phi_scalar)
 from .tableau import (ExpRKTableau, PhiCombo, baseline_tableaux,
                       classical_limit, eval_combo, exprk5s8, get_tableau,
-                      psi_stage, psi_weight)
+                      psi, psi_combo)
 from .integrator import SemilinearProblem, Stepper, integrate, required_requests
 from .order_conditions import ProbeSet, check, condition_residual, structured_probes
 from .testbed import discrete_l2_error, heat_problem, stability_bound_check

@@ -12,7 +12,10 @@ still sufficient for fifth order on parabolic problems.
 Every condition nests the same pieces, so each is stored as a Word: an
 outer weight b_i, zero or more links (a power of c and a probe matrix J, K or
 L, or the bilinear map B) leading inward through the rows of a, and a psi
-defect at the leaf; one recursive routine evaluates them all.
+defect at the leaf; one recursive routine evaluates them all.  Each psi
+defect is defined by tableau.psi_parts alone: check() takes the parts its
+words read once per check, derives from them the phi pairs its tables hold,
+and sums them at each probe with tableau.combo_sum.
 
 Checking an identity over *all* matrices is impossible numerically; the
 checker evaluates residuals on a batch of seeded random probes plus
@@ -31,14 +34,15 @@ table of one probe.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .phi import build_phi_cache  # unused here; perfbench's tracer wraps it by name
-from .phi import phi_matrix_table, phi_request
-from .tableau import eval_combo, psi_values, psi_weight
+# build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
+from .phi import build_phi_cache, phi_matrix_table, phi_request
+from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
 
 __all__ = [
     "ProbeSet", "ConditionReport", "ConditionRow", "condition_residual",
@@ -156,12 +160,26 @@ CONDITION_ORDERS = {cid: w.order for cid, w in WORDS.items()}
 MODES = ("strong", "weakened")
 
 
-def _phi_tables(t, probes):
+def _defects(t):
+    """The psi defects the words read, built once per check.
+
+    Returns parts, {(j, i): tableau.psi_parts(j, t, i)} over the weight
+    defect psi_j of each word without links and psi_{j,i} at every stage for
+    each word with them, and at_zero, {j: psi_j at Z = 0} over the weight
+    defects that weakened mode takes at Z = 0 (see _residual).
+    """
+    parts = {(w.psi, i): psi_parts(w.psi, t, i) for w in WORDS.values()
+             for i in (range(2, t.s + 1) if w.links else (None,))}
+    at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
+               if w.order == 5 and not w.links}
+    return parts, at_zero
+
+
+def _phi_tables(t, probes, parts):
     """For each probe of one dimension, {(j, scale): phi_j(scale * Z)} over
-    every pair the checker reads, all from one table on the stacked Z."""
-    pairs = t.phi_pairs()
-    pairs |= {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
-    pairs |= {(m, Fraction(1)) for m in (2, 3, 4, 5)}
+    the pairs of t's coefficients and of the psi targets in parts, all from
+    one table on the stacked Z."""
+    pairs = t.phi_pairs().union(*(target.phi_pairs() for _, target in parts.values()))
     table = phi_matrix_table(np.stack([p.Z for p in probes]), 1.0,
                              {phi_request(*r) for r in pairs})
     return [{key: val[k] for key, val in table.items()} for k in range(len(probes))]
@@ -170,47 +188,30 @@ def _phi_tables(t, probes):
 class _ProbeTables:
     """Everything condition evaluation needs at one probe, assembled once.
 
-    Coefficient matrices are built from the probe's phi table on Z (h = 1,
-    from _phi_tables) exactly as the stepper builds them, and each psi
-    defect is evaluated once, through its definition (tableau.psi_values), so
-    residuals reflect genuine float evaluation, not pre-cancelled rationals.
-    at_zero memoises psi_j at Z = 0, which depends on the tableau alone, so
-    the probes of one check share it.
+    Coefficients and psi targets are summed from the probe's phi table on Z
+    (h = 1, from _phi_tables) by combo_sum, as the stepper sums its
+    coefficients.  Each psi defect in parts then goes through its definition
+    (tableau.psi_values) on t's summed weights or row of a, so residuals
+    reflect genuine float evaluation, not pre-cancelled rationals.  parts and
+    at_zero come from _defects, once per check.
     """
 
-    def __init__(self, t, probe, phi, at_zero):
-        self.t = t
+    def __init__(self, t, probe, phi, parts, at_zero):
         self.p = probe
-        self._at_zero = at_zero
-        self.get = lambda j, scale: phi[j, scale]
-        self.eye = np.eye(probe.d)
-        self.b_mat = {i: eval_combo(v, probe.Z, self.get) for i, v in t.b.items()}
-        self.b_at_zero = {i: float(v.at_zero()) * self.eye for i, v in t.b.items()}
-        a_mat = {k: eval_combo(v, probe.Z, self.get) for k, v in t.a.items()}
-        self.rows = {i: {k: a_mat[(i, k)] for k in range(2, i) if (i, k) in a_mat}
-                     for i in range(2, t.s + 1)}
+        self.at_zero = at_zero
+        self.eye = eye = np.eye(probe.d)
+        get = lambda j, scale: phi[j, scale]
+        # the empty combo, a zero node's target, is the zero matrix here
+        mat = lambda combo: combo_sum(combo, get) if combo.terms else np.zeros_like(eye)
+        self.b_mat = b_mat = {i: mat(v) for i, v in t.b.items()}
+        self.b_at_zero = {i: float(v.at_zero()) * eye for i, v in t.b.items()}
+        a_mat = {k: mat(v) for k, v in t.a.items()}
+        self.rows = rows = {i: {k: a_mat[(i, k)] for k in range(2, i) if (i, k) in a_mat}
+                            for i in range(2, t.s + 1)}
         self.c = [float(ci) for ci in t.c]
-        self._psi = {}
-
-    def psi(self, j, i=None):
-        """psi_j (i None) or psi_{j,i} at this probe, evaluated once."""
-        key = (j, i)
-        if key not in self._psi:
-            if i is None:
-                val = psi_values(j, self.t, self.b_mat, self.get(j, Fraction(1)))
-            else:
-                ci = self.t.node(i)
-                target = (float(ci ** j) * self.get(j, ci) if ci > 0
-                          else np.zeros_like(self.eye))
-                val = psi_values(j, self.t, self.rows[i], target)
-            self._psi[key] = val
-        return self._psi[key]
-
-    def psi_at_zero(self, j):
-        """The weight defect psi_j at Z = 0, evaluated once per memo."""
-        if j not in self._at_zero:
-            self._at_zero[j] = psi_weight(j, self.t, 0.0)
-        return self._at_zero[j]
+        # psi_j (i None) or psi_{j,i} at this probe, each summed once, when first read
+        self.psi = cache(lambda j, i=None: psi_values(
+            j, t, b_mat if i is None else rows[i], mat(parts[j, i][1])))
 
 
 def _nest(tab, links, j, coeffs):
@@ -239,7 +240,7 @@ def _residual(word, tab, mode):
     if word.links:
         value = _nest(tab, word.links, word.psi, tab.b_at_zero if weakened else tab.b_mat)
     elif weakened:
-        value = tab.psi_at_zero(word.psi)
+        value = tab.at_zero[word.psi]
     else:
         value = tab.psi(word.psi)
     return float(np.abs(value).max())
@@ -251,7 +252,9 @@ def condition_residual(cid, t, p, mode="strong"):
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    return _residual(WORDS[cid], _ProbeTables(t, p, _phi_tables(t, [p])[0], {}), mode)
+    parts, at_zero = _defects(t)
+    tab = _ProbeTables(t, p, _phi_tables(t, [p], parts)[0], parts, at_zero)
+    return _residual(WORDS[cid], tab, mode)
 
 
 @dataclass(frozen=True)
@@ -309,8 +312,8 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
     p may be a single ProbeSet or a sequence of them; by default n_probes
     seeded random probes are drawn.  The structured diagonal/permutation
     probes are always appended.  The report carries the highest p in {1..4}
-    whose strong conditions all pass, and the weakened order-5 verdict
-    (strong 1-7 plus weakened 8-16).
+    whose strong conditions all pass, and the weakened order-5 verdict:
+    every weakened row passes (below order 5 those rows are the strong ones).
     """
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
@@ -327,10 +330,10 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
 
     # (cid, mode) -> its residual at each probe
     residuals = {(cid, mode): [] for cid in WORDS for mode in MODES}
-    at_zero = {}
+    parts, at_zero = _defects(t)
     for group in by_dim.values():
-        for probe, phi in zip(group, _phi_tables(t, group)):
-            tab = _ProbeTables(t, probe, phi, at_zero)
+        for probe, phi in zip(group, _phi_tables(t, group, parts)):
+            tab = _ProbeTables(t, probe, phi, parts, at_zero)
             for cid, word in WORDS.items():
                 # below order 5 the two modes are one condition: evaluate it once
                 strong = _residual(word, tab, "strong")
@@ -342,18 +345,15 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
 
     rows = tuple(ConditionRow(cid, mode, CONDITION_ORDERS[cid], worst[(cid, mode)],
                               worst[(cid, mode)] <= tolerance)
-                 for cid in sorted(CONDITION_ORDERS) for mode in ("strong", "weakened"))
-    by = {(r.id, r.mode): r for r in rows}
+                 for cid in sorted(CONDITION_ORDERS) for mode in MODES)
 
     highest = 1
     for order in (2, 3, 4):
-        if all(by[(cid, "strong")].passed for cid in CONDITION_ORDERS
-               if CONDITION_ORDERS[cid] <= order):
-            highest = order
-        else:
+        if not all(r.passed for r in rows if r.mode == "strong" and r.order <= order):
             break
-    weakened5 = (all(by[(cid, "strong")].passed for cid in range(1, 8))
-                 and all(by[(cid, "weakened")].passed for cid in range(8, 17)))
+        highest = order
+    # below order 5 the weakened rows are the strong rows
+    weakened5 = all(r.passed for r in rows if r.mode == "weakened")
     return ConditionReport(rows=rows, tolerance=tolerance, n_probes=len(probes),
                            highest_strong_order=highest, weakened_order5=weakened5)
 

@@ -21,6 +21,7 @@ A chain also runs on a stack of matrices at once, each scaled by its own
 power of two; the order-condition checker builds its probes' phi tables so.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -43,10 +44,6 @@ PHI_SQUARING_TERMS = 18
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class CacheMissError(KeyError):
     """A phi matrix was requested that the cache was not built for."""
 
@@ -62,7 +59,9 @@ def phi_scalar(j, z):
     while phi_j(z) is finite (up to Re z ~ 1419).  A real z takes these
     branches in float arithmetic (math.exp) and gives a float: +inf where
     phi_j(z) exceeds the largest float, 0.0 at -inf, nan at nan, and no
-    warning.  A complex z takes them in complex arithmetic (np.exp).
+    warning.  A complex z takes them in complex arithmetic (np.exp), except
+    past exp overflow, Re z > LOG_FLOAT_MAX, where a part that overflows is
+    an infinity of its true sign (_phi_complex_past_overflow).
     """
     if j < 0:
         raise ValueError("phi index must be >= 0")
@@ -74,6 +73,8 @@ def phi_scalar(j, z):
             return math.inf
     else:
         z, exp = complex(z), np.exp
+        if z.real > LOG_FLOAT_MAX:
+            return _phi_complex_past_overflow(j, z)
     if j == 0:
         val = exp(z)
     elif abs(z) < PHI_TAYLOR_RADIUS:
@@ -95,27 +96,26 @@ def phi_scalar(j, z):
     return val if real else complex(val)
 
 
-def phi_quadrature_oracle(j, z, tol=1e-12):
-    """Evaluate phi_j(z) straight from its defining integral.
+def _phi_complex_past_overflow(j, z):
+    """phi_j(z) for a complex z with Re z > LOG_FLOAT_MAX, where exp(z) overflows.
 
-    Independent of the series/recurrence route; intended as a test oracle.
-    Raises QuadratureError when the quadrature error estimate exceeds the
-    absolute tolerance tol.
+    phi_j(z) = e^(z/2) u - p with u = e^(z/2) / z^j and
+    p = sum_{k<j} z^(k-j)/k!, both finite, built by the recurrence's steps.
+    Each part of u is scaled by the real e^(Re z / 2) alone, so one that
+    overflows is an infinity of its true sign, never nan.  As on the real
+    route, Re z > 2 LOG_FLOAT_MAX gives infinite parts; on the real axis the
+    result is the real route's value.
     """
-    if j < 1:
-        raise ValueError("the integral representation needs j >= 1")
-    z = float(z)
-    fac = factorial(j - 1)
-
-    def integrand(theta):
-        return np.exp((1.0 - theta) * z) * theta ** (j - 1) / fac
-
-    from scipy.integrate import quad
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=tol * 0.5, epsrel=1e-13, limit=200)
-    if err > tol:
-        raise QuadratureError(f"phi_{j}({z}): estimated error {err:.2e} > tol {tol:.2e}")
-    return val
+    if z.imag == 0:
+        return complex(phi_scalar(j, z.real))
+    beyond = z.real > 2 * LOG_FLOAT_MAX
+    half = 1.0 if beyond else math.exp(z.real / 2)
+    u, p = half * cmath.exp(1j * z.imag), 0j
+    for k in range(j):
+        u, p = u / z, (p + 1.0 / factorial(k)) / z
+    if beyond:
+        return complex(math.copysign(math.inf, u.real), math.copysign(math.inf, u.imag))
+    return complex(u.real * half - p.real, u.imag * half - p.imag)
 
 
 def phi_matrices(jmax, m):

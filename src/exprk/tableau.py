@@ -13,8 +13,10 @@ cancellations between entries, and the rational route makes those identities
 checkable without float noise.
 
 The module ships the fifth-order 8-stage method expRK5s8, two lower-order
-baselines, the psi defect functions whose vanishing encodes the stiff order
-conditions, and the classical (A = 0) Butcher limit of any tableau.
+baselines, the psi defects whose vanishing encodes the stiff order
+conditions (each defined once by psi_parts and evaluated numerically by psi,
+exactly by psi_combo), and the classical (A = 0) Butcher limit of any
+tableau.
 """
 
 import json
@@ -30,8 +32,8 @@ from .phi import phi_matrix, phi_scalar
 __all__ = [
     "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
     "ButcherTableau", "exprk5s8", "baseline_tableaux", "three_node_weights", "get_tableau",
-    "tableau_names", "psi_values", "psi_weight", "psi_stage",
-    "psi_weight_combo", "psi_stage_combo", "classical_limit", "tableau_to_text",
+    "tableau_names", "psi_parts", "psi_values", "psi", "psi_combo",
+    "classical_limit", "tableau_to_text",
     "tableau_from_text", "TableauFormatError",
 ]
 
@@ -134,28 +136,18 @@ def combo_sum(f, phi):
     return out
 
 
-def eval_combo(f, z, phi=None):
-    """Evaluate a PhiCombo at scalar or square-matrix z.
-
-    With phi=None, matrix terms are computed directly through phi_matrix.
-    Passing phi, a callable (j, scale) -> matrix such as a phi table's
-    lookup, substitutes precomputed matrices instead (z then only fixes the
-    shape of the zero result for empty combos).
-    """
+def eval_combo(f, z):
+    """Evaluate a PhiCombo at scalar or square-matrix z, through phi_scalar
+    or phi_matrix; the empty combo gives 0.0 or the zero matrix."""
     if isinstance(z, numbers.Number) or (isinstance(z, np.ndarray) and z.ndim == 0):
         zval = complex(z) if np.iscomplexobj(z) or isinstance(z, complex) else float(z)
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be a scalar or a square matrix")
-
-    def entry(j, s):
-        mat = phi(j, s) if phi is not None else phi_matrix(j, float(s) * z)
-        if mat.shape != z.shape:
-            raise ValueError("phi evaluator returned a mismatched shape")
-        return mat
-
-    return combo_sum(f, entry) if f.terms else np.zeros_like(z)
+    if not f.terms:
+        return np.zeros_like(z)
+    return combo_sum(f, lambda j, s: phi_matrix(j, float(s) * z))
 
 
 @dataclass(frozen=True)
@@ -317,17 +309,34 @@ def get_tableau(name):
 
 
 # ---------------------------------------------------------------------------
-# psi defect functions.  Their vanishing encodes the stiff order conditions:
-# psi_j compares the weights against phi_j, psi_{j,i} compares row i of a
-# against c_i^j phi_j(c_i z).
+# psi defect functions.  Their vanishing encodes the stiff order conditions.
+# psi_parts defines each defect once; psi and psi_combo sum its parts
+# numerically and exactly.
+
+def psi_parts(j, t, i=None):
+    """(coefficient combos by stage, target combo) of one psi defect.
+
+    With i None it is the weight defect psi_j: the weights b_k against
+    phi_j(z).  Otherwise it is psi_{j,i}: row i of a against
+    c_i^j phi_j(c_i z), the empty combo at a zero node.  The defect is
+    sum_k coeff_k c_k^{j-1}/(j-1)! - target.
+    """
+    if j < 2:
+        raise ValueError("psi index must be >= 2")
+    if i is None:
+        return dict(t.b), phi_term(1, j)
+    if not 2 <= i <= t.s:
+        raise IndexError(f"stage index {i} out of range 2..{t.s}")
+    ci = t.node(i)
+    row = {k: t.a[(i, k)] for k in range(2, i) if (i, k) in t.a}
+    return row, (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
+
 
 def psi_values(j, t, coeffs, target):
-    """sum_k coeffs[k] c_k^{j-1}/(j-1)! - target, from evaluated coefficients.
+    """sum_k coeffs[k] c_k^{j-1}/(j-1)! - target, from the evaluated parts.
 
-    The one numeric definition of both psi defects: with coeffs the values of
-    the weights b_k and target phi_j it is psi_j; with coeffs the values of
-    row i of a and target c_i^j phi_j(c_i z) it is psi_{j,i}.  The values may
-    be scalars or matrices, all taken at the same argument.
+    The values may be scalars or matrices, all taken at the same argument;
+    psi and the order-condition checker both sum through here.
     """
     acc = -target
     for k, v in coeffs.items():
@@ -335,49 +344,18 @@ def psi_values(j, t, coeffs, target):
     return acc
 
 
-def psi_weight(j, t, z, phi=None):
-    """psi_j(z) = sum_i b_i(z) c_i^{j-1}/(j-1)! - phi_j(z), evaluated numerically."""
-    if j < 2:
-        raise ValueError("psi index must be >= 2")
-    b = {i: eval_combo(combo, z, phi) for i, combo in t.b.items()}
-    return psi_values(j, t, b, eval_combo(phi_term(1, j), z, phi))
+def psi(j, t, z, i=None):
+    """psi_j(z) (i None) or psi_{j,i}(z) at scalar or square-matrix z."""
+    coeffs, target = psi_parts(j, t, i)
+    return psi_values(j, t, {k: eval_combo(v, z) for k, v in coeffs.items()},
+                      eval_combo(target, z))
 
 
-def psi_stage(j, i, t, z, phi=None):
-    """psi_{j,i}(z) = sum_k a_ik(z) c_k^{j-1}/(j-1)! - c_i^j phi_j(c_i z)."""
-    if j < 2:
-        raise ValueError("psi index must be >= 2")
-    if not 2 <= i <= t.s:
-        raise IndexError(f"stage index {i} out of range 2..{t.s}")
-    ci = t.node(i)
-    row = {k: eval_combo(t.a[(i, k)], z, phi) for k in range(2, i) if (i, k) in t.a}
-    target = phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo()
-    return psi_values(j, t, row, eval_combo(target, z, phi))
-
-
-def psi_weight_combo(j, t):
-    """psi_j as an exact PhiCombo (rational-arithmetic route)."""
-    if j < 2:
-        raise ValueError("psi index must be >= 2")
-    acc = phi_term(-1, j)
-    for i, combo in t.b.items():
-        acc = acc + Fraction(t.node(i) ** (j - 1), factorial(j - 1)) * combo
-    return acc
-
-
-def psi_stage_combo(j, i, t):
-    """psi_{j,i} as an exact PhiCombo."""
-    if j < 2:
-        raise ValueError("psi index must be >= 2")
-    if not 2 <= i <= t.s:
-        raise IndexError(f"stage index {i} out of range 2..{t.s}")
-    ci = t.node(i)
-    acc = phi_term(-(ci ** j), j, ci) if ci > 0 else PhiCombo()
-    for k in range(2, i):
-        combo = t.a.get((i, k))
-        if combo is not None:
-            acc = acc + Fraction(t.node(k) ** (j - 1), factorial(j - 1)) * combo
-    return acc
+def psi_combo(j, t, i=None):
+    """psi_j (i None) or psi_{j,i} as an exact PhiCombo."""
+    coeffs, target = psi_parts(j, t, i)
+    return sum((Fraction(t.node(k) ** (j - 1), factorial(j - 1)) * v
+                for k, v in coeffs.items()), -target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared fixtures and reference integrators for the test suite."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +20,35 @@ class EighTridiagonal(SymTridiagonalOperator):
         from scipy.linalg import eigh_tridiagonal
 
         return eigh_tridiagonal(self.diag, self.off)
+
+
+class QuadratureError(ArithmeticError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+def phi_quadrature_oracle(j, z, tol=1e-12):
+    """Evaluate phi_j(z) straight from its defining integral:
+
+        phi_j(z) = integral_0^1 exp((1-theta) z) theta^(j-1)/(j-1)! dtheta,
+
+    independent of the library's series/recurrence route.  Raises
+    QuadratureError when the quadrature error estimate exceeds the absolute
+    tolerance tol.
+    """
+    if j < 1:
+        raise ValueError("the integral representation needs j >= 1")
+    z = float(z)
+    fac = factorial(j - 1)
+
+    def integrand(theta):
+        return np.exp((1.0 - theta) * z) * theta ** (j - 1) / fac
+
+    from scipy.integrate import quad
+
+    val, err = quad(integrand, 0.0, 1.0, epsabs=tol * 0.5, epsrel=1e-13, limit=200)
+    if err > tol:
+        raise QuadratureError(f"phi_{j}({z}): estimated error {err:.2e} > tol {tol:.2e}")
+    return val
 
 
 def augmented_phi(j, m):

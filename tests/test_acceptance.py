@@ -8,13 +8,13 @@ PASS/FAIL line with the measured numbers, then asserts.
 import numpy as np
 import pytest
 
-from conftest import rk_integrate
+from conftest import phi_quadrature_oracle, rk_integrate
 from exprk.convergence import DEFAULT_FLOOR, DEFAULT_STEPS, run_convergence
 from exprk.integrator import SemilinearProblem, integrate
 from exprk.operators import ZeroOperator
 from exprk.order_conditions import check, classical_order_conditions
-from exprk.phi import phi_matrix, phi_quadrature_oracle, phi_scalar
-from exprk.tableau import classical_limit, get_tableau, psi_stage
+from exprk.phi import phi_matrix, phi_scalar
+from exprk.tableau import classical_limit, get_tableau, psi
 from exprk.testbed import stability_bound_check
 
 DENSE_STEPS = (8, 12, 16, 20, 24, 28, 32, 64, 128, 256, 512)
@@ -60,7 +60,7 @@ def test_criterion_3_psi_identities(tab5):
     for _ in range(5):
         z = rng.uniform(-3.0, 3.0, (4, 4))
         for j, i in pairs:
-            worst = max(worst, np.abs(psi_stage(j, i, tab5, z)).max())
+            worst = max(worst, np.abs(psi(j, tab5, z, i)).max())
     ok = worst <= 1e-11
     _verdict(3, ok,
              f"psi_(2,i) for i in 3..8 and psi_(3,i) for i in 5..8 vanish on "

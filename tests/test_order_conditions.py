@@ -8,7 +8,7 @@ import pytest
 
 from conftest import augmented_phi
 from exprk.order_conditions import (CONDITION_ORDERS, MODES, WORDS, ProbeSet,
-                                    _phi_tables, _ProbeTables, _residual,
+                                    _defects, _phi_tables, _ProbeTables, _residual,
                                     _structured_probe_sets, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
@@ -203,6 +203,46 @@ def test_a_nan_residual_fails_its_condition(tab5):
         rep = check(tab5, tolerance=1e-9, p=[huge] + draw_probe_sets(2, d=3, seed=5))
     assert np.isnan(rep.row(6, "strong").residual)
     assert not rep.row(6, "strong").passed
+
+
+# check() of the zero-node tableau below at its defaults, recorded from the
+# checker as it stood before psi_parts: cid -> (strong, weakened) residual
+ZERO_NODE_RESIDUALS = {
+    1: (0.0, 0.0), 2: (0.04415839160790913,) * 2, 3: (0.2742176904427645,) * 2,
+    4: (0.0220937195610598,) * 2, 5: (0.04426810239414595,) * 2, 6: (0.0, 0.0),
+    7: (0.12455862321146816,) * 2, 8: (0.006219298305531113, 0.005729166666666667),
+    9: (0.005425832012981334, 0.002887937366794814), 10: (0.0, 0.0), 11: (0.0, 0.0),
+    12: (0.0, 0.0), 13: (0.019170096504415247, 0.012615983714626751), 14: (0.0, 0.0),
+    15: (0.031773938463971946, 0.02231884474345087),
+    16: (0.059247605731588555, 0.03776007700484717),
+}
+
+
+def test_a_zero_node_reached_by_a_weight():
+    """c = (0, 1/2, 0) with b = {2: 2 phi_2, 3: phi_3}: stage 3's target
+    c_3^j phi_j(0 z) is the empty combo and its row is empty, so psi_{j,3}
+    must still be a zero matrix that the nested words can multiply."""
+    t = ExpRKTableau(name="zero-node", c=(0, F(1, 2), 0),
+                     b={2: phi_term(2, 2), 3: phi_term(1, 3)})
+    rep = check(t)
+    for cid, want in ZERO_NODE_RESIDUALS.items():
+        for mode, value in zip(MODES, want):
+            assert rep.row(cid, mode).residual == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert rep.row(3, "strong").residual == pytest.approx(0.27421769044, abs=1e-11)
+    assert rep.highest_strong_order == 2
+    assert rep.weakened_order5 is False
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "perturbed"])
+def test_phi_table_pairs_follow_the_words(name, tab5):
+    """The pairs _phi_tables derives from WORDS through psi_parts are the set
+    it used to list by hand: t's own pairs, phi_2..phi_4 at every nonzero
+    stage node and phi_2..phi_5 at scale 1."""
+    t = _perturbed(tab5) if name == "perturbed" else get_tableau(name)
+    listed = (t.phi_pairs() | {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
+              | {(m, F(1)) for m in (2, 3, 4, 5)})
+    probe = draw_probe_sets(1, d=2, seed=4)[0]
+    assert set(_phi_tables(t, [probe], _defects(t)[0])[0]) == listed
 
 
 def _stiff_probes(count=8, d=3, seed=3):
@@ -412,13 +452,13 @@ def test_condition_residual_matches_independent_transcription(name, tab5):
     for n, p in enumerate(probes):
         groups.setdefault(p.d, []).append((n, p))
     worst = 0.0
-    at_zero = {}
+    parts, at_zero = _defects(t)
     for group in groups.values():
         # one phi table per dimension group and check()'s own evaluator, as check() does it
-        tables = _phi_tables(t, [p for _, p in group])
+        tables = _phi_tables(t, [p for _, p in group], parts)
         for (n, p), phi in zip(group, tables):
             want = _transcribed_residuals(t, p)
-            tab = _ProbeTables(t, p, phi, at_zero)
+            tab = _ProbeTables(t, p, phi, parts, at_zero)
             got = {(cid, mode): _residual(WORDS[cid], tab, mode)
                    for cid in CONDITION_ORDERS for mode in MODES}
             # and one call per probe through the public entry point, a table of one

@@ -1,5 +1,6 @@
 """Phi-function evaluation: scalar routes, matrix routes, oracles, cache."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,14 +12,14 @@ import pytest
 import scipy.linalg
 
 import exprk.phi
-from conftest import EighTridiagonal, augmented_phi, dense_phi, phi_symmetric
+from conftest import (EighTridiagonal, QuadratureError, augmented_phi, dense_phi,
+                      phi_quadrature_oracle, phi_symmetric)
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import (LOG_FLOAT_MAX, PHI_TAYLOR_RADIUS, CacheMissError,
-                       PhiRequest, QuadratureError, build_phi_cache,
-                       matrix_exp, phi_matrices, phi_matrix,
-                       phi_quadrature_oracle, phi_request, phi_scalar)
+                       PhiRequest, build_phi_cache, matrix_exp, phi_matrices,
+                       phi_matrix, phi_request, phi_scalar)
 from exprk.tableau import get_tableau
 from exprk.testbed import heat_problem
 
@@ -149,6 +150,31 @@ def test_scalar_recurrence_identity(j, z):
     lhs = phi_scalar(j + 1, z)
     rhs = (phi_scalar(j, z) - 1.0 / factorial(j)) / z
     assert abs(lhs - rhs) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j", range(1, 8))
+def test_phi_scalar_complex_past_exp_overflow(j):
+    """Past exp overflow a complex z gives no nan: on the real axis the real
+    route's value, elsewhere each part finite and accurate where it fits in
+    a float and an infinity of the true part's sign where it does not."""
+    mpmath = pytest.importorskip("mpmath")
+    for x in (np.nextafter(LOG_FLOAT_MAX, np.inf), 800.0, 1500.0):
+        assert phi_scalar(j, complex(x)) == complex(phi_scalar(j, x)), x
+    big = np.finfo(float).max
+    # 712 + 1e50j: e^(i Im z) / z^7 alone would underflow to zero
+    for z in (720 + 5j, 715 - 3j, 760 + 0.5j, 800 + 5j, 1000 - 3j, 1400 + 700j,
+              1419 + 1j, 1500 + 2j, 2000 - 1j, 800 + 1e6j, 712 + 1e50j):
+        got = phi_scalar(j, z)
+        with mpmath.workdps(50):
+            x = mpmath.mpc(z.real, z.imag)
+            want = (mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(j))) / x ** j
+            size = abs(want)
+        for part, true in ((got.real, want.real), (got.imag, want.imag)):
+            if abs(true) > big:
+                assert part == math.copysign(math.inf, true), (z, part, true)
+            else:
+                assert abs(part - float(true)) <= 1e-14 * float(size), (z, part, true)
 
 
 def test_phi_scalar_complex_argument():

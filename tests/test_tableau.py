@@ -1,6 +1,7 @@
 """Tableau coefficients, combo algebra, psi identities, serialization."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ import pytest
 from exprk.order_conditions import classical_order, classical_order_conditions
 from exprk.tableau import (ExpRKTableau, PhiCombo, TableauFormatError,
                            baseline_tableaux, classical_limit, eval_combo,
-                           exprk5s8, get_tableau, phi_term, psi_stage,
-                           psi_stage_combo, psi_weight, psi_weight_combo,
-                           tableau_from_text, tableau_names, tableau_to_text,
-                           three_node_weights)
+                           exprk5s8, get_tableau, phi_term, psi, psi_combo,
+                           psi_parts, tableau_from_text, tableau_names,
+                           tableau_to_text, three_node_weights)
 
 F = Fraction
 
@@ -111,27 +111,27 @@ def test_first_weight_combo_identity(tab5):
 
 def test_psi_weight_combos_vanish_exactly(tab5):
     for j in (2, 3, 4):
-        assert psi_weight_combo(j, tab5).is_zero
-    psi5 = psi_weight_combo(5, tab5)
+        assert psi_combo(j, tab5).is_zero
+    psi5 = psi_combo(5, tab5)
     assert not psi5.is_zero
     assert psi5.at_zero() == 0
 
 
 def test_psi_stage_combos_vanish_exactly(tab5):
     for i in (3, 4, 5, 6, 7, 8):
-        assert psi_stage_combo(2, i, tab5).is_zero
+        assert psi_combo(2, tab5, i).is_zero
     for i in (5, 6, 7, 8):
-        assert psi_stage_combo(3, i, tab5).is_zero
+        assert psi_combo(3, tab5, i).is_zero
 
 
 def test_psi_weight_numeric(tab5):
     z = np.random.default_rng(13).uniform(-1.0, 1.0, (4, 4))
-    assert np.abs(psi_weight(2, tab5, z)).max() <= 1e-11
-    assert np.abs(psi_weight(3, tab5, z)).max() <= 1e-11
-    assert np.abs(psi_weight(4, tab5, z)).max() <= 1e-11
+    assert np.abs(psi(2, tab5, z)).max() <= 1e-11
+    assert np.abs(psi(3, tab5, z)).max() <= 1e-11
+    assert np.abs(psi(4, tab5, z)).max() <= 1e-11
     # psi_5 does not vanish as a function, only at zero
-    assert np.abs(psi_weight(5, tab5, z)).max() > 1e-6
-    assert abs(psi_weight(5, tab5, 0.0)) <= 1e-16
+    assert np.abs(psi(5, tab5, z)).max() > 1e-6
+    assert abs(psi(5, tab5, 0.0)) <= 1e-16
 
 
 def test_psi_stage_values(tab5):
@@ -139,27 +139,74 @@ def test_psi_stage_values(tab5):
     z = rng.uniform(-1.0, 1.0, (3, 3))
     for zz in (z, -2.7, 0.8):
         for i in (3, 4, 5, 6, 7, 8):
-            assert np.abs(np.atleast_1d(psi_stage(2, i, tab5, zz))).max() <= 1e-11
+            assert np.abs(np.atleast_1d(psi(2, tab5, zz, i))).max() <= 1e-11
         for i in (5, 6, 7, 8):
-            assert np.abs(np.atleast_1d(psi_stage(3, i, tab5, zz))).max() <= 1e-11
+            assert np.abs(np.atleast_1d(psi(3, tab5, zz, i))).max() <= 1e-11
     # empty-sum case: psi_{2,2} = -c2^2 phi_2(c2 z)
-    got = psi_stage(2, 2, tab5, 1.3)
+    got = psi(2, tab5, 1.3, 2)
     want = -0.25 * eval_combo(phi_term(F(1), 2, F(1, 2)), 1.3)
     assert abs(got - want) <= 1e-15
 
 
 def test_weighted_psi4_stage_sum_vanishes(tab5):
     z = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
-    total = sum(float(tab5.weight(i).at_zero()) * psi_stage(4, i, tab5, z)
+    total = sum(float(tab5.weight(i).at_zero()) * psi(4, tab5, z, i)
                 for i in (6, 7, 8))
     assert np.abs(total).max() <= 1e-11
 
 
 def test_psi_validation(tab5):
     with pytest.raises(ValueError):
-        psi_weight(1, tab5, 0.5)
+        psi(1, tab5, 0.5)
     with pytest.raises(IndexError):
-        psi_stage(2, 9, tab5, 0.5)
+        psi(2, tab5, 0.5, 9)
+    with pytest.raises(ValueError):
+        psi_combo(1, tab5, 3)
+
+
+def _zero_node_tableau():
+    """c = (0, 1/2, 0): stage 3 sits at a zero node, with an empty row, and
+    the weights reach it."""
+    return ExpRKTableau(name="zero-node", c=(0, F(1, 2), 0),
+                        b={2: phi_term(2, 2), 3: phi_term(1, 3)})
+
+
+def _old_psi_weight_combo(j, t):
+    # psi_j as the weight-defect combo was written before psi_parts
+    acc = phi_term(-1, j)
+    for i, combo in t.b.items():
+        acc = acc + F(t.node(i) ** (j - 1), factorial(j - 1)) * combo
+    return acc
+
+
+def _old_psi_stage_combo(j, i, t):
+    # psi_{j,i} as the stage-defect combo was written before psi_parts
+    ci = t.node(i)
+    acc = phi_term(-(ci ** j), j, ci) if ci > 0 else PhiCombo()
+    for k in range(2, i):
+        combo = t.a.get((i, k))
+        if combo is not None:
+            acc = acc + F(t.node(k) ** (j - 1), factorial(j - 1)) * combo
+    return acc
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "zero-node"])
+def test_psi_combo_matches_former_definitions(name):
+    t = _zero_node_tableau() if name == "zero-node" else get_tableau(name)
+    for j in (2, 3, 4, 5):
+        assert psi_combo(j, t) == _old_psi_weight_combo(j, t)
+        for i in range(2, t.s + 1):
+            assert psi_combo(j, t, i) == _old_psi_stage_combo(j, i, t), (j, i)
+
+
+def test_psi_parts_of_a_zero_node():
+    t = _zero_node_tableau()
+    assert psi_parts(3, t) == ({2: phi_term(2, 2), 3: phi_term(1, 3)}, phi_term(1, 3))
+    assert psi_parts(2, t, 2) == ({}, phi_term(F(1, 4), 2, F(1, 2)))
+    # no row and a zero node: the defect is the zero function
+    assert psi_parts(2, t, 3) == ({}, PhiCombo())
+    assert psi_combo(2, t, 3).is_zero
+    assert np.array_equal(psi(2, t, np.eye(2), 3), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +232,7 @@ def test_two_stage_weight_identity():
 def test_psi_weight_exponential_euler():
     euler = get_tableau("expEuler")
     for z in (-4.0, 0.3):
-        got = psi_weight(2, euler, z)
+        got = psi(2, euler, z)
         want = -eval_combo(phi_term(F(1), 2), z)
         assert abs(got - want) <= 1e-15
 
