@@ -6,7 +6,7 @@ cache once per (A, h) pair.  Structured variants (zero, diagonal, symmetric
 tridiagonal) supply an eigendecomposition, so the cache holds each phi entry
 as a vector of eigenvalue functions and the integrator steps in the
 eigenbasis; the dense variant supplies none, and its cache holds dense
-matrices from phi.phi_matrices (scaling and modified squaring).  The basis
+matrices from phi.phi_matrix_table (scaling and modified squaring).  The basis
 is an orthogonal ndarray, or, for a large constant-coefficient tridiagonal
 A, a SineBasis that applies the eigenvectors as a fast sine transform
 without forming them.

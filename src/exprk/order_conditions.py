@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import prod
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +158,8 @@ WORDS = {
 
 # condition id -> the order it belongs to
 CONDITION_ORDERS = {cid: w.order for cid, w in WORDS.items()}
+# the order whose conditions weakened mode relaxes; the orders below it are strong
+TOP_ORDER = max(CONDITION_ORDERS.values())
 
 MODES = ("strong", "weakened")
 
@@ -171,7 +175,7 @@ def _defects(t):
     parts = {(w.psi, i): psi_parts(w.psi, t, i) for w in WORDS.values()
              for i in (range(2, t.s + 1) if w.links else (None,))}
     at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
-               if w.order == 5 and not w.links}
+               if w.order == TOP_ORDER and not w.links}
     return parts, at_zero
 
 
@@ -233,10 +237,10 @@ def _nest(tab, links, j, coeffs):
 def _residual(word, tab, mode):
     """Max-abs residual of one word at one probe.
 
-    Weakened mode changes only order 5: the outer weights become the scalars
-    b_i(0), and the weight defect psi_5 is taken at Z = 0 alone.
+    Weakened mode changes only the top order: the outer weights become the
+    scalars b_i(0), and its weight defect (psi_5) is taken at Z = 0 alone.
     """
-    weakened = mode == "weakened" and word.order == 5
+    weakened = mode == "weakened" and word.order == TOP_ORDER
     if word.links:
         value = _nest(tab, word.links, word.psi, tab.b_at_zero if weakened else tab.b_mat)
     elif weakened:
@@ -311,9 +315,9 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
 
     p may be a single ProbeSet or a sequence of them; by default n_probes
     seeded random probes are drawn.  The structured diagonal/permutation
-    probes are always appended.  The report carries the highest p in {1..4}
-    whose strong conditions all pass, and the weakened order-5 verdict:
-    every weakened row passes (below order 5 those rows are the strong ones).
+    probes are always appended.  The report carries the highest p below
+    TOP_ORDER whose strong conditions all pass, and the weakened verdict:
+    every weakened row passes (below TOP_ORDER those rows are the strong ones).
     """
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
@@ -335,9 +339,10 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
         for probe, phi in zip(group, _phi_tables(t, group, parts)):
             tab = _ProbeTables(t, probe, phi, parts, at_zero)
             for cid, word in WORDS.items():
-                # below order 5 the two modes are one condition: evaluate it once
+                # below the top order the modes are one condition: evaluate it once
                 strong = _residual(word, tab, "strong")
-                weak = _residual(word, tab, "weakened") if word.order == 5 else strong
+                weakened = word.order == TOP_ORDER
+                weak = _residual(word, tab, "weakened") if weakened else strong
                 residuals[cid, "strong"].append(strong)
                 residuals[cid, "weakened"].append(weak)
     # np.max, unlike a running comparison, keeps a NaN residual
@@ -348,83 +353,67 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
                  for cid in sorted(CONDITION_ORDERS) for mode in MODES)
 
     highest = 1
-    for order in (2, 3, 4):
+    for order in range(2, TOP_ORDER):
         if not all(r.passed for r in rows if r.mode == "strong" and r.order <= order):
             break
         highest = order
-    # below order 5 the weakened rows are the strong rows
+    # below the top order the weakened rows are the strong rows
     weakened5 = all(r.passed for r in rows if r.mode == "weakened")
     return ConditionReport(rows=rows, tolerance=tolerance, n_probes=len(probes),
                            highest_strong_order=highest, weakened_order5=weakened5)
 
 
 # ---------------------------------------------------------------------------
-# Classical order conditions (rooted trees through order 5) in exact
-# rationals, for the A = 0 Butcher limit.
+# Classical order conditions (Butcher's rooted trees through order 5) in
+# exact rationals, for the A = 0 Butcher limit.
+
+@cache
+def _rooted_trees(order):
+    """The rooted trees with order nodes, each the sorted tuple of the
+    subtrees hanging from its root (the one-node tree is ())."""
+    if order == 1:
+        return ((),)
+    # each tree is a tree on the other nodes with one more subtree u at its root
+    return tuple(sorted({tuple(sorted(rest + (u,))) for size in range(1, order)
+                         for u in _rooted_trees(size)
+                         for rest in _rooted_trees(order - size)}))
+
+
+def _order(t):
+    return 1 + sum(map(_order, t))
+
+
+def _density(t):
+    """gamma(t) = |t| prod_{u in t} gamma(u)."""
+    return _order(t) * prod(map(_density, t))
+
 
 def classical_order_conditions(bt):
     """All 17 rooted-tree conditions up to order 5 for a Butcher tableau.
 
-    Returns (order, lhs, rhs) triples with exact Fraction values; a tableau
-    has classical order p iff every row with order <= p has lhs == rhs.
+    Returns (order, lhs, rhs) triples with exact Fraction values, one per
+    tree t in order: lhs = sum_i b_i Phi_i(t), with the elementary weight
+    Phi_i(t) = prod_{u in t} sum_k a_ik Phi_k(u), and rhs = 1/gamma(t).  The
+    inner sum for the one-node u is written c_i, as the row-sum condition
+    makes it.  A tableau has classical order p iff every row with
+    order <= p has lhs == rhs.
     """
-    s = len(bt.c)
-    c = bt.c
-    a = bt.a
-    b = bt.b
-    rng = range(s)
+    @cache
+    def a_times(u):
+        """sum_k a_ik Phi_k(u) at each stage i."""
+        return bt.c if not u else [sum(map(mul, row, weights(u)), Fraction(0))
+                                   for row in bt.a]
 
-    def asum(f):
-        # (A v)_i = sum_j a_ij f(j)
-        return [sum((a[i][j] * f[j] for j in rng), Fraction(0)) for i in rng]
+    @cache
+    def weights(t):
+        return [prod((a_times(u)[i] for u in t), start=Fraction(1))
+                for i in range(len(bt.c))]
 
-    one = [Fraction(1)] * s
-    cv = list(c)
-    c2 = [x * x for x in cv]
-    c3 = [x ** 3 for x in cv]
-    c4 = [x ** 4 for x in cv]
-    ac = asum(cv)
-    ac2 = asum(c2)
-    ac3 = asum(c3)
-    aac = asum(ac)
-    aac2 = asum(ac2)
-    a_cac = asum([cv[i] * ac[i] for i in rng])
-    aaac = asum(aac)
-
-    def dot(u, v=None):
-        if v is None:
-            v = one
-        return sum((b[i] * u[i] * v[i] for i in rng), Fraction(0))
-
-    rows = [
-        (1, dot(one), Fraction(1)),
-        (2, dot(cv), Fraction(1, 2)),
-        (3, dot(c2), Fraction(1, 3)),
-        (3, dot(ac), Fraction(1, 6)),
-        (4, dot(c3), Fraction(1, 4)),
-        (4, dot(cv, ac), Fraction(1, 8)),
-        (4, dot(ac2), Fraction(1, 12)),
-        (4, dot(aac), Fraction(1, 24)),
-        (5, dot(c4), Fraction(1, 5)),
-        (5, dot(c2, ac), Fraction(1, 10)),
-        (5, dot(ac, ac), Fraction(1, 20)),
-        (5, dot(cv, ac2), Fraction(1, 15)),
-        (5, dot(cv, aac), Fraction(1, 30)),
-        (5, dot(ac3), Fraction(1, 20)),
-        (5, dot(a_cac), Fraction(1, 40)),
-        (5, dot(aac2), Fraction(1, 60)),
-        (5, dot(aaac), Fraction(1, 120)),
-    ]
-    return rows
+    return [(order, sum(map(mul, bt.b, weights(t)), Fraction(0)), Fraction(1, _density(t)))
+            for order in range(1, 6) for t in _rooted_trees(order)]
 
 
-def classical_order(bt, up_to=5):
-    """Largest p <= up_to with all classical conditions of order <= p exact."""
-    rows = classical_order_conditions(bt)
-    order = 0
-    for p in range(1, up_to + 1):
-        if all(lhs == rhs for (o, lhs, rhs) in rows if o <= p):
-            order = p
-        else:
-            break
-    return order
+def classical_order(bt):
+    """Largest p <= 5 with all classical conditions of order <= p exact."""
+    failing = [o for o, lhs, rhs in classical_order_conditions(bt) if lhs != rhs]
+    return min(failing, default=6) - 1

@@ -16,13 +16,15 @@ from scaling-and-modified-squaring chains, each of which yields
 phi_0..phi_j together from n x n products alone.  Since the chain on M passes
 through M/2, M/4, ... on its way back from 2^-s M, scales that differ by a
 power of two (a scale family, such as 1, 1/2 and 1/4) share one chain:
-expRK5s8's five scales cost three.  phi_matrices is the single-scale case.
-A chain also runs on a stack of matrices at once, each scaled by its own
-power of two; the order-condition checker builds its probes' phi tables so.
+expRK5s8's five scales cost three, and phi_matrix and matrix_exp run one
+scale alone.  A chain also runs on a stack of matrices at once, each scaled
+by its own power of two; the order-condition checker builds its probes' phi
+tables so.
 """
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, log2
@@ -36,7 +38,7 @@ from .operators import LinearOperator
 # cancellation, so a truncated Taylor series is used instead.
 PHI_TAYLOR_RADIUS = 1.0
 PHI_TAYLOR_TERMS = 25
-# phi_matrices scales M until ||M||_1 <= PHI_SQUARING_THETA and sums this
+# A squaring chain scales M until ||M||_1 <= PHI_SQUARING_THETA and sums this
 # many Taylor terms there, truncating at ||X||^18/(18+j)! <= 1/18! < 1.6e-16.
 PHI_SQUARING_THETA = 1.0
 PHI_SQUARING_TERMS = 18
@@ -116,24 +118,6 @@ def _phi_complex_past_overflow(j, z):
     if beyond:
         return complex(math.copysign(math.inf, u.real), math.copysign(math.inf, u.imag))
     return complex(u.real * half - p.real, u.imag * half - p.imag)
-
-
-def phi_matrices(jmax, m):
-    """[phi_0(M), ..., phi_jmax(M)] by scaling and modified squaring.
-
-    M is scaled by 2^-s to 1-norm at most PHI_SQUARING_THETA, a Taylor
-    polynomial gives phi_jmax there and s modified squarings bring every
-    phi_j back to M.  This is the depth-0 case of the one chain routine,
-    _squaring_chain, that build_phi_cache runs once per scale family.
-    """
-    jmax = int(jmax)
-    if jmax < 0:
-        raise ValueError("phi index must be >= 0")
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("matrix must be square")
-    got = _squaring_chain(m, {(j, 0) for j in range(jmax + 1)})
-    return [got[j, 0] for j in range(jmax + 1)]
 
 
 def _squaring_chain(m, wants):
@@ -223,15 +207,23 @@ def _squaring_weights(jmax):
 
 
 def matrix_exp(m):
-    """Matrix exponential, phi_0(M), by scaling and squaring (phi_matrices)."""
-    return phi_matrices(0, m)[0]
+    """Matrix exponential, phi_0(M), by scaling and squaring."""
+    return _chain_alone(0, m)
 
 
 def phi_matrix(j, m):
-    """Matrix phi_j(M), j >= 1: the last of phi_matrices(j, M)."""
+    """Matrix phi_j(M), j >= 1, by scaling and modified squaring."""
     if j < 1:
         raise ValueError("phi index must be >= 1 (use matrix_exp for j = 0)")
-    return phi_matrices(j, m)[j]
+    return _chain_alone(j, m)
+
+
+def _chain_alone(j, m):
+    """phi_j(M) for one n x n matrix M: the depth-0 case of _squaring_chain."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("matrix must be square")
+    return _squaring_chain(m, {(j, 0)})[j, 0]
 
 
 def _phi_values(j, zs):
@@ -246,9 +238,17 @@ class PhiRequest(NamedTuple):
     scale: Fraction
 
 
+def phi_index(j):
+    """j as an int; a j that is not an integer, or is a bool, raises
+    TypeError rather than naming some other phi (int(2.5) is 2, True is 1)."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
+        raise TypeError(f"phi index must be an integer, got {j!r}")
+    return int(j)
+
+
 def phi_request(j, scale):
     """Normalize (j, scale) to a PhiRequest with an exact rational scale."""
-    j = int(j)
+    j = phi_index(j)
     if j < 0:
         raise ValueError("phi index must be >= 0")
     scale = Fraction(scale)

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .phi import phi_matrix, phi_scalar
+from .phi import phi_index, phi_matrix, phi_scalar
 
 __all__ = [
     "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
@@ -56,7 +56,7 @@ class PhiCombo:
     """A finite sum  sum_m alpha_m * phi_{j_m}(scale_m * z).
 
     terms is a tuple of (alpha, j, scale) with exact rational alpha and
-    scale, j >= 1, 0 < scale <= 1.  Terms are merged, sorted by (j, scale)
+    scale, integer j >= 1, 0 < scale <= 1.  Terms are merged, sorted by (j, scale)
     and stripped of zero coefficients on construction, so equal combos
     compare equal.  The empty combo is the zero function.
     """
@@ -66,7 +66,7 @@ class PhiCombo:
     def __post_init__(self):
         merged = {}
         for alpha, j, scale in self.terms:
-            alpha, j, scale = _rat(alpha), int(j), _rat(scale)
+            alpha, j, scale = _rat(alpha), phi_index(j), _rat(scale)
             if j < 1:
                 raise ValueError("phi index in a combo must be >= 1")
             if not 0 < scale <= 1:
@@ -439,11 +439,11 @@ def tableau_from_text(text):
         a = {}
         for key, terms in doc.get("a", {}).items():
             i, j = (int(p) for p in key.split(","))
-            a[(i, j)] = PhiCombo(tuple((Fraction(al), int(jj), Fraction(sc))
+            a[(i, j)] = PhiCombo(tuple((Fraction(al), jj, Fraction(sc))
                                        for al, jj, sc in terms))
         b = {}
         for key, terms in doc.get("b", {}).items():
-            b[int(key)] = PhiCombo(tuple((Fraction(al), int(jj), Fraction(sc))
+            b[int(key)] = PhiCombo(tuple((Fraction(al), jj, Fraction(sc))
                                          for al, jj, sc in terms))
         return ExpRKTableau(name=str(name), c=c, a=a, b=b)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:

@@ -176,6 +176,17 @@ def test_cli_check_order_corrupt_tableau_file(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_cli_check_order_rejects_a_fractional_phi_index(tmp_path, capsys):
+    """A phi index of 2.5 is an error, not a method with phi_2 graded instead."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "bad", "nodes": ["0", "1"], "b": {"2": [["1", 2.5, "1"]]}}')
+    code = main(["check-order", "--method", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "malformed tableau text: phi index must be an integer, got 2.5" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI: phi and step-demo
 

@@ -18,8 +18,8 @@ from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
 from exprk.phi import (LOG_FLOAT_MAX, PHI_TAYLOR_RADIUS, CacheMissError,
-                       PhiRequest, build_phi_cache, matrix_exp, phi_matrices,
-                       phi_matrix, phi_request, phi_scalar)
+                       PhiRequest, build_phi_cache, matrix_exp, phi_matrix,
+                       phi_matrix_table, phi_request, phi_scalar)
 from exprk.tableau import get_tableau
 from exprk.testbed import heat_problem
 
@@ -253,7 +253,14 @@ def test_phi_matrix_rejects_index_zero():
     with pytest.raises(ValueError):
         phi_matrix(0, np.eye(2))
     with pytest.raises(ValueError):
-        phi_matrices(-1, np.eye(2))
+        phi_matrix(-1, np.eye(2))
+
+
+def _phi_matrices(jmax, m):
+    """[phi_0(M), ..., phi_jmax(M)] from the one chain on M that
+    phi_matrix_table runs for these requests."""
+    table = phi_matrix_table(m, 1.0, [phi_request(k, 1) for k in range(jmax + 1)])
+    return [table[k, 1] for k in range(jmax + 1)]
 
 
 @pytest.mark.parametrize("norm", [0.0, 0.3, 1.0, 1.5, 40.0, 900.0])
@@ -262,13 +269,13 @@ def test_phi_matrices_match_augmented_exponential(norm):
     up to ten."""
     m = np.random.default_rng(17).standard_normal((6, 6)) - 2.0 * np.eye(6)
     m *= norm / np.abs(m).sum(axis=0).max()
-    got = phi_matrices(4, m)
+    got = _phi_matrices(4, m)
     assert len(got) == 5
     for k, val in enumerate(got):
         want = augmented_phi(k, m)
         assert np.abs(val - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(matrix_exp(m), got[0])
-    assert np.array_equal(phi_matrix(3, m), phi_matrices(3, m)[3])
+    assert np.array_equal(phi_matrix(3, m), _phi_matrices(3, m)[3])
 
 
 def test_stacked_squaring_chain_matches_each_matrix_alone():
@@ -339,7 +346,7 @@ def test_phi_matrices_match_mpmath(case, j):
     mpmath = pytest.importorskip("mpmath")
     m, bound = _mp_cases()[case]
     want = _mp_augmented_phi(mpmath, j, m)
-    assert np.abs(phi_matrices(j, m)[j] - want).max() <= bound * np.abs(want).max()
+    assert np.abs(_phi_matrices(j, m)[j] - want).max() <= bound * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +362,10 @@ def test_phi_request_normalizes_to_exact_rationals():
         phi_request(1, 1.5)
     with pytest.raises(ValueError):
         phi_request(-1, 1)
+    # int(1.7) would request phi_1, and True is not an index
+    for j in (1.7, 1.0, True):
+        with pytest.raises(TypeError, match="phi index must be an integer"):
+            phi_request(j, 1)
 
 
 REQS = [(1, Fraction(1, 2)), (1, Fraction(1)), (2, Fraction(1)),

@@ -1,17 +1,21 @@
 """Tableau coefficients, combo algebra, psi identities, serialization."""
 
+import inspect
+import random
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
-from exprk.order_conditions import classical_order, classical_order_conditions
-from exprk.tableau import (ExpRKTableau, PhiCombo, TableauFormatError,
-                           baseline_tableaux, classical_limit, eval_combo,
-                           exprk5s8, get_tableau, phi_term, psi, psi_combo,
-                           psi_parts, tableau_from_text, tableau_names,
-                           tableau_to_text, three_node_weights)
+from exprk.order_conditions import (_rooted_trees, classical_order,
+                                    classical_order_conditions)
+from exprk.tableau import (ButcherTableau, ExpRKTableau, PhiCombo,
+                           TableauFormatError, baseline_tableaux,
+                           classical_limit, eval_combo, exprk5s8, get_tableau,
+                           phi_term, psi, psi_combo, psi_parts,
+                           tableau_from_text, tableau_names, tableau_to_text,
+                           three_node_weights)
 
 F = Fraction
 
@@ -258,6 +262,59 @@ def test_classical_limit_orders(all_tableaux):
     want = {"expRK5s8": 5, "expEuler": 1, "expRK2s2": 2}
     for t in all_tableaux:
         assert classical_order(classical_limit(t)) == want[t.name]
+    assert classical_order(_rk4()) == 4
+    assert list(inspect.signature(classical_order).parameters) == ["bt"]
+
+
+def _rk4():
+    h = F(1, 2)
+    return ButcherTableau("RK4", (F(0), h, h, F(1)),
+                          ((0, 0, 0, 0), (h, 0, 0, 0), (0, h, 0, 0), (0, 0, 1, 0)),
+                          (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))
+
+
+def _random_tableau(seed, s=6):
+    """Explicit tableau with generic rational entries, c free of the row sums."""
+    rng = random.Random(seed)
+    entry = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    a = tuple(tuple(entry() if k < i else F(0) for k in range(s)) for i in range(s))
+    return ButcherTableau(f"random-{seed}", tuple(entry() for _ in range(s)), a,
+                          tuple(entry() for _ in range(s)))
+
+
+def _hand_expanded_rows(bt):
+    """The 17 conditions through order 5 written out one by one."""
+    rng = range(len(bt.c))
+    asum = lambda f: [sum((bt.a[i][k] * f[k] for k in rng), F(0)) for i in rng]
+    one, c = [F(1)] * len(bt.c), list(bt.c)
+    c2, c3, c4 = ([x ** p for x in c] for p in (2, 3, 4))
+    ac, ac2, ac3 = asum(c), asum(c2), asum(c3)
+    aac, aac2, a_cac = asum(ac), asum(ac2), asum([c[i] * ac[i] for i in rng])
+    aaac = asum(aac)
+    dot = lambda u, v=one: sum((bt.b[i] * u[i] * v[i] for i in rng), F(0))
+    return [(1, dot(one), F(1)), (2, dot(c), F(1, 2)),
+            (3, dot(c2), F(1, 3)), (3, dot(ac), F(1, 6)),
+            (4, dot(c3), F(1, 4)), (4, dot(c, ac), F(1, 8)), (4, dot(ac2), F(1, 12)),
+            (4, dot(aac), F(1, 24)),
+            (5, dot(c4), F(1, 5)), (5, dot(c2, ac), F(1, 10)), (5, dot(ac, ac), F(1, 20)),
+            (5, dot(c, ac2), F(1, 15)), (5, dot(c, aac), F(1, 30)), (5, dot(ac3), F(1, 20)),
+            (5, dot(a_cac), F(1, 40)), (5, dot(aac2), F(1, 60)), (5, dot(aaac), F(1, 120))]
+
+
+def test_classical_rows_match_the_hand_expansion(all_tableaux):
+    """Every tree gives the row written out by hand: one wrong elementary
+    weight or density would show on the generic random tableaux."""
+    tableaux = [classical_limit(t) for t in all_tableaux] + [_rk4()]
+    tableaux += [_random_tableau(seed) for seed in range(5)]
+    for bt in tableaux:
+        rows = classical_order_conditions(bt)
+        assert len(rows) == 17
+        assert [o for o, _, _ in rows] == sorted(o for o, _, _ in rows)
+        assert sorted(rows) == sorted(_hand_expanded_rows(bt)), bt.name
+
+
+def test_rooted_tree_counts():
+    assert [len(_rooted_trees(p)) for p in range(1, 7)] == [1, 1, 2, 4, 9, 20]
 
 
 def test_classical_fifth_order_conditions_exact(tab5):
@@ -289,10 +346,20 @@ def test_text_round_trip_is_byte_stable(tab5):
     '{"name": "x"}',
     '{"name": "x", "nodes": ["0", "1/2"], "a": {"2,1": [["1", 1, "1"]]}, "b": {}}',
     '{"name": "x", "nodes": ["0", "oops"], "a": {}, "b": {}}',
+    # a phi index of 2.5 is not phi_2, nor true phi_1
+    '{"name": "x", "nodes": ["0", "1"], "b": {"2": [["1", 2.5, "1"]]}}',
+    '{"name": "x", "nodes": ["0", "1"], "b": {"2": [["1", true, "1"]]}}',
 ])
 def test_malformed_text_raises(text):
     with pytest.raises(TableauFormatError):
         tableau_from_text(text)
+
+
+@pytest.mark.parametrize("index", [2.9, 2.0, True])
+def test_combo_phi_index_must_be_an_integer(index):
+    with pytest.raises(TypeError, match="phi index must be an integer"):
+        phi_term(1, index)
+    assert phi_term(1, np.int64(2)).terms == ((F(1), 2, F(1)),)
 
 
 # ---------------------------------------------------------------------------

