@@ -14,7 +14,7 @@ import numpy as np
 
 from .convergence import DEFAULT_FLOOR, DEFAULT_STEPS, run_convergence, write_csv
 from .integrator import BlowUpError, Stepper
-from .order_conditions import check
+from .order_conditions import TOP_ORDER, check
 from .phi import phi_scalar
 from .tableau import get_tableau, tableau_from_text, tableau_names
 from .testbed import discrete_l2_error, problem_by_name
@@ -64,6 +64,9 @@ def cmd_converge(args):
 
 
 def cmd_check_order(args):
+    p = args.assert_order
+    if p is not None and not 1 <= p <= TOP_ORDER:
+        raise ValueError(f"--assert-order must lie in 1..{TOP_ORDER}, got {p}")
     t = _load_method(args.method)
     report = check(t, tolerance=args.tol, seed=args.seed)
     print(report.table_text())
@@ -71,9 +74,8 @@ def cmd_check_order(args):
         with open(args.out, "w", encoding="ascii", newline="\n") as f:
             f.write("\n".join(report.machine_rows()) + "\n")
         print(f"wrote {args.out}")
-    if args.assert_order is not None:
-        p = args.assert_order
-        attained = report.weakened_order5 if p >= 5 else report.highest_strong_order >= p
+    if p is not None:
+        attained = report.weakened_order5 if p == TOP_ORDER else report.highest_strong_order >= p
         if not attained:
             print(f"asserted order {p} NOT attained", file=sys.stderr)
             return 1
@@ -130,8 +132,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--assert-order", type=int, default=None,
-                   help="exit 1 unless this order is attained "
-                        "(5 means the weakened order-5 verdict)")
+                   help=f"exit 1 unless this order (1..{TOP_ORDER}) is attained "
+                        f"({TOP_ORDER} means the weakened order-{TOP_ORDER} verdict)")
     p.add_argument("--out", default=None, help="machine-readable rows path")
     p.set_defaults(func=cmd_check_order)
 

@@ -49,8 +49,10 @@ def fit_slope(rows, floor=DEFAULT_FLOOR):
     """Least-squares slope of log error vs log h over rows above the floor.
 
     Returns (slope, used, excluded); slope is None for fewer than two usable
-    rows.
+    rows.  The floor must be finite and >= 0.
     """
+    if not (np.isfinite(floor) and floor >= 0):
+        raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     used = tuple(r for r in rows if r.error > floor)
     excluded = tuple(r for r in rows if r.error <= floor)
     if len(used) < 2:
@@ -65,15 +67,16 @@ def run_convergence(method, pb, steps=DEFAULT_STEPS, floor=DEFAULT_FLOOR):
     """Integrate pb at each step count and assemble the fitted report.
 
     method is a tableau or a shipped-method name; steps must be strictly
-    increasing positive integers.
+    increasing positive integers, and floor finite and >= 0 (fit_slope).
     """
     t = get_tableau(method) if isinstance(method, str) else method
     steps = [int(k) for k in steps]
     if any(k < 1 for k in steps) or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing and >= 1")
+    fit_slope((), floor)  # rejects a bad floor before any integration
     rows = []
     for k in steps:
-        rec = integrate(pb, t, k, record="final")
+        rec = integrate(pb, t, k)
         err = discrete_l2_error(rec.u, pb, rec.t)
         rows.append(ConvergenceRow(k, (pb.t_end - pb.t0) / k, err))
     slope, _, excluded = fit_slope(rows, floor)

@@ -158,34 +158,23 @@ class Stepper:
         return (u_next, tuple(stages)) if return_stages else u_next
 
 
-def integrate(pb, t, n_steps, record="final"):
-    """Run n_steps constant steps from t0 to t_end.
+def integrate(pb, t, n_steps):
+    """Run n_steps constant steps from t0 to t_end; the StepRecord at t_end.
 
-    record selects the return value: "none" gives the bare final state,
-    "final" a StepRecord, "trajectory" the list of StepRecords including the
-    initial state.  One Stepper, for h = (t_end - t0)/n_steps, makes them all.
+    One Stepper, for h = (t_end - t0)/n_steps, makes every step.
     """
     if not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool):
         raise TypeError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if record not in ("none", "final", "trajectory"):
-        raise ValueError("record must be one of none | final | trajectory")
     n_steps = int(n_steps)
     h = (pb.t_end - pb.t0) / n_steps
     stepper = Stepper(pb, t, h)
     un = pb.u0.copy()
-    out = [StepRecord(pb.t0, un.copy())]
     for k in range(n_steps):
         tn = pb.t0 + k * h
         try:
             un = stepper(tn, un)
         except BlowUpError as exc:
             raise BlowUpError(f"blow-up at step {k} (t = {tn})", step_index=k) from exc
-        if record == "trajectory":
-            out.append(StepRecord(pb.t0 + (k + 1) * h, un.copy()))
-    if record == "none":
-        return un
-    if record == "final":
-        return StepRecord(pb.t_end, un)
-    return out
+    return StepRecord(pb.t_end, un)

@@ -90,35 +90,26 @@ def draw_probe_sets(count, d=3, seed=0):
 
 
 def structured_probes():
-    """(Z, J) pairs with diagonal Z and permutation J that separate terms.
+    """ProbeSets with diagonal Z and permutation J = K = L that separate terms.
 
     The 2x2 family uses Z = diag(lambda, mu) with the swap J over a grid of
     (lambda, mu); the 3x3 family uses Z = diag(lambda, mu, nu) with the cyclic
-    permutation J (J^3 = I) over a coarse grid.
+    permutation J (J^3 = I) over a coarse grid.  B is the diagonal tensor,
+    B(u, v)_r = u_r v_r.
     """
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     # the canonical separating pair leads; the rest of the grid follows
-    pairs = [(np.diag([-1.0, 1.0]), swap)]
-    grid2 = (-1.0, 1.0, 0.0, -10.0)
-    for lam, mu in product(grid2, repeat=2):
-        if (lam, mu) != (-1.0, 1.0):
-            pairs.append((np.diag([lam, mu]), swap))
-    grid3 = (-1.0, 1.0, -10.0)
-    for lam, mu, nu in product(grid3, repeat=3):
-        pairs.append((np.diag([lam, mu, nu]), cyc))
-    return pairs
-
-
-def _structured_probe_sets():
+    pairs = [((-1.0, 1.0), swap)]
+    pairs += [(z, swap) for z in product((-1.0, 1.0, 0.0, -10.0), repeat=2)
+              if z != (-1.0, 1.0)]
+    pairs += [(z, cyc) for z in product((-1.0, 1.0, -10.0), repeat=3)]
     out = []
-    for k, (z, j) in enumerate(structured_probes()):
-        d = z.shape[0]
+    for k, (z, j) in enumerate(pairs):
+        d = len(z)
         tensor = np.zeros((d, d, d))
-        for r in range(d):
-            tensor[r, r, r] = 1.0
-        out.append(ProbeSet(d, z, j, j.copy(), j.copy(), tensor,
-                            label=f"structured-{k}"))
+        tensor[range(d), range(d), range(d)] = 1.0
+        out.append(ProbeSet(d, np.diag(z), j, j, j, tensor, label=f"structured-{k}"))
     return out
 
 
@@ -250,15 +241,33 @@ def _residual(word, tab, mode):
     return float(np.abs(value).max())
 
 
+def _probe_residuals(t, probes):
+    """{(cid, mode): [residual at each probe]}, in probe order.
+
+    The probes are grouped by dimension, with one phi table per group; below
+    TOP_ORDER the modes are one condition, evaluated once per probe.
+    """
+    residuals = {(cid, mode): [None] * len(probes) for cid in WORDS for mode in MODES}
+    parts, at_zero = _defects(t)
+    for d in dict.fromkeys(probe.d for probe in probes):
+        ns = [n for n, probe in enumerate(probes) if probe.d == d]
+        group = [probes[n] for n in ns]
+        for n, probe, phi in zip(ns, group, _phi_tables(t, group, parts)):
+            tab = _ProbeTables(t, probe, phi, parts, at_zero)
+            for cid, word in WORDS.items():
+                strong = _residual(word, tab, "strong")
+                weak = _residual(word, tab, "weakened") if word.order == TOP_ORDER else strong
+                residuals[cid, "strong"][n], residuals[cid, "weakened"][n] = strong, weak
+    return residuals
+
+
 def condition_residual(cid, t, p, mode="strong"):
     """Max-abs residual of one condition at one probe set."""
     if cid not in WORDS:
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    parts, at_zero = _defects(t)
-    tab = _ProbeTables(t, p, _phi_tables(t, [p], parts)[0], parts, at_zero)
-    return _residual(WORDS[cid], tab, mode)
+    return _probe_residuals(t, [p])[cid, mode][0]
 
 
 @dataclass(frozen=True)
@@ -310,11 +319,11 @@ class ConditionReport:
         return out
 
 
-def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
+def check(t, tolerance=1e-9, p=None, seed=0):
     """Run all 16 conditions in both modes over a probe batch.
 
-    p may be a single ProbeSet or a sequence of them; by default n_probes
-    seeded random probes are drawn.  The structured diagonal/permutation
+    p may be a single ProbeSet or a sequence of them; by default 50 seeded
+    random 3x3 probes are drawn.  The structured diagonal/permutation
     probes are always appended.  The report carries the highest p below
     TOP_ORDER whose strong conditions all pass, and the weakened verdict:
     every weakened row passes (below TOP_ORDER those rows are the strong ones).
@@ -322,31 +331,14 @@ def check(t, tolerance=1e-9, p=None, n_probes=50, dim=3, seed=0):
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if p is None:
-        probes = draw_probe_sets(n_probes, d=dim, seed=seed)
+        probes = draw_probe_sets(50, d=3, seed=seed)
     elif isinstance(p, ProbeSet):
         probes = [p]
     else:
         probes = list(p)
-    probes = probes + _structured_probe_sets()
-    by_dim = {}
-    for probe in probes:
-        by_dim.setdefault(probe.d, []).append(probe)
-
-    # (cid, mode) -> its residual at each probe
-    residuals = {(cid, mode): [] for cid in WORDS for mode in MODES}
-    parts, at_zero = _defects(t)
-    for group in by_dim.values():
-        for probe, phi in zip(group, _phi_tables(t, group, parts)):
-            tab = _ProbeTables(t, probe, phi, parts, at_zero)
-            for cid, word in WORDS.items():
-                # below the top order the modes are one condition: evaluate it once
-                strong = _residual(word, tab, "strong")
-                weakened = word.order == TOP_ORDER
-                weak = _residual(word, tab, "weakened") if weakened else strong
-                residuals[cid, "strong"].append(strong)
-                residuals[cid, "weakened"].append(weak)
+    probes = probes + structured_probes()
     # np.max, unlike a running comparison, keeps a NaN residual
-    worst = {key: float(np.max(res)) for key, res in residuals.items()}
+    worst = {key: float(np.max(res)) for key, res in _probe_residuals(t, probes).items()}
 
     rows = tuple(ConditionRow(cid, mode, CONDITION_ORDERS[cid], worst[(cid, mode)],
                               worst[(cid, mode)] <= tolerance)

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .phi import phi_index, phi_matrix, phi_scalar
+from .phi import phi_matrix, phi_request, phi_scalar
 
 __all__ = [
     "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
@@ -66,13 +66,10 @@ class PhiCombo:
     def __post_init__(self):
         merged = {}
         for alpha, j, scale in self.terms:
-            alpha, j, scale = _rat(alpha), phi_index(j), _rat(scale)
+            j, scale = phi_request(j, _rat(scale))
             if j < 1:
                 raise ValueError("phi index in a combo must be >= 1")
-            if not 0 < scale <= 1:
-                raise ValueError("scale must lie in (0, 1]")
-            key = (j, scale)
-            merged[key] = merged.get(key, Fraction(0)) + alpha
+            merged[j, scale] = merged.get((j, scale), Fraction(0)) + _rat(alpha)
         canon = tuple((a, j, s) for (j, s), a in sorted(merged.items()) if a != 0)
         object.__setattr__(self, "terms", canon)
 
@@ -175,27 +172,22 @@ class ExpRKTableau:
         if s >= 2 and c[1] == 0:
             raise ValueError("c_2 must be nonzero (stage 2 would duplicate u_n)")
         scales = set(ci for ci in c if ci > 0) | {Fraction(1)}
-        a = {}
-        for (i, j), combo in self.a.items():
-            if not (2 <= j < i <= s):
-                raise ValueError(f"a entry ({i},{j}) outside the strict lower triangle")
-            if not isinstance(combo, PhiCombo):
-                raise TypeError("a entries must be PhiCombo")
-            bad = {sc for _, sc in combo.phi_pairs()} - scales
-            if bad:
-                raise ValueError(f"a[{i},{j}] uses scales {bad} outside the node set")
-            if not combo.is_zero:
-                a[(i, j)] = combo
-        b = {}
-        for i, combo in self.b.items():
-            if not 2 <= i <= s:
-                raise ValueError(f"b index {i} out of range")
-            if not isinstance(combo, PhiCombo):
-                raise TypeError("b entries must be PhiCombo")
-            if {sc for _, sc in combo.phi_pairs()} - scales:
-                raise ValueError(f"b[{i}] uses scales outside the node set")
-            if not combo.is_zero:
-                b[i] = combo
+        lower = {(i, j) for i in range(3, s + 1) for j in range(2, i)}
+        entries = []
+        for name, table, keys in (("a", self.a, lower), ("b", self.b, range(2, s + 1))):
+            kept = {}
+            for key, combo in table.items():
+                if key not in keys:
+                    raise ValueError(f"{name} index {key} out of range")
+                if not isinstance(combo, PhiCombo):
+                    raise TypeError(f"{name} entries must be PhiCombo")
+                bad = {sc for _, sc in combo.phi_pairs()} - scales
+                if bad:
+                    raise ValueError(f"{name}[{key}] uses scales {bad} outside the node set")
+                if not combo.is_zero:
+                    kept[key] = combo
+            entries.append(kept)
+        a, b = entries
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -435,16 +427,9 @@ def tableau_from_text(text):
     try:
         doc = json.loads(text)
         name = doc["name"]
-        c = tuple(Fraction(x) for x in doc["nodes"])
-        a = {}
-        for key, terms in doc.get("a", {}).items():
-            i, j = (int(p) for p in key.split(","))
-            a[(i, j)] = PhiCombo(tuple((Fraction(al), jj, Fraction(sc))
-                                       for al, jj, sc in terms))
-        b = {}
-        for key, terms in doc.get("b", {}).items():
-            b[int(key)] = PhiCombo(tuple((Fraction(al), jj, Fraction(sc))
-                                         for al, jj, sc in terms))
-        return ExpRKTableau(name=str(name), c=c, a=a, b=b)
+        a = {tuple(int(p) for p in key.split(",")): PhiCombo(terms)
+             for key, terms in doc.get("a", {}).items()}
+        b = {int(key): PhiCombo(terms) for key, terms in doc.get("b", {}).items()}
+        return ExpRKTableau(name=str(name), c=doc["nodes"], a=a, b=b)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise TableauFormatError(f"malformed tableau text: {exc}") from exc

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exprk import convergence
 from exprk.cli import main
 from exprk.convergence import (DEFAULT_FLOOR, DEFAULT_STEPS, ConvergenceRow,
                                fit_slope, read_csv, run_convergence,
@@ -43,6 +44,12 @@ def test_fit_slope_needs_two_rows():
     assert len(used) == 1 and len(excluded) == 1
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+def test_fit_slope_rejects_a_bad_floor(floor):
+    with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+        fit_slope(_rows(2.5), floor=floor)
+
+
 # ---------------------------------------------------------------------------
 # sweep driver
 
@@ -65,6 +72,14 @@ def test_run_convergence_validates_steps():
         run_convergence("expEuler", pb, steps=(16, 8))
     with pytest.raises(ValueError):
         run_convergence("expEuler", pb, steps=(0, 8))
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+def test_run_convergence_rejects_a_bad_floor(monkeypatch, floor):
+    """A bad floor fails before any integration."""
+    monkeypatch.setattr(convergence, "integrate", lambda *args: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+        run_convergence("expEuler", heat_problem(10), steps=(8, 16), floor=floor)
 
 
 def test_defaults():
@@ -116,6 +131,17 @@ def test_cli_converge_undefined_slope(capsys):
     assert "fitted slope: undefined" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+def test_cli_converge_rejects_a_bad_floor(capsys, floor):
+    """A NaN floor once dropped every row from both the fit and the
+    excluded list, and the sweep reported an undefined slope with exit 0."""
+    code = main(["converge", "--problem", "heat50", "--steps", "8,16", f"--floor={floor}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "floor must be finite and >= 0" in captured.err
+    assert "fitted slope" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # CLI: check-order
 
@@ -146,6 +172,17 @@ def test_cli_check_order_second_order_method(capsys):
 def test_cli_check_order_first_order_method(capsys):
     assert main(["check-order", "--method", "expEuler",
                  "--assert-order", "5"]) == 1
+
+
+@pytest.mark.parametrize("method, order", [("expRK5s8", "7"), ("expRK5s8", "6"),
+                                           ("expEuler", "0"), ("expEuler", "-2")])
+def test_cli_check_order_rejects_an_order_outside_the_table(capsys, method, order):
+    """Orders outside 1..5 have no conditions, so none can be attained."""
+    code = main(["check-order", "--method", method, f"--assert-order={order}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--assert-order must lie in 1..5, got {order}" in captured.err
+    assert "attained" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

@@ -79,7 +79,7 @@ def test_step_is_exact_for_linear_diagonal(name):
 def test_step_matches_classical_limit_at_a_zero(tab5):
     pb = SemilinearProblem(A=ZeroOperator(1), g=lambda t, u: u,
                            u0=np.array([1.0]), t0=0.0, t_end=0.1)
-    got = integrate(pb, tab5, 1, record="none")[0]
+    got = integrate(pb, tab5, 1).u[0]
     want = rk_integrate(classical_limit(tab5), lambda t, u: u,
                         [1.0], 0.0, 0.1, 1)[0]
     assert abs(got - want) <= 1e-14
@@ -131,7 +131,7 @@ def test_stepper_calls_equal_integrate(name):
     u = pb.u0
     for k in range(n):
         u = stepper(pb.t0 + k * stepper.h, u)
-    assert np.array_equal(u, integrate(pb, t, n, record="none"))
+    assert np.array_equal(u, integrate(pb, t, n).u)
 
 
 def test_integrate_builds_one_cache(monkeypatch, tab5):
@@ -146,20 +146,19 @@ def test_integrate_builds_one_cache(monkeypatch, tab5):
 # ---------------------------------------------------------------------------
 # integrate()
 
-def test_integrate_record_modes(tab5):
+def test_integrate_returns_the_final_record(tab5):
     pb = _nonstiff_problem()
-    bare = integrate(pb, tab5, 4, record="none")
-    final = integrate(pb, tab5, 4, record="final")
-    traj = integrate(pb, tab5, 4, record="trajectory")
-    assert isinstance(bare, np.ndarray)
-    assert isinstance(final, StepRecord)
-    assert final.t == pb.t_end
-    assert np.array_equal(final.u, bare)
-    assert [r.t for r in traj] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.array_equal(traj[0].u, pb.u0)
-    assert np.array_equal(traj[-1].u, bare)
-    with pytest.raises(ValueError):
-        integrate(pb, tab5, 4, record="sometimes")
+    rec = integrate(pb, tab5, 4)
+    assert isinstance(rec, StepRecord)
+    assert rec.t == pb.t_end
+    # the trajectory is a Stepper loop; integrate is its last state
+    stepper = Stepper(pb, tab5, 0.25)
+    traj = [pb.u0]
+    for k in range(4):
+        traj.append(stepper(pb.t0 + k * stepper.h, traj[-1]))
+    assert np.array_equal(rec.u, traj[-1])
+    with pytest.raises(TypeError):
+        integrate(pb, tab5, 4, record="final")
     with pytest.raises(ValueError):
         integrate(pb, tab5, 0)
     with pytest.raises(TypeError):
@@ -192,12 +191,12 @@ def test_linear_exactness_on_heat_operator(heat200, name, n_steps):
                            u0=heat200.u0, t_end=1.0)
     w, v = a.eigendecomposition()
     want = v @ (np.exp(w) * (v.T @ pb.u0))
-    got = integrate(pb, get_tableau(name), n_steps, record="none")
+    got = integrate(pb, get_tableau(name), n_steps).u
     assert np.abs(got - want).max() <= 1e-10
 
 
 def test_heat_error_regression(heat200, tab5):
-    u = integrate(heat200, tab5, 256, record="none")
+    u = integrate(heat200, tab5, 256).u
     err = discrete_l2_error(u, heat200, 1.0)
     assert err < 1e-8   # coarse guarantee the harness relies on
     assert err < 1e-13  # frozen regression bound (measured 4.4e-16)
@@ -219,8 +218,8 @@ def test_autonomization_equivalence(tab5):
     pb_aug = SemilinearProblem(A=aug, g=g_aug, u0=np.append(pb.u0, pb.t0),
                                t0=pb.t0, t_end=pb.t_end)
     for n_steps in (8, 16):
-        direct = integrate(pb, tab5, n_steps, record="none")
-        lifted = integrate(pb_aug, tab5, n_steps, record="none")
+        direct = integrate(pb, tab5, n_steps).u
+        lifted = integrate(pb_aug, tab5, n_steps).u
         assert np.abs(direct - lifted[:n]).max() <= 1e-9
         assert lifted[n] == pytest.approx(pb.t_end, abs=1e-13)
 
@@ -232,7 +231,7 @@ def test_classical_limit_equivalence_nonstiff(name):
     pb = SemilinearProblem(A=ZeroOperator(1), g=g, u0=np.array([0.3]),
                            t_end=1.0)
     t = get_tableau(name)
-    got = integrate(pb, t, 20, record="none")[0]
+    got = integrate(pb, t, 20).u[0]
     want = rk_integrate(classical_limit(t), g, [0.3], 0.0, 1.0, 20)[0]
     assert abs(got - want) <= 1e-12
 
@@ -243,7 +242,7 @@ def test_nonstiff_fifth_order(tab5):
                            [1.0], 0.0, 1.0, 2000)[0]
     assert abs(ref_rk4 - NONSTIFF_REF) <= 1e-11
     pb = _nonstiff_problem()
-    errs = {n: abs(integrate(pb, tab5, n, record="none")[0] - NONSTIFF_REF)
+    errs = {n: abs(integrate(pb, tab5, n).u[0] - NONSTIFF_REF)
             for n in (8, 16, 32, 64, 128, 256)}
     checked = 0
     for n in (8, 16, 32, 64, 128):
@@ -259,7 +258,7 @@ def test_error_is_independent_of_stiffness(tab5):
     errs = []
     for n in (50, 200, 1000, 2000, 4000, 8000):
         pb = heat_problem(n)
-        errs.append(discrete_l2_error(integrate(pb, tab5, 16, record="none"), pb, 1.0))
+        errs.append(discrete_l2_error(integrate(pb, tab5, 16).u, pb, 1.0))
     assert max(errs) <= 1.05 * min(errs), errs
 
 
@@ -269,7 +268,7 @@ def test_error_is_independent_of_stiffness_to_heat64000(tab5):
     errs = []
     for n in (50, 200, 2000, 8000, 16000, 32000, 64000):
         pb = heat_problem(n)
-        errs.append(discrete_l2_error(integrate(pb, tab5, 4, record="none"), pb, 1.0))
+        errs.append(discrete_l2_error(integrate(pb, tab5, 4).u, pb, 1.0))
     assert max(errs) <= 1.05 * min(errs), errs
 
 
@@ -289,9 +288,8 @@ def test_spectral_route_matches_dense_route(name, op):
     g = lambda t, u: np.sin(w @ u) + np.cos(t)
     u0 = rng.uniform(-1.0, 1.0, op.n)
     t = get_tableau(name)
-    got = integrate(SemilinearProblem(A=op, g=g, u0=u0), t, 8, record="none")
-    want = integrate(SemilinearProblem(A=DenseOperator(op.dense()), g=g, u0=u0), t, 8,
-                     record="none")
+    got = integrate(SemilinearProblem(A=op, g=g, u0=u0), t, 8).u
+    want = integrate(SemilinearProblem(A=DenseOperator(op.dense()), g=g, u0=u0), t, 8).u
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -310,9 +308,9 @@ def _toeplitz_problem(n):
 def test_sine_basis_route_matches_eigh_route(tab5, make):
     pb = make()
     assert isinstance(pb.A.eigendecomposition()[1], SineBasis)
-    got = integrate(pb, tab5, 64, record="none")
+    got = integrate(pb, tab5, 64).u
     ref = dataclasses.replace(pb, A=EighTridiagonal(pb.A.diag, pb.A.off))
-    want = integrate(ref, tab5, 64, record="none")
+    want = integrate(ref, tab5, 64).u
     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 

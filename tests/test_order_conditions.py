@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import augmented_phi
-from exprk.order_conditions import (CONDITION_ORDERS, MODES, WORDS, ProbeSet,
-                                    _defects, _phi_tables, _ProbeTables, _residual,
-                                    _structured_probe_sets, check,
+from exprk.order_conditions import (CONDITION_ORDERS, MODES, ProbeSet, _defects,
+                                    _phi_tables, _probe_residuals, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
 from exprk.tableau import ExpRKTableau, exprk5s8, get_tableau, phi_term
@@ -69,19 +68,23 @@ def test_draw_probe_sets_deterministic_and_bounded():
 
 
 def test_structured_probes_families():
-    pairs = structured_probes()
-    z0, j0 = pairs[0]
-    assert np.array_equal(z0, np.diag([-1.0, 1.0]))
-    assert np.array_equal(j0, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    two = [p for p in pairs if p[0].shape == (2, 2)]
-    three = [p for p in pairs if p[0].shape == (3, 3)]
+    probes = structured_probes()
+    assert np.array_equal(probes[0].Z, np.diag([-1.0, 1.0]))
+    assert np.array_equal(probes[0].J, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    two = [p for p in probes if p.d == 2]
+    three = [p for p in probes if p.d == 3]
     assert len(two) == 16  # (lambda, mu) over a 4-value grid
     assert len(three) == 27  # diag(lambda, mu, nu) over a 3-value grid
-    jc = three[0][1]
+    jc = three[0].J
     assert np.array_equal(np.linalg.matrix_power(jc, 3), np.eye(3))
     assert not np.array_equal(jc, np.eye(3))
-    for z, _ in pairs:
-        assert np.array_equal(z, np.diag(np.diag(z)))
+    for k, p in enumerate(probes):
+        assert p.label == f"structured-{k}"
+        assert np.array_equal(p.Z, np.diag(np.diag(p.Z)))
+        assert np.array_equal(p.K, p.J) and np.array_equal(p.L, p.J)
+        # the diagonal tensor: B(u, v)_r = u_r v_r
+        u, v = np.arange(1.0, p.d + 1), np.arange(2.0, p.d + 2)
+        assert np.array_equal(np.einsum("rpq,p,q->r", p.B, u, v), u * v)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,7 @@ def test_condition_residual_validation(tab5):
 # full check() verdicts
 
 def test_check_exprk5s8_profile(tab5):
-    rep = check(tab5, tolerance=1e-9, n_probes=50, dim=3, seed=0)
+    rep = check(tab5, tolerance=1e-9, seed=0)
     assert rep.highest_strong_order == 4
     assert rep.weakened_order5 is True
     strong = {r.id: r for r in rep.rows if r.mode == "strong"}
@@ -152,13 +155,13 @@ def test_check_exprk5s8_profile(tab5):
 
 
 def test_check_baselines():
-    rep = check(get_tableau("expEuler"), tolerance=1e-9, n_probes=20, seed=0)
+    rep = check(get_tableau("expEuler"), tolerance=1e-9, p=draw_probe_sets(20, d=3, seed=0))
     assert rep.highest_strong_order == 1
     assert rep.weakened_order5 is False
     strong = {r.id: r for r in rep.rows if r.mode == "strong"}
     assert not strong[1].passed
 
-    rep = check(get_tableau("expRK2s2"), tolerance=1e-9, n_probes=20, seed=0)
+    rep = check(get_tableau("expRK2s2"), tolerance=1e-9, p=draw_probe_sets(20, d=3, seed=0))
     assert rep.highest_strong_order == 2
     assert rep.weakened_order5 is False
     strong = {r.id: r for r in rep.rows if r.mode == "strong"}
@@ -177,7 +180,7 @@ def test_check_accepts_explicit_probes(tab5):
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-9])
 def test_check_rejects_a_tolerance_that_is_not_finite_and_positive(tab5, tolerance):
     with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-        check(tab5, tolerance=tolerance, n_probes=1)
+        check(tab5, tolerance=tolerance, p=draw_probe_sets(1, d=3, seed=0))
 
 
 @pytest.mark.parametrize("make", [lambda t: t, _perturbed], ids=["expRK5s8", "perturbed"])
@@ -272,7 +275,7 @@ def test_stiff_probes_keep_the_verdicts(tab5):
 
 def test_perturbed_weight_detected(tab5):
     """A 1e-3 bump on b_8's phi_4 coefficient must break condition 4."""
-    rep = check(_perturbed(tab5), tolerance=1e-9, n_probes=50, dim=3, seed=0)
+    rep = check(_perturbed(tab5), tolerance=1e-9, seed=0)
     assert rep.weakened_order5 is False
     r4 = [r for r in rep.rows if r.id == 4 and r.mode == "strong"][0]
     assert not r4.passed
@@ -294,8 +297,8 @@ def test_scale_covariance_of_linear_conditions(tab5):
 def test_probe_count_stability(tab5):
     """Pass/fail verdicts are stable between 20 and 200 random probes."""
     for t in (tab5, get_tableau("expEuler")):
-        r_small = check(t, tolerance=1e-9, n_probes=20, dim=3, seed=0)
-        r_large = check(t, tolerance=1e-9, n_probes=200, dim=3, seed=0)
+        r_small = check(t, tolerance=1e-9, p=draw_probe_sets(20, d=3, seed=0))
+        r_large = check(t, tolerance=1e-9, p=draw_probe_sets(200, d=3, seed=0))
         small = [(r.id, r.mode, r.passed) for r in r_small.rows]
         large = [(r.id, r.mode, r.passed) for r in r_large.rows]
         assert small == large
@@ -306,7 +309,7 @@ def test_probe_count_stability(tab5):
 def test_mode_monotonicity(all_tableaux):
     """Weakened mode is a restriction of strong: strong pass implies weak pass."""
     for t in all_tableaux:
-        rep = check(t, tolerance=1e-9, n_probes=50, dim=3, seed=0)
+        rep = check(t, tolerance=1e-9, seed=0)
         strong = {r.id: r.passed for r in rep.rows if r.mode == "strong"}
         weak = {r.id: r.passed for r in rep.rows if r.mode == "weakened"}
         for i in range(1, 17):
@@ -333,7 +336,7 @@ def test_zero_z_conditions_match_classical_order(all_tableaux):
 # report formats
 
 def test_report_texts(tab5):
-    rep = check(tab5, tolerance=1e-9, n_probes=10, seed=0)
+    rep = check(tab5, tolerance=1e-9, p=draw_probe_sets(10, d=3, seed=0))
     text = rep.table_text()
     assert "highest strong order: 4" in text
     assert "weakened order-5 verdict: pass" in text
@@ -446,26 +449,28 @@ def _bumped_rows(t):
 def test_condition_residual_matches_independent_transcription(name, tab5):
     made = {"perturbed": _perturbed, "bumped-rows": _bumped_rows}
     t = made[name](tab5) if name in made else get_tableau(name)
-    probes = draw_probe_sets(10, d=3, seed=21) + _structured_probe_sets()
+    probes = draw_probe_sets(10, d=3, seed=21) + structured_probes()
     assert len(probes) == 53
-    groups = {}
-    for n, p in enumerate(probes):
-        groups.setdefault(p.d, []).append((n, p))
+    # check()'s own residual loop: one phi table per dimension group
+    residuals = _probe_residuals(t, probes)
     worst = 0.0
-    parts, at_zero = _defects(t)
-    for group in groups.values():
-        # one phi table per dimension group and check()'s own evaluator, as check() does it
-        tables = _phi_tables(t, [p for _, p in group], parts)
-        for (n, p), phi in zip(group, tables):
-            want = _transcribed_residuals(t, p)
-            tab = _ProbeTables(t, p, phi, parts, at_zero)
-            got = {(cid, mode): _residual(WORDS[cid], tab, mode)
-                   for cid in CONDITION_ORDERS for mode in MODES}
-            # and one call per probe through the public entry point, a table of one
-            cid, mode = n % 16 + 1, MODES[n % 2]
-            assert condition_residual(cid, t, p, mode) == got[cid, mode], (cid, mode, p.label)
-            for cid in range(1, 8):
-                assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
-            for key in want:
-                worst = max(worst, abs(got[key] - want[key]))
+    for n, p in enumerate(probes):
+        want = _transcribed_residuals(t, p)
+        got = {key: res[n] for key, res in residuals.items()}
+        # and one call per probe through the public entry point, a table of one
+        cid, mode = n % 16 + 1, MODES[n % 2]
+        assert condition_residual(cid, t, p, mode) == got[cid, mode], (cid, mode, p.label)
+        for cid in range(1, 8):
+            assert got[cid, "strong"] == got[cid, "weakened"], (cid, p.label)
+        for key in want:
+            worst = max(worst, abs(got[key] - want[key]))
     assert worst <= 1e-13, worst
+
+
+def test_check_default_batch_is_fifty_3x3_probes(tab5):
+    """The default batch is p=draw_probe_sets(50, d=3, seed=seed), plus the
+    43 structured probes."""
+    for seed in range(3):
+        rep = check(tab5, seed=seed)
+        assert rep.n_probes == 93
+        assert rep.rows == check(tab5, p=draw_probe_sets(50, d=3, seed=seed)).rows

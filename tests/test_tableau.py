@@ -355,6 +355,19 @@ def test_malformed_text_raises(text):
         tableau_from_text(text)
 
 
+def test_text_reads_a_decimal_float_as_written():
+    """A JSON float is the decimal it spells, as "1/5" and the constructor
+    read it, not its nearest binary fraction."""
+    doc = '{{"name": "x", "nodes": [0, {c}], "b": {{"2": [[{al}, 2, 1]]}}}}'
+    floats = tableau_from_text(doc.format(c="0.2", al="0.1"))
+    strings = tableau_from_text(doc.format(c='"1/5"', al='"1/10"'))
+    built = ExpRKTableau(name="x", c=(0, 0.2), b={2: phi_term(0.1, 2)})
+    assert floats.c == strings.c == built.c == (0, F(1, 5))
+    assert floats.b == strings.b == built.b == {2: phi_term(F(1, 10), 2)}
+    rows = classical_order_conditions(classical_limit(floats))
+    assert rows == classical_order_conditions(classical_limit(strings))
+
+
 @pytest.mark.parametrize("index", [2.9, 2.0, True])
 def test_combo_phi_index_must_be_an_integer(index):
     with pytest.raises(TypeError, match="phi index must be an integer"):
