@@ -24,12 +24,12 @@ residual above tolerance on any probe disproves the identity; passing on all
 probes is the (probabilistic) verdict that it holds.
 
 The phi matrices come in stacks: check() groups its probes by dimension d
-and builds one phi table per group, one squaring chain per scale family over
-the stacked Z of the whole group (phi.phi_matrix_table).  The words are then
-evaluated probe by probe on that probe's members of the table.  A chain
-computes for each member exactly what it computes for that Z alone, so every
-probe gets the numbers it would get alone; condition_residual builds the
-table of one probe.
+and builds one phi table per group over the stacked Z of the whole group
+(phi.phi_matrix_table: a chain for the dyadic scales, and a chain on Z/15
+with a walk for 1/5 and 2/3).  The words are then evaluated probe by probe
+on that probe's members of the table.  The table computes for each member
+exactly what it computes for that Z alone, so every probe gets the numbers
+it would get alone; condition_residual builds the table of one probe.
 """
 
 from dataclasses import dataclass

@@ -14,12 +14,14 @@ in which case a spectral cache holds O(n) numbers in total, each from one
 phi_scalar call in plain float arithmetic.  Matrices come
 from scaling-and-modified-squaring chains, each of which yields
 phi_0..phi_j together from n x n products alone.  Since the chain on M passes
-through M/2, M/4, ... on its way back from 2^-s M, scales that differ by a
-power of two (a scale family, such as 1, 1/2 and 1/4) share one chain:
-expRK5s8's five scales cost three, and phi_matrix and matrix_exp run one
-scale alone.  A chain also runs on a stack of matrices at once, each scaled
-by its own power of two; the order-condition checker builds its probes' phi
-tables so.
+through M/2, M/4, ... on its way back from 2^-s M, the dyadic scales 1, 1/2,
+1/4, ... share one chain.  The other scales are multiples of one Y = hM/L,
+and a walk of doublings and additions by phi's addition formula reaches them
+from the chain on Y: expRK5s8's 1/5 and 2/3 are 3Y and 10Y with L = 15, so
+its five scales cost two chains and five walk steps.  phi_matrix and
+matrix_exp run one scale alone.  Chains and walks also run on a stack of
+matrices at once, each matrix getting what it would get alone; the
+order-condition checker builds its probes' phi tables so.
 """
 
 import cmath
@@ -163,14 +165,13 @@ def _squaring_chain(m, wants):
     top = np.zeros_like(x)
     _diagonal(top)[...] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
     for k in range(PHI_SQUARING_TERMS - 2, -1, -1):
-        top = x @ top
+        top = np.matmul(x, top)
         _diagonal(top)[...] += 1.0 / factorial(k + jmax)
     phis = np.empty((len(x), jmax + 1, n, n))
     phis[:, jmax] = top
     for k in range(jmax - 1, -1, -1):
         np.matmul(x, phis[:, k + 1], out=phis[:, k])
         _diagonal(phis)[:, k] += 1.0 / factorial(k)
-    halve, mix = _squaring_weights(jmax)
     # a matrix joins the squarings at its own level s, reading its Taylor
     # phis from whichever stack is current then: both hold them
     doubled, mixed = phis.copy(), np.empty((len(x), jmax + 1, n * n))
@@ -178,11 +179,7 @@ def _squaring_chain(m, wants):
     for k in range(s[0], -1, -1):
         live = sum(sk > k for sk in s)
         if live:
-            src, dst = phis[:live], doubled[:live]
-            np.matmul(src[:, :1], src, out=dst)
-            dst *= halve
-            np.matmul(mix, src.reshape(live, jmax + 1, n * n), out=mixed[:live])
-            dst += mixed[:live].reshape(src.shape)
+            _combine(phis[:live], phis[:live], 1, 1, doubled[:live], mixed[:live])
             phis, doubled = doubled, phis
         got.update({(j, k): phis[unsort, j].reshape(shape) for j, kj in wants if kj == k})
     return got
@@ -194,16 +191,36 @@ def _diagonal(stack):
     return stack.reshape(stack.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
+def _combine(p_phis, q_phis, p, q, out, mixed):
+    """phi_0..phi_jmax at (p + q) Y into out, from the (live, jmax+1, n, n)
+    stacks of phi_0..phi_jmax at p Y and q Y, by phi's addition formula
+
+        (p+q)^j phi_j((p+q) Y) = q^j e^(pY) phi_j(qY)
+                                 + sum_{k=1..j} p^k q^(j-k)/(j-k)! phi_k(pY),
+
+    at jmax + 1 n x n products per matrix; mixed is a (live, jmax+1, n*n)
+    scratch.  p = q is the modified squaring phi_j(2X) from phi_j(X).
+    """
+    live, width, n = out.shape[:3]
+    qpow, mix = _addition_weights(p, q, width - 1)
+    np.matmul(p_phis[:, :1], q_phis, out=out)
+    out *= qpow
+    np.matmul(mix, p_phis.reshape(live, width, n * n), out=mixed)
+    out += mixed.reshape(out.shape)
+
+
 @lru_cache(maxsize=None)
-def _squaring_weights(jmax):
-    """2^-k as a (jmax+1, 1, 1) array, and the matrix of 2^-k/(k-i)! for
-    1 <= i <= k (zero elsewhere): the two parts of one modified squaring."""
-    ks = range(jmax + 1)
-    halve = np.array([0.5 ** k for k in ks])[:, None, None]
-    mix = np.array([[0.5 ** k / factorial(k - i) if 1 <= i <= k else 0.0
-                     for i in ks] for k in ks])
-    halve.flags.writeable = mix.flags.writeable = False
-    return halve, mix
+def _addition_weights(p, q, jmax):
+    """(q/(p+q))^j as a (jmax+1, 1, 1) array, and the matrix of
+    p^k q^(j-k) / ((p+q)^j (j-k)!) for 1 <= k <= j (zero elsewhere): the two
+    parts of _combine, each an exact Fraction rounded once.  At p = q they
+    are 2^-j and 2^-j/(j-k)!, the modified squaring's."""
+    js = range(jmax + 1)
+    qpow = np.array([float(Fraction(q, p + q) ** j) for j in js])[:, None, None]
+    mix = np.array([[float(Fraction(p ** k * q ** (j - k), (p + q) ** j * factorial(j - k)))
+                     if 1 <= k <= j else 0.0 for k in js] for j in js])
+    qpow.flags.writeable = mix.flags.writeable = False
+    return qpow, mix
 
 
 def matrix_exp(m):
@@ -315,38 +332,89 @@ class PhiCache:
         return set(self._table)
 
 
-def _odd_part(scale):
-    """scale / 2^e with odd numerator and denominator: two scales share it
-    exactly when they differ by a power of two."""
-    p, q = scale.numerator, scale.denominator
-    return Fraction(p // (p & -p), q // (q & -q))
-
-
 def phi_matrix_table(m, h, keys):
     """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
 
     M is a square matrix or a (..., n, n) stack of them, and each entry has
-    M's shape.  One squaring chain runs per scale family, the scales that
-    differ by a power of two: it runs on top * h * M, top the family's
-    largest scale, to the largest j requested anywhere in the family (which
-    yields every lower j too), and the member top / 2^k is read out k
-    squarings before its end.  expRK5s8's scales 1, 1/2, 1/4, 1/5 and 2/3
-    make three chains.  An entry that overflows raises OverflowError naming
-    j, the scale and h.
+    M's shape.  The dyadic scales 2^-k share one squaring chain: it runs on
+    top * h * M, top the largest of them, to the largest j they request, and
+    the scale top / 2^k is read out k squarings before its end.  Every other
+    scale is a multiple t of Y = h M / L, L the least common denominator of
+    those scales, and _walk reaches each tY.  The walk runs first, so that
+    its stacks are gone before the dyadic chain allocates its own.  An entry
+    that overflows raises OverflowError naming j, the scale and h.
     """
-    families = {}
+    dyadic, other = [], []
     for j, scale in keys:
-        families.setdefault(_odd_part(scale), []).append((j, scale))
+        power_of_two = scale.numerator == 1 and scale.denominator.bit_count() == 1
+        (dyadic if power_of_two else other).append((j, scale))
     table = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in families.values():
-            top = max(scale for _, scale in members)
+        if other:
+            lcd = math.lcm(*(scale.denominator for _, scale in other))
+            wants = {}
+            for j, scale in other:
+                wants.setdefault(int(scale * lcd), []).append(j)
+            got = _walk(h / lcd * m, wants)
+            table.update({(j, scale): got[j, int(scale * lcd)] for j, scale in other})
+        if dyadic:
+            top = max(scale for _, scale in dyadic)
             # (j, scale) is phi_j at depth k = log2(top / scale) of the chain
             at = {(j, scale): (j, (top / scale).numerator.bit_length() - 1)
-                  for j, scale in members}
+                  for j, scale in dyadic}
             got = _squaring_chain(float(top) * h * m, set(at.values()))
             table.update({key: got[jk] for key, jk in at.items()})
     return _finite(table, h)
+
+
+def _walk(y, wants):
+    """{(j, t): phi_j(tY)} for each t -> [j, ...] in wants, Y a square matrix
+    or a (..., n, n) stack of them, each entry of Y's shape.
+
+    One squaring chain gives phi_0..phi_jmax(Y), jmax the largest j wanted.
+    tY is reached from there along t's binary digits read left to right: a 0
+    doubles the multiple, a 1 doubles it and adds Y, each step one _combine.
+    The multiples passed form a trie rooted at 1 (the parent of t is t/2 or
+    t - 1), so targets share their common prefixes.  Siblings are taken
+    smaller subtree first, and a multiple's stack returns to a pool as soon
+    as its last child is taken from it, so a few stacks serve the whole walk.
+    """
+    jmax = max(max(js) for js in wants.values())
+    got = _squaring_chain(y, {(j, 0) for j in range(jmax + 1)})
+    shape = got[0, 0].shape
+    base = np.stack([got.pop((j, 0)) for j in range(jmax + 1)], axis=-3)
+    base = base.reshape((-1,) + base.shape[-3:])
+    parent = {}
+    for t in wants:
+        while t > 1 and t not in parent:
+            parent[t] = t - 1 if t % 2 else t // 2
+            t = parent[t]
+    size = dict.fromkeys(parent, 0)
+    for t in parent:
+        while t in size:
+            size[t], t = size[t] + 1, parent[t]
+    kids = {}
+    for t in sorted(parent, key=size.get):
+        kids.setdefault(parent[t], []).append(t)
+    stacks, pool = {1: base}, []
+    mixed = np.empty(base.shape[:2] + (base.shape[-1] ** 2,))
+    got = {(j, 1): base[:, j].reshape(shape).copy() for j in wants.get(1, ())}
+    todo = kids.get(1, [])[::-1]
+    while todo:
+        t = todo.pop()
+        v = parent[t]
+        out = pool.pop() if pool else np.empty_like(base)
+        _combine(stacks[v], stacks[v] if t == 2 * v else base, v, v if t == 2 * v else 1,
+                 out, mixed)
+        stacks[t] = out
+        if t == kids[v][-1] and v > 1:
+            pool.append(stacks.pop(v))
+        got.update({(j, t): out[:, j].reshape(shape).copy() for j in wants.get(t, ())})
+        if t in kids:
+            todo += kids[t][::-1]
+        else:
+            pool.append(stacks.pop(t))
+    return got
 
 
 def _finite(table, h):
@@ -365,8 +433,8 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A gets n x n matrices from phi_matrix_table, one
-    squaring chain per scale family.  Either way PhiCache.get returns an
+    SineBasis).  Dense A gets n x n matrices from phi_matrix_table: a
+    squaring chain for the dyadic scales, a walk for the others.  Either way PhiCache.get returns an
     entry as stored, in the form the integrator's Stepper applies it.
     Duplicate requests collapse; each entry is computed once.  An entry that
     overflows raises OverflowError naming j, the scale and h.

@@ -39,10 +39,11 @@ __all__ = [
 
 
 def _rat(x):
-    """Exact rational from int/Fraction/str; floats go through their repr."""
+    """Exact rational from int/Fraction/str; floats go through their repr.
+    A bool is not a number here (True would read as 1)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, numbers.Integral):
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -163,6 +164,9 @@ class ExpRKTableau:
     b: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a string would be read character by character: "01" as (0, 1)
+        if not isinstance(self.c, (list, tuple)):
+            raise TypeError(f"nodes must be a list or tuple, got {self.c!r}")
         c = tuple(_rat(x) for x in self.c)
         if not c or c[0] != 0:
             raise ValueError("need c_1 = 0")

@@ -224,6 +224,23 @@ def test_cli_check_order_rejects_a_fractional_phi_index(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("doc, cause", [
+    ('{"name": "bad", "nodes": "01"}', "nodes must be a list or tuple, got '01'"),
+    ('{"name": "bad", "nodes": ["0", "1"], "b": {"2": [[true, 2, "1"]]}}',
+     "cannot interpret True as an exact rational"),
+])
+def test_cli_check_order_rejects_non_numbers_in_a_tableau_file(tmp_path, capsys, doc, cause):
+    """A string of nodes and a JSON true are usage errors naming the cause,
+    not the nodes (0, 1) or the coefficient 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code = main(["check-order", "--method", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"malformed tableau text: {cause}" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI: phi and step-demo
 

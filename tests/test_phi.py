@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -281,7 +282,8 @@ def test_phi_matrices_match_augmented_exponential(norm):
 def test_stacked_squaring_chain_matches_each_matrix_alone():
     """A stack whose members scale by different s (a zero matrix and
     ||M||_1 = 0.3, 3 and 1e3, out of s order) holds per member exactly what
-    the chain on that member alone computes."""
+    the chain, and the walk from Y to its multiples, on that member alone
+    compute."""
     rng = np.random.default_rng(5)
     members = [np.zeros((3, 3))]
     for norm in (3.0, 1e3, 0.3):
@@ -293,10 +295,18 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
     got = exprk.phi._squaring_chain(stack, wants)
     for key in wants:
         assert got[key].shape == stack.shape
+    # the walk from Y to 3Y and 10Y (and Y itself) on the stack
+    targets = {1: [3], 3: [1, 4], 10: [0, 2]}
+    walked = exprk.phi._walk(stack, targets)
     for k, m in enumerate(members):
         alone = exprk.phi._squaring_chain(m, wants)
         for key in wants:
             assert np.array_equal(got[key][k], alone[key]), (k, key)
+        alone = exprk.phi._walk(m, targets)
+        assert alone.keys() == walked.keys()
+        for key in alone:
+            assert walked[key].shape == stack.shape
+            assert np.array_equal(walked[key][k], alone[key]), (k, key)
 
 
 def _advdiff_matrix(n, beta):
@@ -308,8 +318,9 @@ def _advdiff_matrix(n, beta):
             + np.diag(np.full(n - 1, 1.0 / dx ** 2 - beta / (2.0 * dx)), -1))
 
 
-def _mp_augmented_phi(mpmath, j, m):
-    """phi_j(M) from a 40-digit mpmath exponential of the augmented matrix."""
+def _mp_augmented_phis(mpmath, j, m):
+    """[phi_0(M), ..., phi_j(M)] from one 40-digit mpmath exponential of the
+    augmented matrix, M rounded to floats first."""
     n = m.shape[0]
     with mpmath.workdps(40):
         w = mpmath.zeros(n * (j + 1))
@@ -319,7 +330,8 @@ def _mp_augmented_phi(mpmath, j, m):
         for k in range(j * n):
             w[k, k + n] = 1
         e = mpmath.expm(w)
-        return np.array([[float(e[r, j * n + c]) for c in range(n)] for r in range(n)])
+        return [np.array([[float(e[r, k * n + c]) for c in range(n)] for r in range(n)])
+                for k in range(j + 1)]
 
 
 def _mp_cases():
@@ -345,8 +357,25 @@ def test_phi_matrices_match_mpmath(case, j):
     scipy's augmented expm gives 6.5e-14 and 2.1e-14."""
     mpmath = pytest.importorskip("mpmath")
     m, bound = _mp_cases()[case]
-    want = _mp_augmented_phi(mpmath, j, m)
+    want = _mp_augmented_phis(mpmath, j, m)[j]
     assert np.abs(_phi_matrices(j, m)[j] - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
+def test_exprk5s8_table_matches_mpmath(case):
+    """The entries of expRK5s8's table that the walk gives, at scales 1/5
+    and 2/3, within the case's bound (the chain's scales 1, 1/2 and 1/4 are
+    the chain alone's, which the test above measures at scale 1).  Measured
+    at most 9.5e-16 on the first three and 1.3e-14 on stiff4, where a chain
+    per scale family gave 1.3e-15 and 5.4e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    m, bound = _mp_cases()[case]
+    table = phi_matrix_table(m, 1.0, EXPRK5S8_REQUESTS)
+    for scale in (Fraction(1, 5), Fraction(2, 3)):
+        wants = _mp_augmented_phis(mpmath, 4, float(scale) * m)
+        for j in {j for j, s in EXPRK5S8_REQUESTS if s == scale}:
+            want = wants[j]
+            assert np.abs(table[j, scale] - want).max() <= bound * np.abs(want).max(), (j, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -458,33 +487,88 @@ def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
         assert np.abs(cache.get(j, s) - want).max() <= 1e-12 * np.abs(want).max(), (j, s)
 
 
-def _count_chains(monkeypatch):
-    """Record the wanted (j, depth) pairs of every squaring chain run."""
-    chains = []
-    kernel = exprk.phi._squaring_chain
-    monkeypatch.setattr(exprk.phi, "_squaring_chain",
-                        lambda m, wants: chains.append(wants) or kernel(m, wants))
-    return chains
+def _count_work(monkeypatch):
+    """Record every squaring chain run (its matrix and wanted (j, depth)
+    pairs), the multiple p + q that every walk step reaches, and the number
+    of square matrix products (the mixing product's operand is not square)."""
+    work = {"chains": [], "steps": [], "products": 0, "in_chain": False}
+    chain, combine, matmul = exprk.phi._squaring_chain, exprk.phi._combine, np.matmul
+
+    def counted_chain(m, wants):
+        work["chains"].append((m, wants))
+        work["in_chain"] = True
+        try:
+            return chain(m, wants)
+        finally:
+            work["in_chain"] = False
+
+    def counted_combine(p_phis, q_phis, p, q, out, mixed):
+        if not work["in_chain"]:
+            work["steps"].append(p + q)
+        return combine(p_phis, q_phis, p, q, out, mixed)
+
+    def counted_matmul(a, b, **kwargs):
+        n = np.shape(a)[-1]
+        if np.shape(a)[-2:] == np.shape(b)[-2:] == (n, n):
+            work["products"] += math.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(exprk.phi, "_squaring_chain", counted_chain)
+    monkeypatch.setattr(exprk.phi, "_combine", counted_combine)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    return work
 
 
-def test_dense_cache_makes_one_squaring_chain_per_scale_family(monkeypatch):
-    chains, expms = _count_chains(monkeypatch), []
+def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
+    """expRK5s8 on advdiff200 at h = 1/64: one chain on hA for the dyadic
+    scales 1, 1/2 and 1/4 (81 products, s = 12), one on Y = hA/15 (61, s =
+    8), and 1/5 = 3Y and 2/3 = 10Y by a walk through 2Y, 3Y, 4Y, 5Y and 10Y
+    (25): 167 n x n products, where a chain per scale family took 223."""
+    expms = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
-    a = DenseOperator(_advdiff_matrix(20, beta=20.0))
-    cache = build_phi_cache(a, 1.0 / 64, EXPRK5S8_REQUESTS)
+    work = _count_work(monkeypatch)
+    a, h = _advdiff_matrix(200, beta=20.0), 1.0 / 64
+    cache = build_phi_cache(DenseOperator(a), h, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
-    # scales 1, 1/2 and 1/4 differ by powers of two and share the chain on
-    # hA, read out after s, s - 1 and s - 2 squarings; 1/5 and 2/3 get one
-    # chain each; every chain runs to phi_4
-    assert len(chains) == 3
-    assert sorted(max(j for j, _ in w) for w in chains) == [4, 4, 4]
-    assert sorted(sorted({k for _, k in w}) for w in chains) == [[0], [0], [0, 1, 2]]
-    assert sum(len(w) for w in chains) == 17
+    (y, base), (ha, dyadic) = work["chains"]
+    assert np.array_equal(y, h / 15 * a) and base == {(j, 0) for j in range(5)}
+    assert np.array_equal(ha, h * a)
+    assert max(j for j, _ in dyadic) == 4 and sorted({k for _, k in dyadic}) == [0, 1, 2]
+    assert sorted(work["steps"]) == [2, 3, 4, 5, 10]
+    assert work["products"] == 167
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
         with pytest.raises(ValueError):
             cache.get(*key)[0] = 1.0
+
+
+def test_dyadic_scales_are_the_chain_on_their_top_scale_alone():
+    m, h = _advdiff_matrix(50, beta=20.0), 1.0 / 64
+    for keys, top, wants in [
+            ([(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)], 1.0,
+             {(1, 0): (1, 1), (2, 1): (2, Fraction(1, 2)), (3, 2): (3, Fraction(1, 4)),
+              (0, 0): (0, 1)}),
+            ([(4, Fraction(1, 2)), (1, Fraction(1, 8))], 0.5,
+             {(4, 0): (4, Fraction(1, 2)), (1, 2): (1, Fraction(1, 8))})]:
+        table = phi_matrix_table(m, h, [phi_request(*key) for key in keys])
+        alone = exprk.phi._squaring_chain(top * h * m, set(wants))
+        assert len(table) == len(wants)
+        for jk, key in wants.items():
+            assert np.array_equal(table[key], alone[jk]), key
+
+
+def test_phi_matrix_table_peak_memory():
+    """The walk runs before the dyadic chain and draws on a pool of stacks,
+    so the table's tracemalloc peak stays about 35 n^2 floats."""
+    a = _advdiff_matrix(200, beta=20.0)
+    tracemalloc.start()
+    try:
+        phi_matrix_table(a, 1.0 / 64, EXPRK5S8_REQUESTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * a.size * 8
 
 
 def _probe_sized_z():
@@ -492,20 +576,23 @@ def _probe_sized_z():
     return 0.8 * z / np.abs(z).sum(axis=0).max()
 
 
-@pytest.mark.parametrize("m, h, requests, n_chains", [
-    # ||Z||_1 = 0.8 needs no squaring, but the family {1, 1/2, 1/4} does
-    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 3, id="probe-sized-z"),
+@pytest.mark.parametrize("m, h, requests, n_chains, steps", [
+    # ||Z||_1 = 0.8 needs no squaring, but the dyadic chain does
+    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 2, [2, 3, 4, 5, 10],
+                 id="probe-sized-z"),
+    # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
     pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
-                 [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1,
+                 [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
                  id="non-dyadic-family"),
     pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
-                 sorted(required_requests(get_tableau("expRK2s2"))), 1, id="expRK2s2"),
+                 sorted(required_requests(get_tableau("expRK2s2"))), 1, [], id="expRK2s2"),
 ])
 def test_family_chain_entries_match_augmented_exponential(monkeypatch, m, h, requests,
-                                                          n_chains):
-    chains = _count_chains(monkeypatch)
+                                                          n_chains, steps):
+    work = _count_work(monkeypatch)
     cache = build_phi_cache(DenseOperator(m), h, requests)
-    assert len(chains) == n_chains
+    assert len(work["chains"]) == n_chains
+    assert sorted(work["steps"]) == steps
     for j, s in requests:
         want = augmented_phi(j, float(s) * h * m)
         assert np.abs(cache.get(j, s) - want).max() <= 1e-12 * np.abs(want).max(), (j, s)

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -352,6 +353,23 @@ def test_text_round_trip_is_byte_stable(tab5):
 ])
 def test_malformed_text_raises(text):
     with pytest.raises(TableauFormatError):
+        tableau_from_text(text)
+
+
+@pytest.mark.parametrize("text, cause", [
+    # a string of nodes is not read character by character as (0, 1)
+    ('{"name": "x", "nodes": "01"}', "nodes must be a list or tuple, got '01'"),
+    # JSON true/false are not 1/0 in nodes, coefficients or scales
+    ('{"name": "x", "nodes": [false, true]}', "cannot interpret False as an exact rational"),
+    ('{"name": "x", "nodes": [false, true], "b": {"2": [[true, 2, true]]}}',
+     "cannot interpret True as an exact rational"),
+    ('{"name": "x", "nodes": [0, 1], "b": {"2": [[true, 2, 1]]}}',
+     "cannot interpret True as an exact rational"),
+    ('{"name": "x", "nodes": [0, 1], "b": {"2": [[1, 2, true]]}}',
+     "cannot interpret True as an exact rational"),
+])
+def test_text_rejects_non_numbers_read_as_numbers(text, cause):
+    with pytest.raises(TableauFormatError, match=re.escape(cause)):
         tableau_from_text(text)
 
 
