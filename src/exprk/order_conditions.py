@@ -163,8 +163,9 @@ def _defects(t):
     each word with them, and at_zero, {j: psi_j at Z = 0} over the weight
     defects that weakened mode takes at Z = 0 (see _residual).
     """
-    parts = {(w.psi, i): psi_parts(w.psi, t, i) for w in WORDS.values()
-             for i in (range(2, t.s + 1) if w.links else (None,))}
+    keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
+                         for i in (range(2, t.s + 1) if w.links else (None,)))
+    parts = {(j, i): psi_parts(j, t, i) for j, i in keys}
     at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
                if w.order == TOP_ORDER and not w.links}
     return parts, at_zero
@@ -241,33 +242,38 @@ def _residual(word, tab, mode):
     return float(np.abs(value).max())
 
 
-def _probe_residuals(t, probes):
-    """{(cid, mode): [residual at each probe]}, in probe order.
-
-    The probes are grouped by dimension, with one phi table per group; below
-    TOP_ORDER the modes are one condition, evaluated once per probe.
-    """
-    residuals = {(cid, mode): [None] * len(probes) for cid in WORDS for mode in MODES}
+def _probe_tables(t, probes):
+    """(n, _ProbeTables of probes[n]) for each probe: the probes are grouped
+    by dimension, with one phi table per group."""
     parts, at_zero = _defects(t)
     for d in dict.fromkeys(probe.d for probe in probes):
         ns = [n for n, probe in enumerate(probes) if probe.d == d]
         group = [probes[n] for n in ns]
         for n, probe, phi in zip(ns, group, _phi_tables(t, group, parts)):
-            tab = _ProbeTables(t, probe, phi, parts, at_zero)
-            for cid, word in WORDS.items():
-                strong = _residual(word, tab, "strong")
-                weak = _residual(word, tab, "weakened") if word.order == TOP_ORDER else strong
-                residuals[cid, "strong"][n], residuals[cid, "weakened"][n] = strong, weak
+            yield n, _ProbeTables(t, probe, phi, parts, at_zero)
+
+
+def _probe_residuals(t, probes):
+    """{(cid, mode): [residual at each probe]}, in probe order; below
+    TOP_ORDER the modes are one condition, evaluated once per probe."""
+    residuals = {(cid, mode): [None] * len(probes) for cid in WORDS for mode in MODES}
+    for n, tab in _probe_tables(t, probes):
+        for cid, word in WORDS.items():
+            strong = _residual(word, tab, "strong")
+            weak = _residual(word, tab, "weakened") if word.order == TOP_ORDER else strong
+            residuals[cid, "strong"][n], residuals[cid, "weakened"][n] = strong, weak
     return residuals
 
 
 def condition_residual(cid, t, p, mode="strong"):
-    """Max-abs residual of one condition at one probe set."""
+    """Max-abs residual of one condition at one probe set: that probe's
+    tables as check() builds them, and the one word evaluated on them."""
     if cid not in WORDS:
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    return _probe_residuals(t, [p])[cid, mode][0]
+    [(_, tab)] = _probe_tables(t, [p])
+    return _residual(WORDS[cid], tab, mode)
 
 
 @dataclass(frozen=True)

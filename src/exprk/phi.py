@@ -18,10 +18,17 @@ through M/2, M/4, ... on its way back from 2^-s M, the dyadic scales 1, 1/2,
 1/4, ... share one chain.  The other scales are multiples of one Y = hM/L,
 and a walk of doublings and additions by phi's addition formula reaches them
 from the chain on Y: expRK5s8's 1/5 and 2/3 are 3Y and 10Y with L = 15, so
-its five scales cost two chains and five walk steps.  phi_matrix and
-matrix_exp run one scale alone.  Chains and walks also run on a stack of
-matrices at once, each matrix getting what it would get alone; the
-order-condition checker builds its probes' phi tables so.
+its five scales cost two chains and five walk steps.  Every squaring and
+walk step zeroes, in place, each entry below 2^-200 of its matrix's largest:
+for the smoothing A of a parabolic problem the far off-diagonal entries fall
+to 1e-150..1e-300 midway through a chain, and their products would run in
+slow subnormal arithmetic, while zeroing them moves no later product by more
+than 2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is
+flushed only when its phi_0 holds a nonzero entry below 2^-511, whose square
+is subnormal (PHI_FLUSH_TRIGGER).  phi_matrix and matrix_exp run one
+scale alone.  Chains and walks also run on a stack of matrices at once, each
+matrix getting what it would get alone; the order-condition checker builds
+its probes' phi tables so.
 """
 
 import cmath
@@ -44,6 +51,15 @@ PHI_TAYLOR_TERMS = 25
 # many Taylor terms there, truncating at ||X||^18/(18+j)! <= 1/18! < 1.6e-16.
 PHI_SQUARING_THETA = 1.0
 PHI_SQUARING_TERMS = 18
+# _combine zeroes each entry below this fraction of the largest entry of its
+# own matrix.  That changes a matrix P by at most n 2^-200 ||P||_1 in the
+# 1-norm, so a later product P Q by at most n 2^-200 ||P||_1 ||Q||_1: 2^-147
+# of the bound n u ||P||_1 ||Q||_1 on that product's own rounding, u = 2^-53.
+PHI_FLUSH_RATIO = 2.0 ** -200
+# ... but only in a matrix whose phi_0 holds a nonzero entry below this: the
+# square root of the smallest normal float 2^-1022, so that two entries above
+# it multiply to a normal number.
+PHI_FLUSH_TRIGGER = 2.0 ** -511
 # Above this real part exp(z) overflows, and the recurrence with it.
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
@@ -143,7 +159,9 @@ def _squaring_chain(m, wants):
     are n x n: PHI_SQUARING_TERMS - 1 + jmax + s (jmax + 1) of them.  The
     squarings alternate between two preallocated stacks (with a third for
     the mixing term), so a chain allocates nothing per squaring beyond the
-    entries it copies out.
+    entries it copies out.  Each squaring is a _combine, which zeroes the
+    entries below 2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that
+    the next squaring's products stay out of subnormal arithmetic.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -200,6 +218,21 @@ def _combine(p_phis, q_phis, p, q, out, mixed):
 
     at jmax + 1 n x n products per matrix; mixed is a (live, jmax+1, n*n)
     scratch.  p = q is the modified squaring phi_j(2X) from phi_j(X).
+
+    Each matrix of out then has its entries below PHI_FLUSH_RATIO (2^-200)
+    times its own largest entry set to zero, in place, with mixed holding
+    the absolute values.  For a smoothing M the entries far from the
+    diagonal fall to 1e-300 midway through a chain, and products of such
+    entries are subnormal, which the CPU computes in slow microcode; zeroed,
+    they cost nothing, and they move no product by more than 2^-147 of the
+    bound on its own rounding.  The floor is per matrix, so a matrix whose
+    entries are all tiny keeps them.  A matrix is flushed only when its
+    phi_0 holds a nonzero entry below PHI_FLUSH_TRIGGER (2^-511), whose
+    square is subnormal.  phi_0 alone is tested, to keep the test to a few
+    passes; on advdiff200 it falls below 2^-511 in the same squarings and
+    walk steps as the smallest entry of any phi_j.  A stack with no such
+    entry, as for a small or a non-smoothing M or the checker's 3 x 3
+    probes, pays those passes and is left as it is.
     """
     live, width, n = out.shape[:3]
     qpow, mix = _addition_weights(p, q, width - 1)
@@ -207,6 +240,14 @@ def _combine(p_phis, q_phis, p, q, out, mixed):
     out *= qpow
     np.matmul(mix, p_phis.reshape(live, width, n * n), out=mixed)
     out += mixed.reshape(out.shape)
+    mag = mixed.reshape(out.shape)
+    mag0 = np.abs(out[:, 0], out=mag[:, 0])
+    if mag0[mag0 < PHI_FLUSH_TRIGGER].any():
+        fire = ((mag0 > 0) & (mag0 < PHI_FLUSH_TRIGGER)).any(axis=(-2, -1))
+        np.abs(out[:, 1:], out=mag[:, 1:])
+        floor = mag.max(axis=(-2, -1), keepdims=True)
+        floor *= PHI_FLUSH_RATIO * fire[:, None, None, None]
+        np.copyto(out, 0.0, where=mag < floor)
 
 
 @lru_cache(maxsize=None)
@@ -263,12 +304,28 @@ def phi_index(j):
     return int(j)
 
 
+def exact_rational(x):
+    """x as an exact Fraction: an int or a str as its value, a float
+    through its repr (0.2 is 1/5, not the binary value of the float 0.2).
+    A bool is not a number here (True would read as 1)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return Fraction(int(x))
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(repr(float(x)))
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
 def phi_request(j, scale):
-    """Normalize (j, scale) to a PhiRequest with an exact rational scale."""
+    """Normalize (j, scale) to a PhiRequest with an exact rational scale,
+    read by exact_rational."""
     j = phi_index(j)
     if j < 0:
         raise ValueError("phi index must be >= 0")
-    scale = Fraction(scale)
+    scale = exact_rational(scale)
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
     return PhiRequest(j, scale)

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .phi import phi_matrix, phi_request, phi_scalar
+from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
 
 __all__ = [
     "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
@@ -36,20 +36,6 @@ __all__ = [
     "classical_limit", "tableau_to_text",
     "tableau_from_text", "TableauFormatError",
 ]
-
-
-def _rat(x):
-    """Exact rational from int/Fraction/str; floats go through their repr.
-    A bool is not a number here (True would read as 1)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -67,10 +53,10 @@ class PhiCombo:
     def __post_init__(self):
         merged = {}
         for alpha, j, scale in self.terms:
-            j, scale = phi_request(j, _rat(scale))
+            j, scale = phi_request(j, scale)
             if j < 1:
                 raise ValueError("phi index in a combo must be >= 1")
-            merged[j, scale] = merged.get((j, scale), Fraction(0)) + _rat(alpha)
+            merged[j, scale] = merged.get((j, scale), Fraction(0)) + exact_rational(alpha)
         canon = tuple((a, j, s) for (j, s), a in sorted(merged.items()) if a != 0)
         object.__setattr__(self, "terms", canon)
 
@@ -167,7 +153,7 @@ class ExpRKTableau:
         # a string would be read character by character: "01" as (0, 1)
         if not isinstance(self.c, (list, tuple)):
             raise TypeError(f"nodes must be a list or tuple, got {self.c!r}")
-        c = tuple(_rat(x) for x in self.c)
+        c = tuple(exact_rational(x) for x in self.c)
         if not c or c[0] != 0:
             raise ValueError("need c_1 = 0")
         if any(not 0 <= ci <= 1 for ci in c):
@@ -267,7 +253,7 @@ def three_node_weights(ca, cb, cc):
 
     hold identically (a 3x3 Vandermonde solve in exact arithmetic).
     """
-    ca, cb, cc = _rat(ca), _rat(cb), _rat(cc)
+    ca, cb, cc = exact_rational(ca), exact_rational(cb), exact_rational(cc)
     if len({ca, cb, cc}) != 3 or 0 in (ca, cb, cc):
         raise ValueError("nodes must be distinct and nonzero")
     p2, p3, p4 = phi_term(1, 2), phi_term(1, 3), phi_term(1, 4)

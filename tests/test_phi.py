@@ -283,13 +283,19 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
     """A stack whose members scale by different s (a zero matrix and
     ||M||_1 = 0.3, 3 and 1e3, out of s order) holds per member exactly what
     the chain, and the walk from Y to its multiples, on that member alone
-    compute."""
+    compute.  Of three diagonal members, the first loses e^-400 from
+    phi_0(M/2), below 2^-511 and below 2^-200 of its e^-0.5, and keeps
+    phi_1(-800); the second keeps e^-400..e^-401, all that its phi_0(M/2)
+    holds, as the flush floor is each matrix's own; the third keeps e^-150,
+    below its floor but above 2^-511, as the flush is each matrix's own."""
     rng = np.random.default_rng(5)
     members = [np.zeros((3, 3))]
     for norm in (3.0, 1e3, 0.3):
         # eigenvalues in the left half-plane, so phi stays bounded at 1e3
         m = -(np.eye(3) + 0.4 * rng.uniform(-1.0, 1.0, (3, 3)))
         members.append(norm * m / np.abs(m).sum(axis=0).max())
+    members += [np.diag([-1.0, -800.0, -2.0]), np.diag([-800.0, -801.0, -802.0]),
+                np.diag([-1.0, -300.0, -2.0])]
     stack = np.stack(members)
     wants = {(4, 0), (1, 0), (3, 1), (0, 1)}
     got = exprk.phi._squaring_chain(stack, wants)
@@ -298,6 +304,8 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
     # the walk from Y to 3Y and 10Y (and Y itself) on the stack
     targets = {1: [3], 3: [1, 4], 10: [0, 2]}
     walked = exprk.phi._walk(stack, targets)
+    assert got[0, 1][4][1, 1] == 0.0 and 0 < got[1, 0][4][1, 1] < 1.0
+    assert np.all(np.diag(got[0, 1][5]) > 0) and got[0, 1][6][1, 1] > 0
     for k, m in enumerate(members):
         alone = exprk.phi._squaring_chain(m, wants)
         for key in wants:
@@ -395,6 +403,26 @@ def test_phi_request_normalizes_to_exact_rationals():
     for j in (1.7, 1.0, True):
         with pytest.raises(TypeError, match="phi index must be an integer"):
             phi_request(j, 1)
+
+
+def test_phi_request_reads_a_float_scale_through_its_repr():
+    """0.2 is the scale 1/5, as a tableau reads it, not the binary value of
+    the float 0.2."""
+    assert phi_request(1, 0.2).scale == Fraction(1, 5)
+    assert phi_request(1, np.float64(0.2)).scale == Fraction(1, 5)
+
+
+def test_phi_request_rejects_a_bool_scale():
+    with pytest.raises(TypeError, match="cannot interpret True as an exact rational"):
+        phi_request(1, True)
+
+
+def test_cache_built_with_a_float_scale_is_hit_by_its_fraction():
+    for op in (DiagonalOperator(np.array([-1.0, -2.0])), DenseOperator(np.diag([-1.0, -2.0]))):
+        cache = build_phi_cache(op, 0.5, [(1, 0.2)])
+        assert cache.keys() == {PhiRequest(1, Fraction(1, 5))}
+        assert np.allclose(np.diag(dense_phi(cache, 1, Fraction(1, 5))),
+                           [phi_scalar(1, -0.1), phi_scalar(1, -0.2)], rtol=1e-14, atol=0)
 
 
 REQS = [(1, Fraction(1, 2)), (1, Fraction(1)), (2, Fraction(1)),
@@ -569,6 +597,82 @@ def test_phi_matrix_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 36 * a.size * 8
+
+
+def _combine_outputs(monkeypatch):
+    """Copies of every stack that _combine writes, in call order."""
+    outs, combine = [], exprk.phi._combine
+
+    def recorded(p_phis, q_phis, p, q, out, mixed):
+        combine(p_phis, q_phis, p, q, out, mixed)
+        outs.append(out.copy())
+
+    monkeypatch.setattr(exprk.phi, "_combine", recorded)
+    return outs
+
+
+def _below_flush_floor(stack):
+    """How many entries of a (live, jmax+1, n, n) stack are nonzero and below
+    2^-200 times the largest entry of their own matrix, in the members whose
+    phi_0 holds a nonzero entry below 2^-511."""
+    mag = np.abs(stack)
+    fire = ((mag[:, 0] > 0) & (mag[:, 0] < 2.0 ** -511)).any(axis=(-2, -1))
+    floor = mag.max(axis=(-2, -1), keepdims=True) * 2.0 ** -200
+    return int(np.count_nonzero(((mag > 0) & (mag < floor))[fire]))
+
+
+def _subnormal(stack):
+    """How many entries of a stack are subnormal."""
+    mag = np.abs(stack)
+    return int(np.count_nonzero((mag > 0) & (mag < np.finfo(float).tiny)))
+
+
+def test_flush_keeps_the_chains_out_of_subnormals_and_moves_no_bit(monkeypatch):
+    """On advdiff200 at h = 1/64 the chains' stacks fall to subnormal
+    entries without the flush.  With it, no stack _combine writes holds a
+    subnormal entry, nor, where phi_0 triggers the flush, an entry in
+    (0, 2^-200 of its matrix's largest), and the 17 entries of expRK5s8's
+    table are bit for bit those built with the flush off (the ratio 0)."""
+    assert exprk.phi.PHI_FLUSH_RATIO == 2.0 ** -200
+    assert exprk.phi.PHI_FLUSH_TRIGGER == 2.0 ** -511
+    a, h = _advdiff_matrix(200, beta=20.0), 1.0 / 64
+    outs = _combine_outputs(monkeypatch)
+    flushed = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
+    assert len(outs) == 25
+    assert [_subnormal(out) for out in outs] == [0] * 25
+    assert [_below_flush_floor(out) for out in outs] == [0] * 25
+    outs.clear()
+    monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
+    kept = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
+    assert sum(_subnormal(out) > 0 for out in outs) >= 1
+    assert sum(_below_flush_floor(out) > 0 for out in outs) >= 4
+    assert flushed.keys() == kept.keys()
+    for key in kept:
+        assert np.array_equal(flushed[key], kept[key]), key
+
+
+@pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
+def test_flush_leaves_the_mpmath_case_tables_bit_identical(monkeypatch, case):
+    m, _ = _mp_cases()[case]
+    flushed = phi_matrix_table(m, 1.0, EXPRK5S8_REQUESTS)
+    monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
+    kept = phi_matrix_table(m, 1.0, EXPRK5S8_REQUESTS)
+    for key in kept:
+        assert np.array_equal(flushed[key], kept[key]), key
+
+
+def test_flush_leaves_a_uniformly_tiny_matrix_alone(monkeypatch):
+    """The floor is relative to each matrix's own largest entry, so e^-400
+    and e^-401 (about 1e-174, below the 2^-511 that triggers the flush) are
+    kept, bit for bit as with the flush off,
+    to the chain's accuracy: measured 3.2e-14 and 5.7e-14 relative, where
+    e^x's condition number is |x| = 400."""
+    m = np.diag([-400.0, -401.0])
+    got = matrix_exp(m)
+    want = np.exp([-400.0, -401.0])
+    assert np.all(np.abs(np.diag(got) - want) <= 1e-13 * want)
+    monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
+    assert np.array_equal(matrix_exp(m), got)
 
 
 def _probe_sized_z():
