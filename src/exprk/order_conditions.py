@@ -15,7 +15,7 @@ L, or the bilinear map B) leading inward through the rows of a, and a psi
 defect at the leaf; one recursive routine evaluates them all.  Each psi
 defect is defined by tableau.psi_parts alone: check() takes the parts its
 words read once per check, derives from them the phi pairs its tables hold,
-and sums them at each probe with tableau.combo_sum.
+and sums them with tableau.combo_sum.
 
 Checking an identity over *all* matrices is impossible numerically; the
 checker evaluates residuals on a batch of seeded random probes plus
@@ -26,10 +26,12 @@ probes is the (probabilistic) verdict that it holds.
 The phi matrices come in stacks: check() groups its probes by dimension d
 and builds one phi table per group over the stacked Z of the whole group
 (phi.phi_matrix_table: a chain for the dyadic scales, and a chain on Z/15
-with a walk for 1/5 and 2/3).  The words are then evaluated probe by probe
-on that probe's members of the table.  The table computes for each member
-exactly what it computes for that Z alone, so every probe gets the numbers
-it would get alone; condition_residual builds the table of one probe.
+with a walk for 1/5 and 2/3), on which it sums the weights, the rows of a
+and every psi defect the words read.  The words are then evaluated probe by
+probe on its members of those stacks, each inner nest once for all words and
+both modes.  Table and sums compute for each member exactly what they compute
+for that Z alone, so every probe gets the numbers it would get alone;
+condition_residual builds the tables of one probe.
 """
 
 from dataclasses import dataclass
@@ -172,50 +174,64 @@ def _defects(t):
 
 
 def _phi_tables(t, probes, parts):
-    """For each probe of one dimension, {(j, scale): phi_j(scale * Z)} over
-    the pairs of t's coefficients and of the psi targets in parts, all from
-    one table on the stacked Z."""
+    """{(j, scale): stack of phi_j(scale * Z) over probes} for the pairs of
+    t's coefficients and of the psi targets in parts, from one table on the
+    stacked Z of probes (all of one dimension)."""
     pairs = t.phi_pairs().union(*(target.phi_pairs() for _, target in parts.values()))
-    table = phi_matrix_table(np.stack([p.Z for p in probes]), 1.0,
-                             {phi_request(*r) for r in pairs})
-    return [{key: val[k] for key, val in table.items()} for k in range(len(probes))]
+    return phi_matrix_table(np.stack([p.Z for p in probes]), 1.0,
+                            {phi_request(*r) for r in pairs})
+
+
+def _group_sums(t, probes, parts):
+    """(b, rows, psi): the stacks of b_i(Z), of the rows of a_ij(Z), and of
+    each psi defect in parts keyed ((), j, i), over one dimension group.
+
+    combo_sum sums them on the group's phi table, as the stepper sums its
+    coefficients, and each defect goes through tableau.psi_values, so
+    residuals reflect float evaluation, not pre-cancelled rationals.  The
+    sums are elementwise: each member is exactly its probe's sum alone.
+    """
+    phi = _phi_tables(t, probes, parts)
+    get = lambda j, scale: phi[j, scale]
+    # the empty combo, a zero node's target, is the zero matrix here
+    zeros = np.zeros((len(probes), probes[0].d, probes[0].d))
+    mat = lambda combo: combo_sum(combo, get) if combo.terms else zeros
+    b = {i: mat(v) for i, v in t.b.items()}
+    a = {k: mat(v) for k, v in t.a.items()}
+    rows = {i: {k: a[(i, k)] for k in range(2, i) if (i, k) in a} for i in range(2, t.s + 1)}
+    psi = {((), j, i): psi_values(j, t, b if i is None else rows[i], mat(target))
+           for (j, i), (_, target) in parts.items()}
+    return b, rows, psi
 
 
 class _ProbeTables:
-    """Everything condition evaluation needs at one probe, assembled once.
+    """What condition evaluation reads at one probe: the members [k] of its
+    group's stacks from _group_sums, and b_i(0) I.
 
-    Coefficients and psi targets are summed from the probe's phi table on Z
-    (h = 1, from _phi_tables) by combo_sum, as the stepper sums its
-    coefficients.  Each psi defect in parts then goes through its definition
-    (tableau.psi_values) on t's summed weights or row of a, so residuals
-    reflect genuine float evaluation, not pre-cancelled rationals.  parts and
-    at_zero come from _defects, once per check.
+    nests maps (links, j, i) to the nest of those links over row i of a
+    around psi_{j,.} (see _nest), or to psi_{j,i} for no links, and grows as
+    the words read it: all words and both modes share it.  It is a plain
+    dict, so a probe's tables hold no reference cycle.
     """
 
-    def __init__(self, t, probe, phi, parts, at_zero):
-        self.p = probe
-        self.at_zero = at_zero
-        self.eye = eye = np.eye(probe.d)
-        get = lambda j, scale: phi[j, scale]
-        # the empty combo, a zero node's target, is the zero matrix here
-        mat = lambda combo: combo_sum(combo, get) if combo.terms else np.zeros_like(eye)
-        self.b_mat = b_mat = {i: mat(v) for i, v in t.b.items()}
-        self.b_at_zero = {i: float(v.at_zero()) * eye for i, v in t.b.items()}
-        a_mat = {k: mat(v) for k, v in t.a.items()}
-        self.rows = rows = {i: {k: a_mat[(i, k)] for k in range(2, i) if (i, k) in a_mat}
-                            for i in range(2, t.s + 1)}
-        self.c = [float(ci) for ci in t.c]
-        # psi_j (i None) or psi_{j,i} at this probe, each summed once, when first read
-        self.psi = cache(lambda j, i=None: psi_values(
-            j, t, b_mat if i is None else rows[i], mat(parts[j, i][1])))
+    def __init__(self, probe, k, sums, b_at_zero, at_zero, c):
+        b, rows, psi = sums
+        self.p, self.b_at_zero, self.at_zero, self.c = probe, b_at_zero, at_zero, c
+        self.eye = np.eye(probe.d)
+        self.b_mat = {i: v[k] for i, v in b.items()}
+        self.rows = {i: {m: v[k] for m, v in row.items()} for i, row in rows.items()}
+        self.nests = {key: v[k] for key, v in psi.items()}
 
 
 def _nest(tab, links, j, coeffs):
-    """sum_i c_i^p coeffs_i X [inner_i], inner_i being psi_{j,i} at the last link."""
+    """sum_i c_i^p coeffs_i X [inner_i], inner_i being psi_{j,i} at the last
+    link and the memoized nest of the remaining links over row i before it."""
     (power, letter), rest = links[0], links[1:]
     acc = np.zeros_like(tab.eye)
     for i in sorted(coeffs):
-        inner = _nest(tab, rest, j, tab.rows[i]) if rest else tab.psi(j, i)
+        inner = tab.nests.get((rest, j, i))
+        if inner is None:
+            inner = tab.nests[rest, j, i] = _nest(tab, rest, j, tab.rows[i])
         if letter == "B":
             term = coeffs[i] @ _bilinear_columns(tab.p.B, inner, inner)
         else:
@@ -238,19 +254,21 @@ def _residual(word, tab, mode):
     elif weakened:
         value = tab.at_zero[word.psi]
     else:
-        value = tab.psi(word.psi)
+        value = tab.nests[(), word.psi, None]
     return float(np.abs(value).max())
 
 
 def _probe_tables(t, probes):
     """(n, _ProbeTables of probes[n]) for each probe: the probes are grouped
-    by dimension, with one phi table per group."""
+    by dimension, with one phi table and one set of sums per group."""
     parts, at_zero = _defects(t)
+    c = [float(ci) for ci in t.c]
     for d in dict.fromkeys(probe.d for probe in probes):
         ns = [n for n, probe in enumerate(probes) if probe.d == d]
-        group = [probes[n] for n in ns]
-        for n, probe, phi in zip(ns, group, _phi_tables(t, group, parts)):
-            yield n, _ProbeTables(t, probe, phi, parts, at_zero)
+        sums = _group_sums(t, [probes[n] for n in ns], parts)
+        weights = {i: float(v.at_zero()) * np.eye(d) for i, v in t.b.items()}
+        for k, n in enumerate(ns):
+            yield n, _ProbeTables(probes[n], k, sums, weights, at_zero, c)
 
 
 def _probe_residuals(t, probes):
@@ -283,6 +301,7 @@ class ConditionRow:
     order: int
     residual: float
     passed: bool
+    worst_probe: str = ""  # label of the probe at np.argmax of the residuals
 
 
 @dataclass(frozen=True)
@@ -343,11 +362,12 @@ def check(t, tolerance=1e-9, p=None, seed=0):
     else:
         probes = list(p)
     probes = probes + structured_probes()
-    # np.max, unlike a running comparison, keeps a NaN residual
-    worst = {key: float(np.max(res)) for key, res in _probe_residuals(t, probes).items()}
+    # np.argmax, unlike a running comparison, stops at a NaN residual
+    worst = {key: (res[n], probes[n].label) for key, res in
+             _probe_residuals(t, probes).items() for n in [int(np.argmax(res))]}
 
-    rows = tuple(ConditionRow(cid, mode, CONDITION_ORDERS[cid], worst[(cid, mode)],
-                              worst[(cid, mode)] <= tolerance)
+    rows = tuple(ConditionRow(cid, mode, CONDITION_ORDERS[cid], worst[cid, mode][0],
+                              worst[cid, mode][0] <= tolerance, worst[cid, mode][1])
                  for cid in sorted(CONDITION_ORDERS) for mode in MODES)
 
     highest = 1

@@ -417,6 +417,9 @@ def tableau_from_text(text):
     try:
         doc = json.loads(text)
         name = doc["name"]
+        for field in "ab":
+            if not isinstance(doc.get(field, {}), dict):
+                raise TypeError(f"{field} must be a JSON object, got {doc[field]!r}")
         a = {tuple(int(p) for p in key.split(",")): PhiCombo(terms)
              for key, terms in doc.get("a", {}).items()}
         b = {int(key): PhiCombo(terms) for key, terms in doc.get("b", {}).items()}

@@ -228,10 +228,12 @@ def test_cli_check_order_rejects_a_fractional_phi_index(tmp_path, capsys):
     ('{"name": "bad", "nodes": "01"}', "nodes must be a list or tuple, got '01'"),
     ('{"name": "bad", "nodes": ["0", "1"], "b": {"2": [[true, 2, "1"]]}}',
      "cannot interpret True as an exact rational"),
+    ('{"name": "bad", "nodes": ["0", "1/2"], "a": []}', "a must be a JSON object, got []"),
 ])
 def test_cli_check_order_rejects_non_numbers_in_a_tableau_file(tmp_path, capsys, doc, cause):
-    """A string of nodes and a JSON true are usage errors naming the cause,
-    not the nodes (0, 1) or the coefficient 1."""
+    """A string of nodes, a JSON true and a list for a are usage errors
+    naming the cause, not the nodes (0, 1), the coefficient 1 or a crash
+    (exit 1 with a traceback, the code of a failed verdict)."""
     path = tmp_path / "bad.json"
     path.write_text(doc)
     code = main(["check-order", "--method", str(path)])

@@ -1,5 +1,6 @@
 """Stiff order-condition verification in strong and weakened modes."""
 
+import gc
 from fractions import Fraction
 from math import factorial
 
@@ -208,6 +209,26 @@ def test_a_nan_residual_fails_its_condition(tab5):
     assert not rep.row(6, "strong").passed
 
 
+def test_worst_probe_names_the_probe_of_each_worst_residual(tab5):
+    """Each row names the probe at np.argmax of its residuals: a NaN
+    residual's probe, and on _perturbed the probe the bump shows worst at."""
+    t = _perturbed(tab5)
+    probes = draw_probe_sets(6, d=3, seed=8)
+    residuals = _probe_residuals(t, probes + structured_probes())
+    rep = check(t, tolerance=1e-9, p=probes)
+    labels = [p.label for p in probes + structured_probes()]
+    for row in rep.rows:
+        res = residuals[row.id, row.mode]
+        assert row.worst_probe == labels[int(np.argmax(res))], (row.id, row.mode)
+        assert row.residual == max(res)
+    huge = ProbeSet(3, probes[2].Z, 1e300 * probes[2].J, probes[2].K, probes[2].L,
+                    probes[2].B, label="huge-J")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check(t, tolerance=1e-9, p=probes[:2] + [huge] + probes[3:])
+    assert np.isnan(rep.row(6, "strong").residual)
+    assert rep.row(6, "strong").worst_probe == "huge-J"
+
+
 # check() of the zero-node tableau below at its defaults, recorded from the
 # checker as it stood before psi_parts: cid -> (strong, weakened) residual
 ZERO_NODE_RESIDUALS = {
@@ -245,7 +266,7 @@ def test_phi_table_pairs_follow_the_words(name, tab5):
     listed = (t.phi_pairs() | {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
               | {(m, F(1)) for m in (2, 3, 4, 5)})
     probe = draw_probe_sets(1, d=2, seed=4)[0]
-    assert set(_phi_tables(t, [probe], _defects(t)[0])[0]) == listed
+    assert set(_phi_tables(t, [probe], _defects(t)[0])) == listed
 
 
 def _stiff_probes(count=8, d=3, seed=3):
@@ -465,6 +486,34 @@ def test_condition_residual_matches_independent_transcription(name, tab5):
         for key in want:
             worst = max(worst, abs(got[key] - want[key]))
     assert worst <= 1e-13, worst
+
+
+@pytest.mark.parametrize("make", [lambda t: t, _perturbed], ids=["expRK5s8", "perturbed"])
+def test_every_residual_of_the_stacks_matches_a_probe_alone(tab5, make):
+    """Every (cid, mode) entry of the residual loop, which sums coefficients
+    and defects once per dimension group and shares each inner nest among
+    words and modes, equals condition_residual's table of one probe exactly."""
+    t = make(tab5)
+    probes = [p for d in (2, 3, 4) for p in draw_probe_sets(2, d=d, seed=40 + d)]
+    residuals = _probe_residuals(t, probes)
+    assert len(residuals) == 32
+    for n, p in enumerate(probes):
+        for (cid, mode), res in residuals.items():
+            assert res[n] == condition_residual(cid, t, p, mode), (cid, mode, p.label)
+
+
+def test_check_leaves_no_cyclic_garbage(tab5):
+    """A check's tables and memo are freed by reference counting alone:
+    no reference cycle, which would hold every probe's matrices until the
+    collector runs."""
+    check(tab5, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        check(tab5, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_default_batch_is_fifty_3x3_probes(tab5):

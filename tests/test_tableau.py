@@ -1,6 +1,7 @@
 """Tableau coefficients, combo algebra, psi identities, serialization."""
 
 import inspect
+import json
 import random
 import re
 from fractions import Fraction
@@ -369,6 +370,18 @@ def test_malformed_text_raises(text):
      "cannot interpret True as an exact rational"),
 ])
 def test_text_rejects_non_numbers_read_as_numbers(text, cause):
+    with pytest.raises(TableauFormatError, match=re.escape(cause)):
+        tableau_from_text(text)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", "[]"), ("a", '"3,2"'), ("a", "1"), ("b", '[["1", 2, "1"]]'), ("b", '"2"'), ("b", "0"),
+])
+def test_text_rejects_a_coefficient_table_that_is_not_an_object(field, value):
+    """a and b map keys to combos; a list, string or number is a format
+    error naming the field, not an AttributeError from reading it."""
+    text = f'{{"name": "x", "nodes": ["0", "1/2"], "{field}": {value}}}'
+    cause = f"{field} must be a JSON object, got {json.loads(value)!r}"
     with pytest.raises(TableauFormatError, match=re.escape(cause)):
         tableau_from_text(text)
 
