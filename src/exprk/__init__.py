@@ -9,8 +9,7 @@ convergence harness.
 
 from .operators import (DenseOperator, DiagonalOperator, LinearOperator,
                         SymTridiagonalOperator, ZeroOperator)
-from .phi import (PhiCache, PhiRequest, build_phi_cache, matrix_exp,
-                  phi_matrix, phi_scalar)
+from .phi import PhiCache, PhiRequest, build_phi_cache, phi_matrix, phi_scalar
 from .tableau import (ExpRKTableau, PhiCombo, baseline_tableaux,
                       classical_limit, eval_combo, exprk5s8, get_tableau,
                       psi, psi_combo)

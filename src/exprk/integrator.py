@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, real_array
 from .phi import build_phi_cache, phi_request
 from .tableau import ExpRKTableau, combo_sum
 
@@ -66,7 +66,7 @@ class SemilinearProblem:
     name: str = ""
 
     def __post_init__(self):
-        u0 = np.asarray(self.u0, dtype=float)
+        u0 = real_array(self.u0, "u0")
         if u0.ndim != 1 or u0.size != self.A.n:
             raise ValueError("u0 must be a vector of the operator dimension")
         if not np.all(np.isfinite(u0)):
@@ -97,7 +97,7 @@ def required_requests(t):
 
 
 def _eval_g(pb, t, u):
-    out = np.asarray(pb.g(t, u), dtype=float)
+    out = real_array(pb.g(t, u), "g(t, u)")
     if out.shape != u.shape:
         raise ValueError(f"g(t, u) returned shape {out.shape}, expected {u.shape}")
     return out
@@ -129,7 +129,7 @@ class Stepper:
     def __call__(self, tn, un, return_stages=False):
         """u_{n+1} from (tn, un); with return_stages, (u_{n+1}, (U_2, ..., U_s))."""
         pb, t, cache = self.pb, self.t, self.cache
-        un = np.asarray(un, dtype=float)
+        un = real_array(un, "un")
         if un.shape != (pb.A.n,):
             raise ValueError(f"state has shape {un.shape}, expected ({pb.A.n},)")
         act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis

@@ -25,6 +25,16 @@ import numpy as np
 DST_MIN_N = 512
 
 
+def real_array(x, name):
+    """x as a float ndarray; a complex x or a str raises TypeError naming it."""
+    a = np.asarray(x)
+    if a.dtype == float:
+        return a
+    if a.dtype.kind in "cSU":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(float)
+
+
 class LinearOperator(ABC):
     """Square real linear operator of dimension n."""
 
@@ -81,7 +91,7 @@ class ZeroOperator(LinearOperator):
         return self._n
 
     def matvec(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+        return np.zeros_like(real_array(u, "u"))
 
     def dense(self):
         return np.zeros((self._n, self._n))
@@ -98,7 +108,7 @@ class DiagonalOperator(LinearOperator):
     """A = diag(d)."""
 
     def __init__(self, diag):
-        d = np.asarray(diag, dtype=float)
+        d = real_array(diag, "diag")
         if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
             raise ValueError("diagonal must be a finite 1-d array")
         self.diag = d
@@ -108,7 +118,7 @@ class DiagonalOperator(LinearOperator):
         return self.diag.size
 
     def matvec(self, u):
-        return self.diag * np.asarray(u, dtype=float)
+        return self.diag * real_array(u, "u")
 
     def dense(self):
         return np.diag(self.diag)
@@ -142,7 +152,7 @@ class SineBasis:
         return self
 
     def __matmul__(self, x):
-        return self._dst(np.asarray(x, dtype=float), type=1, axis=0, norm="ortho")
+        return self._dst(real_array(x, "x"), type=1, axis=0, norm="ortho")
 
     def __array__(self, dtype=None, copy=None):
         return (self @ np.eye(self.shape[0])).astype(dtype or float, copy=False)
@@ -157,8 +167,7 @@ class SymTridiagonalOperator(LinearOperator):
     """
 
     def __init__(self, diag, off):
-        d = np.asarray(diag, dtype=float)
-        e = np.asarray(off, dtype=float)
+        d, e = real_array(diag, "diag"), real_array(off, "off")
         if d.ndim != 1 or e.ndim != 1 or e.size != d.size - 1:
             raise ValueError("need main diagonal of length n and off diagonal of length n-1")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
@@ -172,7 +181,7 @@ class SymTridiagonalOperator(LinearOperator):
         return self.diag.size
 
     def matvec(self, u):
-        u = np.asarray(u, dtype=float)
+        u = real_array(u, "u")
         out = self.diag * u
         out[:-1] += self.off * u[1:]
         out[1:] += self.off * u[:-1]
@@ -214,7 +223,7 @@ class DenseOperator(LinearOperator):
     """General dense A."""
 
     def __init__(self, a):
-        m = np.asarray(a, dtype=float)
+        m = real_array(a, "a")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size < 1:
             raise ValueError("matrix must be square")
         if not np.all(np.isfinite(m)):
@@ -226,7 +235,7 @@ class DenseOperator(LinearOperator):
         return self.a.shape[0]
 
     def matvec(self, u):
-        return self.a @ np.asarray(u, dtype=float)
+        return self.a @ real_array(u, "u")
 
     def dense(self):
         return self.a.copy()

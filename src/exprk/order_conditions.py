@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .operators import real_array
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
 from .phi import build_phi_cache, phi_matrix_table, phi_request
 from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
@@ -70,11 +71,11 @@ class ProbeSet:
 
     def __post_init__(self):
         for name in ("Z", "J", "K", "L"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = real_array(getattr(self, name), f"probe {name}")
             if m.shape != (self.d, self.d) or not np.all(np.isfinite(m)):
                 raise ValueError(f"probe {name} must be finite {self.d}x{self.d}")
             object.__setattr__(self, name, m)
-        b = np.asarray(self.B, dtype=float)
+        b = real_array(self.B, "probe B")
         if b.shape != (self.d, self.d, self.d) or not np.all(np.isfinite(b)):
             raise ValueError("probe B must be a finite rank-3 tensor")
         object.__setattr__(self, "B", b)

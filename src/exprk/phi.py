@@ -25,13 +25,12 @@ to 1e-150..1e-300 midway through a chain, and their products would run in
 slow subnormal arithmetic, while zeroing them moves no later product by more
 than 2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is
 flushed only when its phi_0 holds a nonzero entry below 2^-511, whose square
-is subnormal (PHI_FLUSH_TRIGGER).  phi_matrix and matrix_exp run one
-scale alone.  Chains and walks also run on a stack of matrices at once, each
-matrix getting what it would get alone; the order-condition checker builds
-its probes' phi tables so.
+is subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one scale alone.  Chains
+and walks also run on a stack of matrices at once, each matrix getting what
+it would get alone; the order-condition checker builds its probes' phi
+tables so.  Every route is real and rejects a complex argument (TypeError).
 """
 
-import cmath
 import math
 import numbers
 from fractions import Fraction
@@ -41,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, real_array
 
 # Below this modulus the downward recurrence from exp(z) loses digits to
 # cancellation, so a truncated Taylor series is used instead.
@@ -69,73 +68,45 @@ class CacheMissError(KeyError):
 
 
 def phi_scalar(j, z):
-    """Evaluate phi_j at a scalar argument (real or complex).
+    """Evaluate phi_j at a real scalar z (an int or a numpy float too), as a
+    float; a complex z or a str raises TypeError.
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
-    regimes.  Where exp(z) overflows, the recurrence runs on
-    phi_k(z) / e^(z/2), starting from e^(z/2), and the result is scaled back
-    by e^(z/2) at the end; no intermediate (z^j in particular) overflows
-    while phi_j(z) is finite (up to Re z ~ 1419).  A real z takes these
-    branches in float arithmetic (math.exp) and gives a float: +inf where
-    phi_j(z) exceeds the largest float, 0.0 at -inf, nan at nan, and no
-    warning.  A complex z takes them in complex arithmetic (np.exp), except
-    past exp overflow, Re z > LOG_FLOAT_MAX, where a part that overflows is
-    an infinity of its true sign (_phi_complex_past_overflow).
+    regimes.  Where exp(z) overflows, the recurrence runs on phi_k(z) / e^(z/2),
+    starting from e^(z/2), and the result is scaled back by e^(z/2) at the
+    end; no intermediate (z^j in particular) overflows while phi_j(z) is
+    finite (up to z ~ 1419).  The result is +inf where phi_j(z) exceeds the
+    largest float, 0.0 at -inf and nan at nan, with no warning.
     """
     if j < 0:
         raise ValueError("phi index must be >= 0")
-    real = isinstance(z, float) or not (isinstance(z, complex) or np.iscomplexobj(z))
-    if real:
-        z, exp = float(z), math.exp
-        # math.exp raises OverflowError where numpy returns inf
-        if z > 2 * LOG_FLOAT_MAX or (j == 0 and z > LOG_FLOAT_MAX):
-            return math.inf
-    else:
-        z, exp = complex(z), np.exp
-        if z.real > LOG_FLOAT_MAX:
-            return _phi_complex_past_overflow(j, z)
+    if type(z) is not float:
+        if not isinstance(z, numbers.Real):
+            raise TypeError(f"phi_scalar takes a real z, got {z!r}")
+        z = float(z)
+    # math.exp raises OverflowError where numpy returns inf
+    if z > 2 * LOG_FLOAT_MAX or (j == 0 and z > LOG_FLOAT_MAX):
+        return math.inf
     if j == 0:
-        val = exp(z)
-    elif abs(z) < PHI_TAYLOR_RADIUS:
+        return math.exp(z)
+    if abs(z) < PHI_TAYLOR_RADIUS:
         term = 1.0 / factorial(j)
         val = term
         for m in range(1, PHI_TAYLOR_TERMS):
             term *= z / (m + j)
             val += term
-    elif z.real > LOG_FLOAT_MAX:
-        half = exp(z / 2)
+        return val
+    if z > LOG_FLOAT_MAX:
+        half = math.exp(z / 2)
         val = half
         for k in range(j):
             val = (val - 1.0 / factorial(k) / half) / z
-        val = half * val
-    else:
-        val = exp(z)
-        for k in range(j):
-            val = (val - 1.0 / factorial(k)) / z
-    return val if real else complex(val)
-
-
-def _phi_complex_past_overflow(j, z):
-    """phi_j(z) for a complex z with Re z > LOG_FLOAT_MAX, where exp(z) overflows.
-
-    phi_j(z) = e^(z/2) u - p with u = e^(z/2) / z^j and
-    p = sum_{k<j} z^(k-j)/k!, both finite, built by the recurrence's steps.
-    Each part of u is scaled by the real e^(Re z / 2) alone, so one that
-    overflows is an infinity of its true sign, never nan.  As on the real
-    route, Re z > 2 LOG_FLOAT_MAX gives infinite parts; on the real axis the
-    result is the real route's value.
-    """
-    if z.imag == 0:
-        return complex(phi_scalar(j, z.real))
-    beyond = z.real > 2 * LOG_FLOAT_MAX
-    half = 1.0 if beyond else math.exp(z.real / 2)
-    u, p = half * cmath.exp(1j * z.imag), 0j
+        return half * val
+    val = math.exp(z)
     for k in range(j):
-        u, p = u / z, (p + 1.0 / factorial(k)) / z
-    if beyond:
-        return complex(math.copysign(math.inf, u.real), math.copysign(math.inf, u.imag))
-    return complex(u.real * half - p.real, u.imag * half - p.imag)
+        val = (val - 1.0 / factorial(k)) / z
+    return val
 
 
 def _squaring_chain(m, wants):
@@ -163,7 +134,7 @@ def _squaring_chain(m, wants):
     entries below 2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that
     the next squaring's products stay out of subnormal arithmetic.
     """
-    m = np.asarray(m, dtype=float)
+    m = real_array(m, "M")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
@@ -264,22 +235,11 @@ def _addition_weights(p, q, jmax):
     return qpow, mix
 
 
-def matrix_exp(m):
-    """Matrix exponential, phi_0(M), by scaling and squaring."""
-    return _chain_alone(0, m)
-
-
 def phi_matrix(j, m):
-    """Matrix phi_j(M), j >= 1, by scaling and modified squaring."""
-    if j < 1:
-        raise ValueError("phi index must be >= 1 (use matrix_exp for j = 0)")
-    return _chain_alone(j, m)
-
-
-def _chain_alone(j, m):
-    """phi_j(M) for one n x n matrix M: the depth-0 case of _squaring_chain."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
+    """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain."""
+    if j < 0:
+        raise ValueError("phi index must be >= 0")
+    if np.ndim(m) != 2:
         raise ValueError("matrix must be square")
     return _squaring_chain(m, {(j, 0)})[j, 0]
 
@@ -349,7 +309,7 @@ class PhiCache:
         self.basis = basis
         self._table = {}
         for key, val in table.items():
-            val = np.asarray(val, dtype=float)
+            val = real_array(val, "table entry")
             val.flags.writeable = False
             self._table[phi_request(*key)] = val
 
@@ -498,7 +458,7 @@ def build_phi_cache(a, h, requests):
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
-    h = float(h)
+    h = float(real_array(h, "h"))
     if not (np.isfinite(h) and h > 0):
         raise ValueError("step size must be positive and finite")
     keys = sorted({phi_request(*r) for r in requests})

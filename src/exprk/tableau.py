@@ -27,6 +27,7 @@ from math import factorial
 
 import numpy as np
 
+from .operators import real_array
 from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
 
 __all__ = [
@@ -121,12 +122,12 @@ def combo_sum(f, phi):
 
 
 def eval_combo(f, z):
-    """Evaluate a PhiCombo at scalar or square-matrix z, through phi_scalar
-    or phi_matrix; the empty combo gives 0.0 or the zero matrix."""
-    if isinstance(z, numbers.Number) or (isinstance(z, np.ndarray) and z.ndim == 0):
-        zval = complex(z) if np.iscomplexobj(z) or isinstance(z, complex) else float(z)
+    """Evaluate a PhiCombo at real scalar or square-matrix z (TypeError if complex)
+    through phi_scalar or phi_matrix; the empty combo gives 0.0 or the zero matrix."""
+    if np.ndim(z) == 0:
+        zval = float(real_array(z, "z"))
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
-    z = np.asarray(z, dtype=float)
+    z = real_array(z, "z")
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be a scalar or a square matrix")
     if not f.terms:

@@ -16,7 +16,7 @@ import re
 import numpy as np
 
 from .integrator import SemilinearProblem
-from .operators import SymTridiagonalOperator
+from .operators import SymTridiagonalOperator, real_array
 
 __all__ = [
     "Grid1D", "heat_problem", "heat_forcing", "discrete_l2_error",
@@ -37,7 +37,7 @@ class Grid1D:
 
 def heat_forcing(x, t):
     """Forcing Phi(x, t) = x(1-x)e^t + 2e^t - 1/(1 + x^2(1-x)^2 e^{2t})."""
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x")
     return _forcing(x * (1.0 - x), t)
 
 
@@ -78,7 +78,7 @@ def discrete_l2_error(u, pb, t):
     """sqrt(dx * sum_i (u_i - exact(t)_i)^2) against the problem's exact solution."""
     if pb.exact is None:
         raise ValueError("problem has no exact solution to compare against")
-    u = np.asarray(u, dtype=float)
+    u = real_array(u, "u")
     diff = u - pb.exact(t)
     dx = 1.0 / (u.size + 1)
     return float(np.sqrt(dx * np.sum(diff * diff)))

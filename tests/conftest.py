@@ -69,6 +69,15 @@ def augmented_phi(j, m):
     return scipy.linalg.expm(w)[:n, j * n:(j + 1) * n]
 
 
+def advdiff_matrix(n, beta):
+    """Central differences for u'' + beta u' on n interior points of (0, 1)
+    with zero Dirichlet ends: nonsymmetric and non-normal."""
+    dx = 1.0 / (n + 1)
+    return (np.diag(np.full(n, -2.0 / dx ** 2))
+            + np.diag(np.full(n - 1, 1.0 / dx ** 2 + beta / (2.0 * dx)), 1)
+            + np.diag(np.full(n - 1, 1.0 / dx ** 2 - beta / (2.0 * dx)), -1))
+
+
 def phi_symmetric(j, m):
     """phi_j(M) for symmetric M through its eigendecomposition: the spectral
     reference for the matrix routes."""

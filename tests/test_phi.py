@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -13,16 +15,17 @@ import pytest
 import scipy.linalg
 
 import exprk.phi
-from conftest import (EighTridiagonal, QuadratureError, augmented_phi, dense_phi,
-                      phi_quadrature_oracle, phi_symmetric)
-from exprk.integrator import SemilinearProblem, integrate, required_requests
+from conftest import (EighTridiagonal, QuadratureError, advdiff_matrix, augmented_phi,
+                      dense_phi, phi_quadrature_oracle, phi_symmetric)
+from exprk.integrator import SemilinearProblem, Stepper, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
-from exprk.phi import (LOG_FLOAT_MAX, PHI_TAYLOR_RADIUS, CacheMissError,
-                       PhiRequest, build_phi_cache, matrix_exp, phi_matrix,
-                       phi_matrix_table, phi_request, phi_scalar)
-from exprk.tableau import get_tableau
-from exprk.testbed import heat_problem
+from exprk.order_conditions import ProbeSet
+from exprk.phi import (LOG_FLOAT_MAX, PHI_TAYLOR_RADIUS, CacheMissError, PhiCache,
+                       PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table,
+                       phi_request, phi_scalar)
+from exprk.tableau import eval_combo, get_tableau, phi_term
+from exprk.testbed import discrete_l2_error, heat_forcing, heat_problem
 
 ORACLE_GRID = [-50.0, -10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0]
 
@@ -125,14 +128,69 @@ def test_phi_scalar_matches_mpmath_sweep(j):
 
 
 @pytest.mark.parametrize("j", range(0, 8))
-def test_real_and_complex_routes_agree(j):
-    """A real z takes float arithmetic and returns a float that agrees with
-    the complex route, whose result stays exactly on the real axis."""
+def test_phi_is_real_only(j):
+    """Every real z gives a float, the value of float(z); a complex z, of
+    any type, and a str raise TypeError, in phi_scalar and eval_combo."""
     for z in PHI_SWEEP_Z.tolist():
-        got, via_complex = phi_scalar(j, z), phi_scalar(j, complex(z))
+        got = phi_scalar(j, z)
         assert type(got) is float
-        assert via_complex.imag == 0.0, (j, z)
-        assert abs(got - via_complex.real) <= 2e-12 * abs(got), (j, z)
+        assert phi_scalar(j, np.float64(z)) == got, z
+        n = int(z)
+        assert phi_scalar(j, n) == phi_scalar(j, float(n)), n
+    assert (phi_scalar(j, True), phi_scalar(j, False)) == (phi_scalar(j, 1.0), phi_scalar(j, 0.0))
+    assert all(type(phi_scalar(j, z)) is float for z in (np.float64(0.5), 3, True))
+    combo = phi_term(Fraction(1), max(j, 1), Fraction(1, 2))
+    for z in (0.5 + 0j, np.complex128(0.5), np.array(0.5 + 1j), "0.5"):
+        with pytest.raises(TypeError):
+            phi_scalar(j, z)
+        with pytest.raises(TypeError):
+            eval_combo(combo, z)
+
+
+_C2 = np.array([[-1.0, 0.5j], [0.0, -2.0]])
+_R2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+
+
+def _probe(**mats):
+    d = {name: np.eye(2) for name in "ZJKL"}
+    return ProbeSet(2, **{**d, "B": np.zeros((2, 2, 2)), **mats})
+
+
+@pytest.mark.parametrize("name, call", [
+    ("a", lambda: DenseOperator(_C2)),
+    ("diag", lambda: DiagonalOperator(np.array([-1.0, 1j]))),
+    ("diag", lambda: SymTridiagonalOperator(np.array([-2.0, -2j]), np.ones(1))),
+    ("off", lambda: SymTridiagonalOperator(-2.0 * np.ones(2), np.array([1j]))),
+    ("u0", lambda: SemilinearProblem(A=ZeroOperator(2), g=lambda t, u: u,
+                                     u0=np.array([1.0, 1j]))),
+    ("g(t, u)", lambda: integrate(SemilinearProblem(A=ZeroOperator(2), g=lambda t, u: u + 1j,
+                                                    u0=np.ones(2)), get_tableau("expEuler"), 1)),
+    ("probe Z", lambda: _probe(Z=_C2)),
+    ("probe B", lambda: _probe(B=np.zeros((2, 2, 2)) + 1j)),
+    ("M", lambda: phi_matrix(1, _C2)),
+    ("M", lambda: phi_matrix_table(_C2, 1.0, EXPRK5S8_REQUESTS)),
+    ("z", lambda: eval_combo(phi_term(Fraction(1), 1), _C2)),
+    ("h", lambda: build_phi_cache(DenseOperator(_R2), np.complex128(0.5), [(1, 1)])),
+    ("table entry", lambda: PhiCache({(1, 1): _C2})),
+    ("un", lambda: Stepper(heat_problem(4), get_tableau("expEuler"), 0.1)(0.0, np.ones(4) + 1j)),
+    ("x", lambda: heat_forcing(np.array([0.5j]), 0.0)),
+    ("u", lambda: discrete_l2_error(np.ones(4) + 1j, heat_problem(4), 0.0)),
+    ("x", lambda: SineBasis(2) @ (np.ones(2) + 1j)),
+] + [("u", lambda op=op: op.matvec(np.ones(2) + 1j))
+     for op in (ZeroOperator(2), DiagonalOperator(-np.ones(2)), DenseOperator(_R2),
+                SymTridiagonalOperator(-2.0 * np.ones(2), np.ones(1)))],
+    ids=["dense", "diagonal", "tridiagonal-diag", "tridiagonal-off", "u0", "g", "probe-Z",
+         "probe-B", "phi_matrix", "phi_matrix_table", "eval_combo", "h", "PhiCache", "Stepper",
+         "heat_forcing", "discrete_l2_error", "SineBasis", "matvec-zero", "matvec-diagonal",
+         "matvec-dense", "matvec-tridiagonal"])
+def test_complex_input_is_rejected_not_truncated(name, call):
+    """Each entry point raises TypeError naming the complex argument, before
+    numpy could warn and drop its imaginary part."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError, match=f"^{re.escape(name)} must be real"):
+            call()
+    assert caught == []
 
 
 @pytest.mark.parametrize("j", range(1, 6))
@@ -151,38 +209,6 @@ def test_scalar_recurrence_identity(j, z):
     lhs = phi_scalar(j + 1, z)
     rhs = (phi_scalar(j, z) - 1.0 / factorial(j)) / z
     assert abs(lhs - rhs) <= 1e-13
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("j", range(1, 8))
-def test_phi_scalar_complex_past_exp_overflow(j):
-    """Past exp overflow a complex z gives no nan: on the real axis the real
-    route's value, elsewhere each part finite and accurate where it fits in
-    a float and an infinity of the true part's sign where it does not."""
-    mpmath = pytest.importorskip("mpmath")
-    for x in (np.nextafter(LOG_FLOAT_MAX, np.inf), 800.0, 1500.0):
-        assert phi_scalar(j, complex(x)) == complex(phi_scalar(j, x)), x
-    big = np.finfo(float).max
-    # 712 + 1e50j: e^(i Im z) / z^7 alone would underflow to zero
-    for z in (720 + 5j, 715 - 3j, 760 + 0.5j, 800 + 5j, 1000 - 3j, 1400 + 700j,
-              1419 + 1j, 1500 + 2j, 2000 - 1j, 800 + 1e6j, 712 + 1e50j):
-        got = phi_scalar(j, z)
-        with mpmath.workdps(50):
-            x = mpmath.mpc(z.real, z.imag)
-            want = (mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(j))) / x ** j
-            size = abs(want)
-        for part, true in ((got.real, want.real), (got.imag, want.imag)):
-            if abs(true) > big:
-                assert part == math.copysign(math.inf, true), (z, part, true)
-            else:
-                assert abs(part - float(true)) <= 1e-14 * float(size), (z, part, true)
-
-
-def test_phi_scalar_complex_argument():
-    z = 0.3 + 0.4j
-    direct = phi_scalar(1, z)
-    assert isinstance(direct, complex)
-    assert abs(direct - (np.exp(z) - 1.0) / z) <= 1e-14
 
 
 def test_phi_scalar_rejects_negative_index():
@@ -237,10 +263,11 @@ def test_phi_matrix_agrees_with_scalar_on_diagonal():
 def test_matrix_exp_is_j0_route():
     m = _random_symmetric(4, seed=9)
     w = np.linalg.eigvalsh(m)
-    assert np.allclose(np.linalg.eigvalsh(matrix_exp(m)), np.exp(w), atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(phi_matrix(0, m)), np.exp(w), atol=1e-12)
 
 
-@pytest.mark.parametrize("func", [matrix_exp, lambda m: phi_matrix(1, m)])
+@pytest.mark.parametrize("func", [pytest.param(lambda m: phi_matrix(0, m), id="matrix_exp"),
+                                  lambda m: phi_matrix(1, m)])
 def test_matrix_routes_validate_input(func):
     with pytest.raises(ValueError):
         func(np.zeros((2, 3)))
@@ -250,9 +277,7 @@ def test_matrix_routes_validate_input(func):
         func(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
-def test_phi_matrix_rejects_index_zero():
-    with pytest.raises(ValueError):
-        phi_matrix(0, np.eye(2))
+def test_phi_matrix_rejects_negative_index():
     with pytest.raises(ValueError):
         phi_matrix(-1, np.eye(2))
 
@@ -275,7 +300,7 @@ def test_phi_matrices_match_augmented_exponential(norm):
     for k, val in enumerate(got):
         want = augmented_phi(k, m)
         assert np.abs(val - want).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(matrix_exp(m), got[0])
+    assert np.array_equal(phi_matrix(0, m), got[0])
     assert np.array_equal(phi_matrix(3, m), _phi_matrices(3, m)[3])
 
 
@@ -317,15 +342,6 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
             assert np.array_equal(walked[key][k], alone[key]), (k, key)
 
 
-def _advdiff_matrix(n, beta):
-    """Central differences for u'' + beta u' on n interior points of (0, 1)
-    with zero Dirichlet ends: nonsymmetric and non-normal."""
-    dx = 1.0 / (n + 1)
-    return (np.diag(np.full(n, -2.0 / dx ** 2))
-            + np.diag(np.full(n - 1, 1.0 / dx ** 2 + beta / (2.0 * dx)), 1)
-            + np.diag(np.full(n - 1, 1.0 / dx ** 2 - beta / (2.0 * dx)), -1))
-
-
 def _mp_augmented_phis(mpmath, j, m):
     """[phi_0(M), ..., phi_j(M)] from one 40-digit mpmath exponential of the
     augmented matrix, M rounded to floats first."""
@@ -353,7 +369,7 @@ def _mp_cases():
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     return {"gauss5": (gauss5, 1e-14),
             "jordan4": (-20.0 * np.eye(4) + 30.0 * np.eye(4, k=1), 1e-14),
-            "advdiff5": (4.0 * _advdiff_matrix(5, 20.0), 1e-14),
+            "advdiff5": (4.0 * advdiff_matrix(5, 20.0), 1e-14),
             "stiff4": (q @ tri @ q.T, 1e-12)}
 
 
@@ -507,7 +523,7 @@ def test_dense_route_matches_spectral_route_on_heat(n):
 
 
 def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
-    m = _advdiff_matrix(50, beta=20.0)
+    m = advdiff_matrix(50, beta=20.0)
     h = 1.0 / 64
     cache = build_phi_cache(DenseOperator(m), h, EXPRK5S8_REQUESTS)
     for j, s in EXPRK5S8_REQUESTS:
@@ -556,7 +572,7 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
     work = _count_work(monkeypatch)
-    a, h = _advdiff_matrix(200, beta=20.0), 1.0 / 64
+    a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     cache = build_phi_cache(DenseOperator(a), h, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
     (y, base), (ha, dyadic) = work["chains"]
@@ -572,7 +588,7 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
 
 
 def test_dyadic_scales_are_the_chain_on_their_top_scale_alone():
-    m, h = _advdiff_matrix(50, beta=20.0), 1.0 / 64
+    m, h = advdiff_matrix(50, beta=20.0), 1.0 / 64
     for keys, top, wants in [
             ([(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)], 1.0,
              {(1, 0): (1, 1), (2, 1): (2, Fraction(1, 2)), (3, 2): (3, Fraction(1, 4)),
@@ -589,7 +605,7 @@ def test_dyadic_scales_are_the_chain_on_their_top_scale_alone():
 def test_phi_matrix_table_peak_memory():
     """The walk runs before the dyadic chain and draws on a pool of stacks,
     so the table's tracemalloc peak stays about 35 n^2 floats."""
-    a = _advdiff_matrix(200, beta=20.0)
+    a = advdiff_matrix(200, beta=20.0)
     tracemalloc.start()
     try:
         phi_matrix_table(a, 1.0 / 64, EXPRK5S8_REQUESTS)
@@ -635,7 +651,7 @@ def test_flush_keeps_the_chains_out_of_subnormals_and_moves_no_bit(monkeypatch):
     table are bit for bit those built with the flush off (the ratio 0)."""
     assert exprk.phi.PHI_FLUSH_RATIO == 2.0 ** -200
     assert exprk.phi.PHI_FLUSH_TRIGGER == 2.0 ** -511
-    a, h = _advdiff_matrix(200, beta=20.0), 1.0 / 64
+    a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     outs = _combine_outputs(monkeypatch)
     flushed = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
     assert len(outs) == 25
@@ -668,11 +684,11 @@ def test_flush_leaves_a_uniformly_tiny_matrix_alone(monkeypatch):
     to the chain's accuracy: measured 3.2e-14 and 5.7e-14 relative, where
     e^x's condition number is |x| = 400."""
     m = np.diag([-400.0, -401.0])
-    got = matrix_exp(m)
+    got = phi_matrix(0, m)
     want = np.exp([-400.0, -401.0])
     assert np.all(np.abs(np.diag(got) - want) <= 1e-13 * want)
     monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
-    assert np.array_equal(matrix_exp(m), got)
+    assert np.array_equal(phi_matrix(0, m), got)
 
 
 def _probe_sized_z():
@@ -685,10 +701,10 @@ def _probe_sized_z():
     pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 2, [2, 3, 4, 5, 10],
                  id="probe-sized-z"),
     # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
-    pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
+    pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
                  [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
                  id="non-dyadic-family"),
-    pytest.param(_advdiff_matrix(50, beta=20.0), 1.0 / 64,
+    pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
                  sorted(required_requests(get_tableau("expRK2s2"))), 1, [], id="expRK2s2"),
 ])
 def test_family_chain_entries_match_augmented_exponential(monkeypatch, m, h, requests,
