@@ -67,9 +67,14 @@ class CacheMissError(KeyError):
     """A phi matrix was requested that the cache was not built for."""
 
 
+# phi_scalar's 1/k! below k = 32, each the float quotient 1.0 / factorial(k)
+_INVERSE_FACTORIALS = tuple(1.0 / factorial(k) for k in range(32))
+
+
 def phi_scalar(j, z):
     """Evaluate phi_j at a real scalar z (an int or a numpy float too), as a
-    float; a complex z or a str raises TypeError.
+    float; a complex z or a str raises TypeError, and so does a j that
+    phi_index rejects (a bool or a non-integer).
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
@@ -79,6 +84,8 @@ def phi_scalar(j, z):
     finite (up to z ~ 1419).  The result is +inf where phi_j(z) exceeds the
     largest float, 0.0 at -inf and nan at nan, with no warning.
     """
+    if type(j) is not int:
+        j = phi_index(j)
     if j < 0:
         raise ValueError("phi index must be >= 0")
     if type(z) is not float:
@@ -91,21 +98,24 @@ def phi_scalar(j, z):
     if j == 0:
         return math.exp(z)
     if abs(z) < PHI_TAYLOR_RADIUS:
-        term = 1.0 / factorial(j)
+        term = _INVERSE_FACTORIALS[j] if j < len(_INVERSE_FACTORIALS) else 1.0 / factorial(j)
         val = term
         for m in range(1, PHI_TAYLOR_TERMS):
             term *= z / (m + j)
             val += term
         return val
+    # the recurrence reads 1/k! for k < j
+    inv = (_INVERSE_FACTORIALS if j <= len(_INVERSE_FACTORIALS)
+           else [1.0 / factorial(k) for k in range(j)])
     if z > LOG_FLOAT_MAX:
         half = math.exp(z / 2)
         val = half
         for k in range(j):
-            val = (val - 1.0 / factorial(k) / half) / z
+            val = (val - inv[k] / half) / z
         return half * val
     val = math.exp(z)
     for k in range(j):
-        val = (val - 1.0 / factorial(k)) / z
+        val = (val - inv[k]) / z
     return val
 
 
@@ -236,7 +246,9 @@ def _addition_weights(p, q, jmax):
 
 
 def phi_matrix(j, m):
-    """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain."""
+    """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain.
+    j is read by phi_index."""
+    j = phi_index(j)
     if j < 0:
         raise ValueError("phi index must be >= 0")
     if np.ndim(m) != 2:
@@ -309,7 +321,8 @@ class PhiCache:
         self.basis = basis
         self._table = {}
         for key, val in table.items():
-            val = real_array(val, "table entry")
+            # a view, so that the caller's own array stays writable
+            val = real_array(val, "table entry").view()
             val.flags.writeable = False
             self._table[phi_request(*key)] = val
 

@@ -4,10 +4,13 @@
 
 prints one flat object, sorted by key, one entry per line:
 
-- check/<tableau>/seed<s>/<id>/<mode>/residual and .../pass: the rows of
-  check(t, seed=s).machine_rows() for expRK5s8, expEuler and expRK2s2 at
-  seeds 0-3, each residual as float.hex, with the report's
-  highest_strong_order and weakened_order5;
+- check/<tableau>/seed<s>/<id>/<mode>/residual, .../pass and .../worst_probe:
+  the rows of check(t, seed=s) for expRK5s8, expEuler and expRK2s2 at
+  seeds 0-3, each residual as float.hex and each row's worst_probe label,
+  with the report's highest_strong_order and weakened_order5;
+- classical/<tableau>/<n>/order, .../lhs and .../rhs: row n (two digits) of
+  classical_order_conditions on the same tableaux' classical limits, each
+  side as the str of its exact Fraction;
 - state/<tableau>/<problem>/<steps>/sha256 and .../l2_error: the final state
   of integrate for the same tableaux at 16 and 64 steps, on heat200,
   heat2000 and advdiff200 (central differences for u_xx + 20 u_x, a dense
@@ -30,9 +33,9 @@ import numpy as np
 from conftest import advdiff_matrix
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import DenseOperator
-from exprk.order_conditions import check
+from exprk.order_conditions import check, classical_order_conditions
 from exprk.phi import build_phi_cache
-from exprk.tableau import get_tableau
+from exprk.tableau import classical_limit, get_tableau
 from exprk.testbed import Grid1D, discrete_l2_error, heat_problem
 
 TABLEAUX = ("expRK5s8", "expEuler", "expRK2s2")
@@ -69,12 +72,17 @@ def record():
         for seed in SEEDS:
             key = f"check/{name}/seed{seed}"
             report = check(t, seed=seed)
-            for row in report.machine_rows()[1:]:
-                cid, mode, residual, passed = row.split(",")
+            for row, text in zip(report.rows, report.machine_rows()[1:]):
+                cid, mode, residual, passed = text.split(",")
                 out[f"{key}/{cid}/{mode}/residual"] = float(residual).hex()
                 out[f"{key}/{cid}/{mode}/pass"] = passed == "1"
+                out[f"{key}/{cid}/{mode}/worst_probe"] = row.worst_probe
             out[f"{key}/highest_strong_order"] = report.highest_strong_order
             out[f"{key}/weakened_order5"] = report.weakened_order5
+        rows = classical_order_conditions(classical_limit(t))
+        for n, (order, lhs, rhs) in enumerate(rows):
+            key = f"classical/{name}/{n:02d}"
+            out[f"{key}/order"], out[f"{key}/lhs"], out[f"{key}/rhs"] = order, str(lhs), str(rhs)
     problems = [heat_problem(200), heat_problem(2000), advdiff_problem(200)]
     for pb in problems:
         for name in TABLEAUX:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import augmented_phi
-from exprk.order_conditions import (CONDITION_ORDERS, MODES, ProbeSet, _defects,
-                                    _phi_tables, _probe_residuals, check,
+from exprk.order_conditions import (CONDITION_ORDERS, MODES, TOP_ORDER, WORDS, ProbeSet,
+                                    _bilinear_columns, _defects, _phi_tables,
+                                    _probe_residuals, _probe_tables, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
 from exprk.tableau import ExpRKTableau, exprk5s8, get_tableau, phi_term
@@ -500,6 +501,51 @@ def test_every_residual_of_the_stacks_matches_a_probe_alone(tab5, make):
     for n, p in enumerate(probes):
         for (cid, mode), res in residuals.items():
             assert res[n] == condition_residual(cid, t, p, mode), (cid, mode, p.label)
+
+
+def _unmemoized_residuals(tab):
+    """{(cid, mode): residual} at one probe's tables by the word recursion
+    with no memo: every inner nest, left factor coeffs_i X and bilinear lift
+    is formed again where a word reads it, and each sum starts at zero."""
+    zero = np.zeros((tab.p.d, tab.p.d))
+
+    def nest(links, j, coeffs):
+        (power, letter), rest = links[0], links[1:]
+        acc = zero
+        for i in sorted(coeffs):
+            inner = nest(rest, j, tab.coeffs[i]) if rest else tab.nests[(), j, i]
+            if letter == "B":
+                term = coeffs[i] @ _bilinear_columns(tab.p.B, inner, inner)
+            else:
+                term = (coeffs[i] @ getattr(tab.p, letter)) @ inner
+            acc = acc + tab.c[i - 1] ** power * term
+        return acc
+
+    out = {}
+    for cid, word in WORDS.items():
+        for mode in MODES:
+            weakened = mode == "weakened" and word.order == TOP_ORDER
+            if word.links:
+                value = nest(word.links, word.psi, tab.coeffs["b(0)" if weakened else "b"])
+            else:
+                value = tab.at_zero[word.psi] if weakened else tab.nests[(), word.psi, None]
+            out[cid, mode] = float(np.abs(value).max())
+    return out
+
+
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])
+def test_memoized_residuals_equal_the_unmemoized_recursion(name):
+    """The residual loop forms each inner nest, left factor and bilinear lift
+    once per probe, keyed by coefficient set (b(Z), b(0) I or a row of a),
+    letter and stage; on the 93 default probes every residual equals, bit
+    for bit, the recursion that forms each of them where it is read."""
+    t = get_tableau(name)
+    probes = draw_probe_sets(50, d=3, seed=0) + structured_probes()
+    assert len(probes) == 93
+    residuals = _probe_residuals(t, probes)
+    for n, tab in _probe_tables(t, probes):
+        for key, want in _unmemoized_residuals(tab).items():
+            assert residuals[key][n] == want, (key, probes[n].label)
 
 
 def test_check_leaves_no_cyclic_garbage(tab5):

@@ -216,6 +216,48 @@ def test_phi_scalar_rejects_negative_index():
         phi_scalar(-1, 0.5)
 
 
+@pytest.mark.parametrize("j", [True, False, 2.0, 2.5, "2", Fraction(2)])
+def test_phi_index_that_is_not_an_integer_is_rejected(j):
+    """A bool would name phi_1 or phi_0 and a float another phi, so both
+    scalar and matrix routes read j through phi_index."""
+    with pytest.raises(TypeError, match="phi index must be an integer"):
+        phi_scalar(j, 0.5)
+    with pytest.raises(TypeError, match="phi index must be an integer"):
+        phi_matrix(j, np.eye(2))
+
+
+@pytest.mark.parametrize("j", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_phi_index_is_the_int(j):
+    m = _random_symmetric(3, seed=5)
+    for z in (0.5, -2.0, 800.0):
+        assert phi_scalar(j, z) == phi_scalar(3, z)
+    assert np.array_equal(phi_matrix(j, m), phi_matrix(3, m))
+
+
+@pytest.mark.parametrize("j", [30, 31, 32, 33, 40])
+@pytest.mark.parametrize("z", [0.5, -0.5, -100.0, 100.0, 800.0])
+def test_phi_scalar_reads_the_same_inverse_factorials_past_its_table(j, z):
+    """1/k! comes from a table below k = 32 and is computed per call above
+    it; either way phi_scalar is, bit for bit, the series or recurrence with
+    1.0 / factorial(k) (at these z both are accurate for j up to 40)."""
+    if abs(z) < PHI_TAYLOR_RADIUS:
+        term = val = 1.0 / factorial(j)
+        for m in range(1, exprk.phi.PHI_TAYLOR_TERMS):
+            term *= z / (m + j)
+            val += term
+    elif z > LOG_FLOAT_MAX:
+        half = math.exp(z / 2)
+        val = half
+        for k in range(j):
+            val = (val - 1.0 / factorial(k) / half) / z
+        val *= half
+    else:
+        val = math.exp(z)
+        for k in range(j):
+            val = (val - 1.0 / factorial(k)) / z
+    assert phi_scalar(j, z) == val
+
+
 def test_quadrature_oracle_raises_when_tolerance_uncertifiable():
     # phi_1(5) is about 29.5; adaptive quadrature cannot certify 1e-16
     # absolute error there, and the oracle must refuse rather than guess.
@@ -757,6 +799,20 @@ def test_cache_is_read_only_and_reports_misses():
         cache.get(2, 1)
     # CacheMissError is a KeyError so plain dict-style handling also works
     assert issubclass(CacheMissError, KeyError)
+
+
+def test_cache_leaves_the_callers_arrays_writable():
+    """PhiCache stores a read-only view of each entry, not the caller's
+    array made read-only, and no copy of it."""
+    mine = np.ones(3)
+    cache = PhiCache({(1, 1): mine})
+    assert mine.flags.writeable
+    entry = cache.get(1, 1)
+    assert np.shares_memory(entry, mine)
+    with pytest.raises(ValueError):
+        entry[0] = 2.0
+    mine[0] = 2.0
+    assert entry[0] == 2.0
 
 
 def test_cache_dedups_requests_and_validates_h():
