@@ -30,9 +30,7 @@ with a walk for 1/5 and 2/3), on which it sums the weights, the rows of a
 and every psi defect the words read.  The words are then evaluated probe by
 probe on its members of those stacks, each inner nest, left factor
 coeffs_i X and bilinear lift formed once per probe for all words and both
-modes, and each nest sum starting at its first term (where every sum
-started from zero and only the nests were kept, the benchmark's check-order
-solve_s read 0.066 s; now 0.051 s, with the same bits).  Table and sums
+modes, and each nest sum starting at its first term.  Table and sums
 compute for each member exactly what they compute for that Z alone, so
 every probe gets the numbers it would get alone; condition_residual builds
 the tables of one probe.  On the stacks, the words' 3x3 products would make

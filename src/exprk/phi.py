@@ -67,10 +67,6 @@ class CacheMissError(KeyError):
     """A phi matrix was requested that the cache was not built for."""
 
 
-# phi_scalar's 1/k! below k = 32, each the float quotient 1.0 / factorial(k)
-_INVERSE_FACTORIALS = tuple(1.0 / factorial(k) for k in range(32))
-
-
 def phi_scalar(j, z):
     """Evaluate phi_j at a real scalar z (an int or a numpy float too), as a
     float; a complex z or a str raises TypeError, and so does a j that
@@ -98,24 +94,21 @@ def phi_scalar(j, z):
     if j == 0:
         return math.exp(z)
     if abs(z) < PHI_TAYLOR_RADIUS:
-        term = _INVERSE_FACTORIALS[j] if j < len(_INVERSE_FACTORIALS) else 1.0 / factorial(j)
+        term = 1.0 / factorial(j)
         val = term
         for m in range(1, PHI_TAYLOR_TERMS):
             term *= z / (m + j)
             val += term
         return val
-    # the recurrence reads 1/k! for k < j
-    inv = (_INVERSE_FACTORIALS if j <= len(_INVERSE_FACTORIALS)
-           else [1.0 / factorial(k) for k in range(j)])
     if z > LOG_FLOAT_MAX:
         half = math.exp(z / 2)
         val = half
         for k in range(j):
-            val = (val - inv[k] / half) / z
+            val = (val - 1.0 / factorial(k) / half) / z
         return half * val
     val = math.exp(z)
     for k in range(j):
-        val = (val - inv[k]) / z
+        val = (val - 1.0 / factorial(k)) / z
     return val
 
 

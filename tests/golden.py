@@ -6,8 +6,12 @@ prints one flat object, sorted by key, one entry per line:
 
 - check/<tableau>/seed<s>/<id>/<mode>/residual, .../pass and .../worst_probe:
   the rows of check(t, seed=s) for expRK5s8, expEuler and expRK2s2 at
-  seeds 0-3, each residual as float.hex and each row's worst_probe label,
-  with the report's highest_strong_order and weakened_order5;
+  seeds 0-3, each residual as float.hex, with the report's
+  highest_strong_order and weakened_order5; a row's worst_probe label only
+  where its probe's residual exceeds every other probe's by more than twice
+  the float tolerance REL, ABS, so that residuals moving within it cannot
+  change the label (on rows of rounding noise, and where probes tie, it is
+  left out);
 - classical/<tableau>/<n>/order, .../lhs and .../rhs: row n (two digits) of
   classical_order_conditions on the same tableaux' classical limits, each
   side as the str of its exact Fraction;
@@ -33,7 +37,8 @@ import numpy as np
 from conftest import advdiff_matrix
 from exprk.integrator import SemilinearProblem, integrate, required_requests
 from exprk.operators import DenseOperator
-from exprk.order_conditions import check, classical_order_conditions
+from exprk.order_conditions import (_probe_residuals, check, classical_order_conditions,
+                                    draw_probe_sets, structured_probes)
 from exprk.phi import build_phi_cache
 from exprk.tableau import classical_limit, get_tableau
 from exprk.testbed import Grid1D, discrete_l2_error, heat_problem
@@ -41,6 +46,10 @@ from exprk.testbed import Grid1D, discrete_l2_error, heat_problem
 TABLEAUX = ("expRK5s8", "expEuler", "expRK2s2")
 SEEDS = range(4)
 STEPS = (16, 64)
+# a float entry has moved when it differs by more than REL of its value
+# plus ABS (see test_golden.py)
+REL = 1e-9
+ABS = 1e-14
 
 
 def advdiff_problem(n, beta=20.0):
@@ -72,11 +81,17 @@ def record():
         for seed in SEEDS:
             key = f"check/{name}/seed{seed}"
             report = check(t, seed=seed)
+            # check()'s default probes
+            residuals = _probe_residuals(t, draw_probe_sets(50, d=3, seed=seed)
+                                         + structured_probes())
             for row, text in zip(report.rows, report.machine_rows()[1:]):
                 cid, mode, residual, passed = text.split(",")
                 out[f"{key}/{cid}/{mode}/residual"] = float(residual).hex()
                 out[f"{key}/{cid}/{mode}/pass"] = passed == "1"
-                out[f"{key}/{cid}/{mode}/worst_probe"] = row.worst_probe
+                top, runner_up = np.sort(residuals[row.id, row.mode])[[-1, -2]]
+                assert top == row.residual
+                if top - runner_up > 2 * (REL * top + ABS):
+                    out[f"{key}/{cid}/{mode}/worst_probe"] = row.worst_probe
             out[f"{key}/highest_strong_order"] = report.highest_strong_order
             out[f"{key}/weakened_order5"] = report.weakened_order5
         rows = classical_order_conditions(classical_limit(t))

@@ -13,10 +13,8 @@ parent", diff the output of golden.py at both commits.
 import json
 import os
 
-from golden import record
+from golden import ABS, REL, record
 
-REL = 1e-9
-ABS = 1e-14
 FLOATS = ("/residual", "/l2_error")
 
 

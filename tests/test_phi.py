@@ -234,30 +234,6 @@ def test_numpy_integer_phi_index_is_the_int(j):
     assert np.array_equal(phi_matrix(j, m), phi_matrix(3, m))
 
 
-@pytest.mark.parametrize("j", [30, 31, 32, 33, 40])
-@pytest.mark.parametrize("z", [0.5, -0.5, -100.0, 100.0, 800.0])
-def test_phi_scalar_reads_the_same_inverse_factorials_past_its_table(j, z):
-    """1/k! comes from a table below k = 32 and is computed per call above
-    it; either way phi_scalar is, bit for bit, the series or recurrence with
-    1.0 / factorial(k) (at these z both are accurate for j up to 40)."""
-    if abs(z) < PHI_TAYLOR_RADIUS:
-        term = val = 1.0 / factorial(j)
-        for m in range(1, exprk.phi.PHI_TAYLOR_TERMS):
-            term *= z / (m + j)
-            val += term
-    elif z > LOG_FLOAT_MAX:
-        half = math.exp(z / 2)
-        val = half
-        for k in range(j):
-            val = (val - 1.0 / factorial(k) / half) / z
-        val *= half
-    else:
-        val = math.exp(z)
-        for k in range(j):
-            val = (val - 1.0 / factorial(k)) / z
-    assert phi_scalar(j, z) == val
-
-
 def test_quadrature_oracle_raises_when_tolerance_uncertifiable():
     # phi_1(5) is about 29.5; adaptive quadrature cannot certify 1e-16
     # absolute error there, and the oracle must refuse rather than guess.
