@@ -25,17 +25,18 @@ probes is the (probabilistic) verdict that it holds.
 
 The phi matrices come in stacks: check() groups its probes by dimension d
 and builds one phi table per group over the stacked Z of the whole group
-(phi.phi_matrix_table: a chain for the dyadic scales, and a chain on Z/15
-with a walk for 1/5 and 2/3), on which it sums the weights, the rows of a
-and every psi defect the words read.  The words are then evaluated probe by
-probe on its members of those stacks, each inner nest, left factor
-coeffs_i X and bilinear lift formed once per probe for all words and both
-modes, and each nest sum starting at its first term.  Table and sums
-compute for each member exactly what they compute for that Z alone, so
-every probe gets the numbers it would get alone; condition_residual builds
-the tables of one probe.  On the stacks, the words' 3x3 products would make
-a check() of about 15 ms, shorter than the benchmark speed probe's 25 ms
-period, so they stay per probe.
+(phi.phi_matrix_table: per scale family one chain and one walk, for
+expRK5s8 on Z/4 for the dyadic scales and on Z/15 for 1/5 and 2/3), on
+which it sums the weights, the rows of a and every psi defect the words
+read.  The words are then evaluated probe by probe on its members of those
+stacks, each inner nest, left factor coeffs_i X and bilinear lift formed
+once per probe for all words and both modes, and each nest sum starting at
+its first term; a probe's word values are reduced to residuals together.
+Table and sums compute for each member exactly what they compute for that
+Z alone, so every probe gets the numbers it would get alone;
+condition_residual builds the tables of one probe.  On the stacks, the
+words' 3x3 products would make a check() of about 15 ms, shorter than the
+benchmark speed probe's 25 ms period, so they stay per probe.
 """
 
 from dataclasses import dataclass
@@ -168,7 +169,7 @@ def _defects(t):
     Returns parts, {(j, i): tableau.psi_parts(j, t, i)} over the weight
     defect psi_j of each word without links and psi_{j,i} at every stage for
     each word with them, and at_zero, {j: psi_j at Z = 0} over the weight
-    defects that weakened mode takes at Z = 0 (see _residual).
+    defects that weakened mode takes at Z = 0 (see _word_value).
     """
     keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
                          for i in (range(2, t.s + 1) if w.links else (None,)))
@@ -211,7 +212,7 @@ def _group_sums(t, probes, parts):
 
 class _ProbeTables:
     """What condition evaluation reads at one probe: the members [k] of its
-    group's stacks from _group_sums, and b_i(0) I.
+    group's stacks from _group_sums, b_i(0) I and psi_j(0) I.
 
     coeffs holds the sets a nest sums over, each in stage order: "b" (the
     weights b_i(Z)), "b(0)" (b_i(0) I) and, at stage i, row i of a.  Three
@@ -261,20 +262,17 @@ def _nest(tab, links, j, where):
     return np.zeros_like(tab.p.Z) if acc is None else acc
 
 
-def _residual(word, tab, mode):
-    """Max-abs residual of one word at one probe.
+def _word_value(word, tab, mode):
+    """The matrix value of one word at one probe; its residual is the
+    largest absolute entry.
 
     Weakened mode changes only the top order: the outer weights become the
     scalars b_i(0), and its weight defect (psi_5) is taken at Z = 0 alone.
     """
     weakened = mode == "weakened" and word.order == TOP_ORDER
     if word.links:
-        value = _nest(tab, word.links, word.psi, "b(0)" if weakened else "b")
-    elif weakened:
-        value = tab.at_zero[word.psi]
-    else:
-        value = tab.nests[(), word.psi, None]
-    return float(np.abs(value).max())
+        return _nest(tab, word.links, word.psi, "b(0)" if weakened else "b")
+    return tab.at_zero[word.psi] if weakened else tab.nests[(), word.psi, None]
 
 
 def _probe_tables(t, probes):
@@ -286,19 +284,24 @@ def _probe_tables(t, probes):
         ns = [n for n, probe in enumerate(probes) if probe.d == d]
         sums = _group_sums(t, [probes[n] for n in ns], parts)
         weights = {i: float(v.at_zero()) * np.eye(d) for i, v in t.b.items()}
+        zero = {j: v * np.eye(d) for j, v in at_zero.items()}
         for k, n in enumerate(ns):
-            yield n, _ProbeTables(probes[n], k, sums, weights, at_zero, c)
+            yield n, _ProbeTables(probes[n], k, sums, weights, zero, c)
 
 
 def _probe_residuals(t, probes):
-    """{(cid, mode): [residual at each probe]}, in probe order; below
-    TOP_ORDER the modes are one condition, evaluated once per probe."""
+    """{(cid, mode): [residual at each probe]}, in probe order.  Below
+    TOP_ORDER the modes are one condition, evaluated once per probe, and a
+    probe's distinct word values are reduced to residuals together."""
+    keys = [(cid, mode) for cid, word in WORDS.items() for mode in MODES
+            if mode == "strong" or word.order == TOP_ORDER]
     residuals = {(cid, mode): [None] * len(probes) for cid in WORDS for mode in MODES}
     for n, tab in _probe_tables(t, probes):
-        for cid, word in WORDS.items():
-            strong = _residual(word, tab, "strong")
-            weak = _residual(word, tab, "weakened") if word.order == TOP_ORDER else strong
-            residuals[cid, "strong"][n], residuals[cid, "weakened"][n] = strong, weak
+        values = np.stack([_word_value(WORDS[cid], tab, mode) for cid, mode in keys])
+        for (cid, mode), res in zip(keys, np.abs(values).max(axis=(1, 2)).tolist()):
+            residuals[cid, mode][n] = res
+            if WORDS[cid].order < TOP_ORDER:
+                residuals[cid, "weakened"][n] = res
     return residuals
 
 
@@ -310,7 +313,7 @@ def condition_residual(cid, t, p, mode="strong"):
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
     [(_, tab)] = _probe_tables(t, [p])
-    return _residual(WORDS[cid], tab, mode)
+    return float(np.abs(_word_value(WORDS[cid], tab, mode)).max())
 
 
 @dataclass(frozen=True)

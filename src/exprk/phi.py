@@ -11,21 +11,22 @@ computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
 in which case a spectral cache holds O(n) numbers in total, each from one
-phi_scalar call in plain float arithmetic.  Matrices come
-from scaling-and-modified-squaring chains, each of which yields
-phi_0..phi_j together from n x n products alone.  Since the chain on M passes
-through M/2, M/4, ... on its way back from 2^-s M, the dyadic scales 1, 1/2,
-1/4, ... share one chain.  The other scales are multiples of one Y = hM/L,
-and a walk of doublings and additions by phi's addition formula reaches them
-from the chain on Y: expRK5s8's 1/5 and 2/3 are 3Y and 10Y with L = 15, so
-its five scales cost two chains and five walk steps.  Every squaring and
-walk step zeroes, in place, each entry below 2^-200 of its matrix's largest:
-for the smoothing A of a parabolic problem the far off-diagonal entries fall
-to 1e-150..1e-300 midway through a chain, and their products would run in
-slow subnormal arithmetic, while zeroing them moves no later product by more
-than 2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is
-flushed only when its phi_0 holds a nonzero entry below 2^-511, whose square
-is subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one scale alone.  Chains
+phi_scalar call in plain float arithmetic.  Matrices come from
+scaling-and-modified-squaring chains, each of which yields phi_0..phi_j
+together from n x n products alone.  The scales fall into two families, the
+dyadic scales 1, 1/2, 1/4, ... and the others; each family's scales are
+multiples t of one Y = hM/L, L the least common denominator of the family,
+and one chain on Y with a walk of doublings and additions by phi's addition
+formula reaches each tY.  expRK5s8's 1/5 and 2/3 are 3Y and 10Y with L = 15,
+and its 1, 1/2 and 1/4 are 4Y, 2Y and Y with L = 4, so its five scales cost
+two chains and seven walk steps.  Every squaring and walk step zeroes, in
+place, each entry below 2^-200 of its matrix's largest: for the smoothing A
+of a parabolic problem the far off-diagonal entries fall to 1e-150..1e-300
+midway through a chain, and their products would run in slow subnormal
+arithmetic, while zeroing them moves no later product by more than 2^-147
+of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is flushed only
+when its phi_0 holds a nonzero entry below 2^-511, whose square is
+subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one chain alone.  Chains
 and walks also run on a stack of matrices at once, each matrix getting what
 it would get alone; the order-condition checker builds its probes' phi
 tables so.  Every route is real and rejects a complex argument (TypeError).
@@ -69,8 +70,8 @@ class CacheMissError(KeyError):
 
 def phi_scalar(j, z):
     """Evaluate phi_j at a real scalar z (an int or a numpy float too), as a
-    float; a complex z or a str raises TypeError, and so does a j that
-    phi_index rejects (a bool or a non-integer).
+    float; a complex z or a str raises TypeError, and a j that phi_index
+    rejects raises as phi_index does.
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
@@ -80,10 +81,8 @@ def phi_scalar(j, z):
     finite (up to z ~ 1419).  The result is +inf where phi_j(z) exceeds the
     largest float, 0.0 at -inf and nan at nan, with no warning.
     """
-    if type(j) is not int:
+    if type(j) is not int or j < 0:
         j = phi_index(j)
-    if j < 0:
-        raise ValueError("phi index must be >= 0")
     if type(z) is not float:
         if not isinstance(z, numbers.Real):
             raise TypeError(f"phi_scalar takes a real z, got {z!r}")
@@ -112,45 +111,39 @@ def phi_scalar(j, z):
     return val
 
 
-def _squaring_chain(m, wants):
-    """{(j, k): phi_j(2^-k M)} for each pair in wants, from one chain.
+def _squaring_chain(m, jmax):
+    """The (P, jmax+1, n, n) stack of phi_0(M)..phi_jmax(M) from one chain.
 
-    M is an n x n matrix or a (..., n, n) stack, and every entry read out
-    has M's shape.  Each matrix is scaled by 2^-s, with its own s the larger
-    of the deepest k wanted and the least s that gives X = 2^-s M a 1-norm of
-    at most PHI_SQUARING_THETA; phi_jmax(X), jmax the largest j wanted, is
-    the Taylor polynomial of PHI_SQUARING_TERMS terms in Horner form, the
-    lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!, and each modified
-    squaring
+    M is an n x n matrix (P = 1) or a (..., n, n) stack of P of them, and
+    the result holds them in M's order.  Each matrix is scaled by 2^-s, with its own s the least
+    s >= 0 that gives X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA;
+    phi_jmax(X) is the Taylor polynomial of PHI_SQUARING_TERMS terms in
+    Horner form, the lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!,
+    and each of s modified squarings
 
         phi_j(2X) = 2^-j [phi_0(X) phi_j(X) + sum_{i=1..j} phi_i(X)/(j-i)!]
 
     takes a matrix's phis one power of two closer to M (Skaflestad & Wright,
-    Appl. Numer. Math. 2009); phi_j(2^-k M) is copied out after s - k of
-    them.  The stack is sorted by s, largest first, so the matrices still
-    squaring at any level are a leading slice of it, and a matrix computes
-    exactly what the chain on it alone computes.  Per matrix, all products
-    are n x n: PHI_SQUARING_TERMS - 1 + jmax + s (jmax + 1) of them.  The
-    squarings alternate between two preallocated stacks (with a third for
-    the mixing term), so a chain allocates nothing per squaring beyond the
-    entries it copies out.  Each squaring is a _combine, which zeroes the
-    entries below 2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that
-    the next squaring's products stay out of subnormal arithmetic.
+    Appl. Numer. Math. 2009).  The stack is sorted by s, largest first, so
+    the matrices still squaring at any level are a leading slice of it, and
+    a matrix computes exactly what the chain on it alone computes.  Per
+    matrix, all products are n x n: PHI_SQUARING_TERMS - 1 + jmax + s (jmax
+    + 1) of them.  The squarings alternate between two preallocated stacks
+    (with a third for the mixing term), so a chain allocates nothing per
+    squaring.  Each squaring is a _combine, which zeroes the entries below
+    2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that the next
+    squaring's products stay out of subnormal arithmetic.
     """
     m = real_array(m, "M")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    shape, n = m.shape, m.shape[-1]
+    n = m.shape[-1]
     m = m.reshape(-1, n, n)
-    jmax = max(j for j, _ in wants)
-    deepest = max(k for _, k in wants)
     norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
-    s = [max(deepest, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else deepest
-         for v in norms.tolist()]
+    s = [max(0, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else 0 for v in norms.tolist()]
     order = sorted(range(len(s)), key=lambda i: -s[i])
-    unsort = sorted(range(len(s)), key=order.__getitem__)
     s = [s[i] for i in order]
     x = m[order]
     np.ldexp(x, -np.array(s)[:, None, None], out=x)
@@ -167,14 +160,11 @@ def _squaring_chain(m, wants):
     # a matrix joins the squarings at its own level s, reading its Taylor
     # phis from whichever stack is current then: both hold them
     doubled, mixed = phis.copy(), np.empty((len(x), jmax + 1, n * n))
-    got = {}
-    for k in range(s[0], -1, -1):
+    for k in range(s[0] - 1, -1, -1):
         live = sum(sk > k for sk in s)
-        if live:
-            _combine(phis[:live], phis[:live], 1, 1, doubled[:live], mixed[:live])
-            phis, doubled = doubled, phis
-        got.update({(j, k): phis[unsort, j].reshape(shape) for j, kj in wants if kj == k})
-    return got
+        _combine(phis[:live], phis[:live], 1, 1, doubled[:live], mixed[:live])
+        phis, doubled = doubled, phis
+    return phis[np.argsort(order)]
 
 
 def _diagonal(stack):
@@ -242,11 +232,9 @@ def phi_matrix(j, m):
     """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain.
     j is read by phi_index."""
     j = phi_index(j)
-    if j < 0:
-        raise ValueError("phi index must be >= 0")
     if np.ndim(m) != 2:
         raise ValueError("matrix must be square")
-    return _squaring_chain(m, {(j, 0)})[j, 0]
+    return _squaring_chain(m, j)[0, j].copy()
 
 
 def _phi_values(j, zs):
@@ -263,9 +251,12 @@ class PhiRequest(NamedTuple):
 
 def phi_index(j):
     """j as an int; a j that is not an integer, or is a bool, raises
-    TypeError rather than naming some other phi (int(2.5) is 2, True is 1)."""
+    TypeError rather than naming some other phi (int(2.5) is 2, True is 1),
+    and a negative j raises ValueError."""
     if isinstance(j, bool) or not isinstance(j, numbers.Integral):
         raise TypeError(f"phi index must be an integer, got {j!r}")
+    if j < 0:
+        raise ValueError("phi index must be >= 0")
     return int(j)
 
 
@@ -288,8 +279,6 @@ def phi_request(j, scale):
     """Normalize (j, scale) to a PhiRequest with an exact rational scale,
     read by exact_rational."""
     j = phi_index(j)
-    if j < 0:
-        raise ValueError("phi index must be >= 0")
     scale = exact_rational(scale)
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
@@ -306,11 +295,12 @@ class PhiCache:
     phi_j(scale * h * A) = V @ diag(entry) @ V.T.  V is an ndarray or a
     SineBasis that applies the DST-I; the cache only uses V @ y and V.T @ x.
     A dense cache stores the matrices themselves, and its basis is the
-    identity.
+    identity.  The entries tell the two apart: 1-d entries make a spectral
+    cache and 2-d ones a dense cache; a table that mixes them raises
+    ValueError.
     """
 
-    def __init__(self, table, basis=None, spectral=False):
-        self.spectral = bool(spectral)
+    def __init__(self, table, basis=None):
         self.basis = basis
         self._table = {}
         for key, val in table.items():
@@ -318,6 +308,10 @@ class PhiCache:
             val = real_array(val, "table entry").view()
             val.flags.writeable = False
             self._table[phi_request(*key)] = val
+        ndims = {val.ndim for val in self._table.values()}
+        if len(ndims) > 1:
+            raise ValueError("a phi table holds eigenvalue vectors or matrices, not both")
+        self.spectral = ndims == {1}
 
     def get(self, j, scale):
         """The stored entry for phi_j(scale * h * A); CacheMissError on a miss.
@@ -359,13 +353,15 @@ def phi_matrix_table(m, h, keys):
     """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
 
     M is a square matrix or a (..., n, n) stack of them, and each entry has
-    M's shape.  The dyadic scales 2^-k share one squaring chain: it runs on
-    top * h * M, top the largest of them, to the largest j they request, and
-    the scale top / 2^k is read out k squarings before its end.  Every other
-    scale is a multiple t of Y = h M / L, L the least common denominator of
-    those scales, and _walk reaches each tY.  The walk runs first, so that
-    its stacks are gone before the dyadic chain allocates its own.  An entry
-    that overflows raises OverflowError naming j, the scale and h.
+    M's shape.  The keys fall into two families, the dyadic scales 2^-k and
+    the others.  Each family's scales are multiples t of Y = h M / L, L the
+    least common denominator of the family, and one _squaring_chain on Y to
+    the largest j the family requests, then _walk, reaches each tY.  The
+    dyadic family's walk only doubles: reaching scale 1 by additions from
+    the other family's Y costs 3-10x accuracy on stiff symmetric A.  The
+    non-dyadic family runs first, so that its stacks are gone before the
+    dyadic chain allocates its own.  An entry that overflows raises
+    OverflowError naming j, the scale and h.
     """
     dyadic, other = [], []
     for j, scale in keys:
@@ -373,40 +369,32 @@ def phi_matrix_table(m, h, keys):
         (dyadic if power_of_two else other).append((j, scale))
     table = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        if other:
-            lcd = math.lcm(*(scale.denominator for _, scale in other))
+        for family in filter(None, (other, dyadic)):
+            lcd = math.lcm(*(scale.denominator for _, scale in family))
             wants = {}
-            for j, scale in other:
+            for j, scale in family:
                 wants.setdefault(int(scale * lcd), []).append(j)
-            got = _walk(h / lcd * m, wants)
-            table.update({(j, scale): got[j, int(scale * lcd)] for j, scale in other})
-        if dyadic:
-            top = max(scale for _, scale in dyadic)
-            # (j, scale) is phi_j at depth k = log2(top / scale) of the chain
-            at = {(j, scale): (j, (top / scale).numerator.bit_length() - 1)
-                  for j, scale in dyadic}
-            got = _squaring_chain(float(top) * h * m, set(at.values()))
-            table.update({key: got[jk] for key, jk in at.items()})
+            got = _walk(_squaring_chain(h / lcd * m, max(j for j, _ in family)), wants)
+            table.update({(j, scale): got[j, int(scale * lcd)].reshape(np.shape(m))
+                          for j, scale in family})
     return _finite(table, h)
 
 
-def _walk(y, wants):
-    """{(j, t): phi_j(tY)} for each t -> [j, ...] in wants, Y a square matrix
-    or a (..., n, n) stack of them, each entry of Y's shape.
+def _walk(base, wants):
+    """{(j, t): phi_j(tY)} for each t -> [j, ...] in wants, each entry a
+    (P, n, n) stack, from base, the (P, jmax+1, n, n) stack of
+    phi_0..phi_jmax(Y) that _squaring_chain gives on Y.
 
-    One squaring chain gives phi_0..phi_jmax(Y), jmax the largest j wanted.
-    tY is reached from there along t's binary digits read left to right: a 0
-    doubles the multiple, a 1 doubles it and adds Y, each step one _combine.
-    The multiples passed form a trie rooted at 1 (the parent of t is t/2 or
-    t - 1), so targets share their common prefixes.  Siblings are taken
-    smaller subtree first, and a multiple's stack returns to a pool as soon
-    as its last child is taken from it, so a few stacks serve the whole walk.
+    tY is reached along t's binary digits read left to right: a 0 doubles
+    the multiple, a 1 doubles it and adds Y, each step one _combine; a
+    doubling is the chain's modified squaring.  The multiples passed form a
+    trie rooted at 1 (the parent of t is t/2 or t - 1), so targets share
+    their common prefixes.  Siblings are taken smaller subtree first, and a
+    multiple's stack returns to a pool as soon as its last child is taken
+    from it, so a few stacks serve the whole walk.  Y's own stack, base,
+    returns so too, to be overwritten, when no multiple is reached by adding
+    Y, as when every t is a power of two.
     """
-    jmax = max(max(js) for js in wants.values())
-    got = _squaring_chain(y, {(j, 0) for j in range(jmax + 1)})
-    shape = got[0, 0].shape
-    base = np.stack([got.pop((j, 0)) for j in range(jmax + 1)], axis=-3)
-    base = base.reshape((-1,) + base.shape[-3:])
     parent = {}
     for t in wants:
         while t > 1 and t not in parent:
@@ -419,9 +407,10 @@ def _walk(y, wants):
     kids = {}
     for t in sorted(parent, key=size.get):
         kids.setdefault(parent[t], []).append(t)
+    adds = any(t % 2 for t in parent)
     stacks, pool = {1: base}, []
     mixed = np.empty(base.shape[:2] + (base.shape[-1] ** 2,))
-    got = {(j, 1): base[:, j].reshape(shape).copy() for j in wants.get(1, ())}
+    got = {(j, 1): base[:, j].copy() for j in wants.get(1, ())}
     todo = kids.get(1, [])[::-1]
     while todo:
         t = todo.pop()
@@ -430,9 +419,9 @@ def _walk(y, wants):
         _combine(stacks[v], stacks[v] if t == 2 * v else base, v, v if t == 2 * v else 1,
                  out, mixed)
         stacks[t] = out
-        if t == kids[v][-1] and v > 1:
+        if t == kids[v][-1] and (v > 1 or not adds):
             pool.append(stacks.pop(v))
-        got.update({(j, t): out[:, j].reshape(shape).copy() for j in wants.get(t, ())})
+        got.update({(j, t): out[:, j].copy() for j in wants.get(t, ())})
         if t in kids:
             todo += kids[t][::-1]
         else:
@@ -456,9 +445,10 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A gets n x n matrices from phi_matrix_table: a
-    squaring chain for the dyadic scales, a walk for the others.  Either way PhiCache.get returns an
-    entry as stored, in the form the integrator's Stepper applies it.
+    SineBasis).  Dense A gets n x n matrices from phi_matrix_table: per
+    scale family, a squaring chain to its base Y and a walk from Y.  Either
+    way PhiCache.get returns an entry as stored, in the form the
+    integrator's Stepper applies it.
     Duplicate requests collapse; each entry is computed once.  An entry that
     overflows raises OverflowError naming j, the scale and h.
     """
@@ -474,4 +464,4 @@ def build_phi_cache(a, h, requests):
     w, v = eig
     with np.errstate(over="ignore", invalid="ignore"):
         table = {(j, scale): _phi_values(j, float(scale) * h * w) for j, scale in keys}
-    return PhiCache(_finite(table, h), basis=v, spectral=True)
+    return PhiCache(_finite(table, h), basis=v)

@@ -327,37 +327,37 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
     ||M||_1 = 0.3, 3 and 1e3, out of s order) holds per member exactly what
     the chain, and the walk from Y to its multiples, on that member alone
     compute.  Of three diagonal members, the first loses e^-400 from
-    phi_0(M/2), below 2^-511 and below 2^-200 of its e^-0.5, and keeps
-    phi_1(-800); the second keeps e^-400..e^-401, all that its phi_0(M/2)
+    phi_0(M), below 2^-511 and below 2^-200 of its e^-0.5, and keeps
+    phi_1(-400); the second keeps e^-400..e^-401, all that its phi_0(M)
     holds, as the flush floor is each matrix's own; the third keeps e^-150,
-    below its floor but above 2^-511, as the flush is each matrix's own."""
+    below its floor but above 2^-511, as the flush trigger is each matrix's
+    own."""
     rng = np.random.default_rng(5)
     members = [np.zeros((3, 3))]
     for norm in (3.0, 1e3, 0.3):
         # eigenvalues in the left half-plane, so phi stays bounded at 1e3
         m = -(np.eye(3) + 0.4 * rng.uniform(-1.0, 1.0, (3, 3)))
         members.append(norm * m / np.abs(m).sum(axis=0).max())
-    members += [np.diag([-1.0, -800.0, -2.0]), np.diag([-800.0, -801.0, -802.0]),
-                np.diag([-1.0, -300.0, -2.0])]
-    stack = np.stack(members)
-    wants = {(4, 0), (1, 0), (3, 1), (0, 1)}
-    got = exprk.phi._squaring_chain(stack, wants)
-    for key in wants:
-        assert got[key].shape == stack.shape
-    # the walk from Y to 3Y and 10Y (and Y itself) on the stack
-    targets = {1: [3], 3: [1, 4], 10: [0, 2]}
-    walked = exprk.phi._walk(stack, targets)
-    assert got[0, 1][4][1, 1] == 0.0 and 0 < got[1, 0][4][1, 1] < 1.0
-    assert np.all(np.diag(got[0, 1][5]) > 0) and got[0, 1][6][1, 1] > 0
+    members += [np.diag([-0.5, -400.0, -1.0]), np.diag([-400.0, -400.5, -401.0]),
+                np.diag([-0.5, -150.0, -1.0])]
+    chain = exprk.phi._squaring_chain(np.stack(members), 4)
+    assert chain.shape == (len(members), 5, 3, 3)
+    assert chain[4, 0, 1, 1] == 0.0 and 0 < chain[4, 1, 1, 1] < 1.0
+    assert np.all(np.diag(chain[5, 0]) > 0) and chain[6, 0, 1, 1] > 0
+    # the walk from Y to 3Y and 10Y (and Y itself), and one that only
+    # doubles, which overwrites its base: each walks a copy
+    walks = [{1: [3], 3: [1, 4], 10: [0, 2]}, {2: [0], 4: [1, 4]}]
+    walked = [exprk.phi._walk(chain.copy(), targets) for targets in walks]
     for k, m in enumerate(members):
-        alone = exprk.phi._squaring_chain(m, wants)
-        for key in wants:
-            assert np.array_equal(got[key][k], alone[key]), (k, key)
-        alone = exprk.phi._walk(m, targets)
-        assert alone.keys() == walked.keys()
-        for key in alone:
-            assert walked[key].shape == stack.shape
-            assert np.array_equal(walked[key][k], alone[key]), (k, key)
+        alone = exprk.phi._squaring_chain(m, 4)
+        assert alone.shape == (1, 5, 3, 3)
+        assert np.array_equal(chain[k], alone[0]), k
+        for targets, got in zip(walks, walked):
+            mine = exprk.phi._walk(alone.copy(), targets)
+            assert mine.keys() == got.keys()
+            for key in mine:
+                assert got[key].shape == (len(members), 3, 3)
+                assert np.array_equal(got[key][k], mine[key][0]), (k, key)
 
 
 def _mp_augmented_phis(mpmath, j, m):
@@ -406,10 +406,11 @@ def test_phi_matrices_match_mpmath(case, j):
 @pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
 def test_exprk5s8_table_matches_mpmath(case):
     """The entries of expRK5s8's table that the walk gives, at scales 1/5
-    and 2/3, within the case's bound (the chain's scales 1, 1/2 and 1/4 are
-    the chain alone's, which the test above measures at scale 1).  Measured
-    at most 9.5e-16 on the first three and 1.3e-14 on stiff4, where a chain
-    per scale family gave 1.3e-15 and 5.4e-14."""
+    and 2/3, within the case's bound (where ||M||_1 > 4, as here, the
+    dyadic scales 1, 1/2 and 1/4 are the chain on each scale alone, which
+    the test above measures at scale 1).  Measured at most 9.5e-16 on the
+    first three and 1.3e-14 on stiff4, where a chain per scale gave 1.3e-15
+    and 5.4e-14."""
     mpmath = pytest.importorskip("mpmath")
     m, bound = _mp_cases()[case]
     table = phi_matrix_table(m, 1.0, EXPRK5S8_REQUESTS)
@@ -496,6 +497,19 @@ def test_cache_diagonal_and_zero_routes():
         assert np.array_equal(dense_phi(cache, j, s), np.eye(3) / factorial(j))
 
 
+def test_cache_form_follows_its_entries():
+    """1-d entries make a spectral cache, which applies an entry
+    elementwise, and 2-d entries a dense one, which applies it as a matrix;
+    a table that mixes them is refused."""
+    vec, mat = np.array([2.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    spectral = PhiCache({(1, 1): vec, (2, Fraction(1, 2)): vec})
+    assert spectral.spectral and spectral.apply(vec, np.array([1.0, 2.0])).tolist() == [2.0, 6.0]
+    dense = PhiCache({(1, 1): mat, (2, Fraction(1, 2)): mat})
+    assert not dense.spectral and dense.apply(mat, np.array([1.0, 2.0])).tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError, match="not both"):
+        PhiCache({(1, 1): vec, (2, Fraction(1, 2)): mat})
+
+
 def test_spectral_cache_holds_vectors_and_one_basis():
     rng = np.random.default_rng(5)
     n = 30
@@ -550,17 +564,17 @@ def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
 
 
 def _count_work(monkeypatch):
-    """Record every squaring chain run (its matrix and wanted (j, depth)
-    pairs), the multiple p + q that every walk step reaches, and the number
-    of square matrix products (the mixing product's operand is not square)."""
+    """Record every squaring chain run (its matrix and jmax), the multiple
+    p + q that every walk step reaches, and the number of square matrix
+    products (the mixing product's operand is not square)."""
     work = {"chains": [], "steps": [], "products": 0, "in_chain": False}
     chain, combine, matmul = exprk.phi._squaring_chain, exprk.phi._combine, np.matmul
 
-    def counted_chain(m, wants):
-        work["chains"].append((m, wants))
+    def counted_chain(m, jmax):
+        work["chains"].append((m, jmax))
         work["in_chain"] = True
         try:
-            return chain(m, wants)
+            return chain(m, jmax)
         finally:
             work["in_chain"] = False
 
@@ -582,10 +596,11 @@ def _count_work(monkeypatch):
 
 
 def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
-    """expRK5s8 on advdiff200 at h = 1/64: one chain on hA for the dyadic
-    scales 1, 1/2 and 1/4 (81 products, s = 12), one on Y = hA/15 (61, s =
-    8), and 1/5 = 3Y and 2/3 = 10Y by a walk through 2Y, 3Y, 4Y, 5Y and 10Y
-    (25): 167 n x n products, where a chain per scale family took 223."""
+    """expRK5s8 on advdiff200 at h = 1/64: one chain on Y = hA/15 (61
+    products, s = 8), and 1/5 = 3Y and 2/3 = 10Y by a walk through 2Y, 3Y,
+    4Y, 5Y and 10Y (25); one chain on Y = hA/4 for the dyadic scales (71, s
+    = 10), and 1/2 = 2Y and 1 = 4Y by two doublings (10): 167 n x n
+    products, where a chain per scale family took 223."""
     expms = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
@@ -593,11 +608,10 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     cache = build_phi_cache(DenseOperator(a), h, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
-    (y, base), (ha, dyadic) = work["chains"]
-    assert np.array_equal(y, h / 15 * a) and base == {(j, 0) for j in range(5)}
-    assert np.array_equal(ha, h * a)
-    assert max(j for j, _ in dyadic) == 4 and sorted({k for _, k in dyadic}) == [0, 1, 2]
-    assert sorted(work["steps"]) == [2, 3, 4, 5, 10]
+    (y15, jmax15), (y4, jmax4) = work["chains"]
+    assert np.array_equal(y15, h / 15 * a) and jmax15 == 4
+    assert np.array_equal(y4, h / 4 * a) and jmax4 == 4
+    assert sorted(work["steps"]) == [2, 2, 3, 4, 4, 5, 10]
     assert work["products"] == 167
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
@@ -605,24 +619,32 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
             cache.get(*key)[0] = 1.0
 
 
-def test_dyadic_scales_are_the_chain_on_their_top_scale_alone():
-    m, h = advdiff_matrix(50, beta=20.0), 1.0 / 64
-    for keys, top, wants in [
-            ([(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)], 1.0,
-             {(1, 0): (1, 1), (2, 1): (2, Fraction(1, 2)), (3, 2): (3, Fraction(1, 4)),
-              (0, 0): (0, 1)}),
-            ([(4, Fraction(1, 2)), (1, Fraction(1, 8))], 0.5,
-             {(4, 0): (4, Fraction(1, 2)), (1, 2): (1, Fraction(1, 8))})]:
-        table = phi_matrix_table(m, h, [phi_request(*key) for key in keys])
-        alone = exprk.phi._squaring_chain(top * h * m, set(wants))
-        assert len(table) == len(wants)
-        for jk, key in wants.items():
-            assert np.array_equal(table[key], alone[jk]), key
+@pytest.mark.parametrize("n", [20, 50, 200])
+def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
+    """Where ||hM||_1 > 2^K, the chain on Y = hM/2^K starts from the same
+    2^-s hM as the chain on each dyadic scale 2^-k hM alone (k <= K), and
+    the walk's doublings are that chain's last squarings, so every entry is
+    that chain's, bit for bit."""
+    m, h = advdiff_matrix(n, beta=20.0), 1.0 / 64
+    for keys in [[(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)],
+                 [(4, Fraction(1, 2)), (1, Fraction(1, 8))]]:
+        keys = [phi_request(*key) for key in keys]
+        jmax = max(j for j, _ in keys)
+        assert np.abs(h * m).sum(axis=0).max() > max(s.denominator for _, s in keys)
+        table = phi_matrix_table(m, h, keys)
+        assert len(table) == len(keys)
+        for j, scale in keys:
+            alone = exprk.phi._squaring_chain(float(scale) * h * m, jmax)
+            assert np.array_equal(table[j, scale], alone[0, j]), (j, scale)
 
 
 def test_phi_matrix_table_peak_memory():
-    """The walk runs before the dyadic chain and draws on a pool of stacks,
-    so the table's tracemalloc peak stays about 35 n^2 floats."""
+    """The non-dyadic family's stacks are gone before the dyadic chain
+    runs, the walks draw on a pool of stacks, and the dyadic walk, which
+    never adds Y, returns Y's stack to the pool once 2Y is formed: the
+    table's tracemalloc peak stays below 34 n^2 floats.  Measured 32.0;
+    35.1 when the dyadic scales were read out of their chain, and 37.0 with
+    Y's stack kept to the end of the walk."""
     a = advdiff_matrix(200, beta=20.0)
     tracemalloc.start()
     try:
@@ -630,7 +652,7 @@ def test_phi_matrix_table_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * a.size * 8
+    assert peak <= 34 * a.size * 8
 
 
 def _combine_outputs(monkeypatch):
@@ -715,15 +737,16 @@ def _probe_sized_z():
 
 
 @pytest.mark.parametrize("m, h, requests, n_chains, steps", [
-    # ||Z||_1 = 0.8 needs no squaring, but the dyadic chain does
-    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 2, [2, 3, 4, 5, 10],
+    # ||Z||_1 = 0.8 needs no squaring: each family's chain is its Taylor
+    # polynomial at Y, Z/15 or Z/4, and the walks do the rest
+    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 2, [2, 2, 3, 4, 4, 5, 10],
                  id="probe-sized-z"),
     # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
                  [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
                  id="non-dyadic-family"),
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
-                 sorted(required_requests(get_tableau("expRK2s2"))), 1, [], id="expRK2s2"),
+                 sorted(required_requests(get_tableau("expRK2s2"))), 1, [2], id="expRK2s2"),
 ])
 def test_family_chain_entries_match_augmented_exponential(monkeypatch, m, h, requests,
                                                           n_chains, steps):
