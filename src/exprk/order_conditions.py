@@ -25,10 +25,9 @@ probes is the (probabilistic) verdict that it holds.
 
 The phi matrices come in stacks: check() groups its probes by dimension d
 and builds one phi table per group over the stacked Z of the whole group
-(phi.phi_matrix_table: per scale family one chain and one walk, for
-expRK5s8 on Z/4 for the dyadic scales and on Z/15 for 1/5 and 2/3), on
-which it sums the weights, the rows of a and every psi defect the words
-read.  The words are then evaluated probe by probe on its members of those
+(phi.phi_matrix_table: one chain and one walk, for expRK5s8 on Z/60 to
+all five scales), on which it sums the weights, the rows of a and every
+psi defect the words read.  The words are then evaluated probe by probe on its members of those
 stacks, each inner nest, left factor coeffs_i X and bilinear lift formed
 once per probe for all words and both modes, and each nest sum starting at
 its first term; a probe's word values are reduced to residuals together.

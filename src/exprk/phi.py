@@ -11,32 +11,34 @@ computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
 in which case a spectral cache holds O(n) numbers in total, each from one
-phi_scalar call in plain float arithmetic.  Matrices come from
-scaling-and-modified-squaring chains, each of which yields phi_0..phi_j
-together from n x n products alone.  The scales fall into two families, the
-dyadic scales 1, 1/2, 1/4, ... and the others; each family's scales are
-multiples t of one Y = hM/L, L the least common denominator of the family,
-and one chain on Y with a walk of doublings and additions by phi's addition
-formula reaches each tY.  expRK5s8's 1/5 and 2/3 are 3Y and 10Y with L = 15,
-and its 1, 1/2 and 1/4 are 4Y, 2Y and Y with L = 4, so its five scales cost
-two chains and seven walk steps.  Every squaring and walk step zeroes, in
-place, each entry below 2^-200 of its matrix's largest: for the smoothing A
-of a parabolic problem the far off-diagonal entries fall to 1e-150..1e-300
-midway through a chain, and their products would run in slow subnormal
-arithmetic, while zeroing them moves no later product by more than 2^-147
-of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is flushed only
-when its phi_0 holds a nonzero entry below 2^-511, whose square is
-subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one chain alone.  Chains
-and walks also run on a stack of matrices at once, each matrix getting what
-it would get alone; the order-condition checker builds its probes' phi
-tables so.  Every route is real and rejects a complex argument (TypeError).
+phi_scalar call in plain float arithmetic.  Matrices come from one
+scaling-and-modified-squaring chain, which yields phi_0..phi_j together from
+n x n products alone, and one walk from its base.  Every requested scale is
+a multiple t of one Y = hM/L, L the least common denominator of the scales;
+the chain runs on Y and the walk reaches each tY by doublings and additions
+of Y, by phi's addition formula.  expRK5s8's 1/5, 1/4, 1/2, 2/3 and 1 are
+12Y, 15Y, 30Y, 40Y and 60Y with L = 60: one chain and fourteen walk steps.
+The chain stops squaring at ||X||_1 <= 3, where a Paterson-Stockmeyer
+evaluation makes its 29-term Taylor step cost 9 products, and that is what
+lets one walk serve every scale: each squaring skipped is rounding error not
+made, which the long walk to 60Y spends.  Every squaring and walk step
+zeroes, in place, each entry below 2^-200 of its matrix's largest: for the
+smoothing A of a parabolic problem the far off-diagonal entries fall to
+1e-150..1e-300 midway through a chain, and their products would run in slow
+subnormal arithmetic, while zeroing them moves no later product by more than
+2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is flushed
+only when its phi_0 holds a nonzero entry below 2^-511, whose square is
+subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one chain alone.  Chains and
+walks also run on a stack of matrices at once, each matrix getting what it
+would get alone; the order-condition checker builds its probes' phi tables
+so.  Every route is real and rejects a complex argument (TypeError).
 """
 
 import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, log2
+from math import ceil, factorial, isqrt, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +50,10 @@ from .operators import LinearOperator, real_array
 PHI_TAYLOR_RADIUS = 1.0
 PHI_TAYLOR_TERMS = 25
 # A squaring chain scales M until ||M||_1 <= PHI_SQUARING_THETA and sums this
-# many Taylor terms there, truncating at ||X||^18/(18+j)! <= 1/18! < 1.6e-16.
-PHI_SQUARING_THETA = 1.0
-PHI_SQUARING_TERMS = 18
+# many Taylor terms there, truncating at ||X||^29/(29+j)! <= 3^29/29! < 7.8e-18,
+# below the 1/18! < 1.6e-16 of 18 terms at ||X||_1 <= 1.
+PHI_SQUARING_THETA = 3.0
+PHI_SQUARING_TERMS = 29
 # _combine zeroes each entry below this fraction of the largest entry of its
 # own matrix.  That changes a matrix P by at most n 2^-200 ||P||_1 in the
 # 1-norm, so a later product P Q by at most n 2^-200 ||P||_1 ||Q||_1: 2^-147
@@ -115,24 +118,31 @@ def _squaring_chain(m, jmax):
     """The (P, jmax+1, n, n) stack of phi_0(M)..phi_jmax(M) from one chain.
 
     M is an n x n matrix (P = 1) or a (..., n, n) stack of P of them, and
-    the result holds them in M's order.  Each matrix is scaled by 2^-s, with its own s the least
-    s >= 0 that gives X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA;
-    phi_jmax(X) is the Taylor polynomial of PHI_SQUARING_TERMS terms in
-    Horner form, the lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!,
-    and each of s modified squarings
+    the result holds them in M's order.  Each matrix is scaled by 2^-s, with
+    its own s the least s >= 0 that gives X = 2^-s M a 1-norm of at most
+    PHI_SQUARING_THETA (3).  phi_jmax(X) is the Taylor polynomial of
+    PHI_SQUARING_TERMS (29) terms, sum_r X^r/(r+jmax)!, by Paterson and
+    Stockmeyer (SIAM J. Comput. 1973): with b = isqrt(29) = 5, the terms
+    fall into 6 blocks of b, each block's sum of c_r X^r (r < b) is one
+    product of the block coefficients with the stacked powers I..X^(b-1),
+    and the blocks are summed by Horner's rule in X^b, at 9 n x n products
+    in all.  The lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!, and
+    each of s modified squarings
 
         phi_j(2X) = 2^-j [phi_0(X) phi_j(X) + sum_{i=1..j} phi_i(X)/(j-i)!]
 
     takes a matrix's phis one power of two closer to M (Skaflestad & Wright,
-    Appl. Numer. Math. 2009).  The stack is sorted by s, largest first, so
-    the matrices still squaring at any level are a leading slice of it, and
-    a matrix computes exactly what the chain on it alone computes.  Per
-    matrix, all products are n x n: PHI_SQUARING_TERMS - 1 + jmax + s (jmax
-    + 1) of them.  The squarings alternate between two preallocated stacks
-    (with a third for the mixing term), so a chain allocates nothing per
+    Appl. Numer. Math. 2009).  Fewer squarings also mean less rounding
+    (Al-Mohy & Higham, SIMAX 2009).  The stack is sorted by s, largest
+    first, so the matrices still squaring at any level are a leading slice
+    of it, and a matrix computes exactly what the chain on it alone
+    computes.  Per matrix, all products are n x n: 9 + jmax + s (jmax + 1)
+    of them.  The squarings alternate between two preallocated stacks (with
+    one n x n scratch per matrix), so a chain allocates nothing per
     squaring.  Each squaring is a _combine, which zeroes the entries below
     2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that the next
-    squaring's products stay out of subnormal arithmetic.
+    squaring's products stay out of subnormal arithmetic.  An empty (0, n,
+    n) stack gives an empty result.
     """
     m = real_array(m, "M")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -146,23 +156,35 @@ def _squaring_chain(m, jmax):
     order = sorted(range(len(s)), key=lambda i: -s[i])
     s = [s[i] for i in order]
     x = m[order]
-    np.ldexp(x, -np.array(s)[:, None, None], out=x)
-    top = np.zeros_like(x)
-    _diagonal(top)[...] = 1.0 / factorial(PHI_SQUARING_TERMS - 1 + jmax)
-    for k in range(PHI_SQUARING_TERMS - 2, -1, -1):
-        top = np.matmul(x, top)
-        _diagonal(top)[...] += 1.0 / factorial(k + jmax)
+    np.ldexp(x, -np.array(s, dtype=int)[:, None, None], out=x)
+    b = isqrt(PHI_SQUARING_TERMS)
+    blocks = -(-PHI_SQUARING_TERMS // b)
+    coeffs = np.zeros(blocks * b)
+    coeffs[:PHI_SQUARING_TERMS] = [1.0 / factorial(r + jmax) for r in range(PHI_SQUARING_TERMS)]
+    powers = np.empty((len(x), b + 1, n, n))
+    powers[:, 0] = np.eye(n)
+    powers[:, 1] = x
+    for r in range(2, b + 1):
+        np.matmul(powers[:, r - 1], x, out=powers[:, r])
+    # block i is sum_r coeffs[i, r] X^r over X^0..X^(b-1)
+    sums = np.matmul(coeffs.reshape(blocks, b), powers.reshape(len(x), b + 1, n * n)[:, :b])
+    sums = sums.reshape(len(x), blocks, n, n)
+    top = sums[:, -1]
+    for i in range(blocks - 2, -1, -1):
+        top = np.matmul(top, powers[:, b])
+        top += sums[:, i]
     phis = np.empty((len(x), jmax + 1, n, n))
     phis[:, jmax] = top
+    del powers, sums, top
     for k in range(jmax - 1, -1, -1):
         np.matmul(x, phis[:, k + 1], out=phis[:, k])
         _diagonal(phis)[:, k] += 1.0 / factorial(k)
     # a matrix joins the squarings at its own level s, reading its Taylor
     # phis from whichever stack is current then: both hold them
-    doubled, mixed = phis.copy(), np.empty((len(x), jmax + 1, n * n))
-    for k in range(s[0] - 1, -1, -1):
+    doubled, scratch = phis.copy(), np.empty_like(x)
+    for k in range(max(s, default=0) - 1, -1, -1):
         live = sum(sk > k for sk in s)
-        _combine(phis[:live], phis[:live], 1, 1, doubled[:live], mixed[:live])
+        _combine(phis[:live], phis[:live], 1, 1, doubled[:live], scratch[:live])
         phis, doubled = doubled, phis
     return phis[np.argsort(order)]
 
@@ -173,55 +195,59 @@ def _diagonal(stack):
     return stack.reshape(stack.shape[:-2] + (n * n,))[..., ::n + 1]
 
 
-def _combine(p_phis, q_phis, p, q, out, mixed):
+def _combine(p_phis, q_phis, p, q, out, scratch):
     """phi_0..phi_jmax at (p + q) Y into out, from the (live, jmax+1, n, n)
     stacks of phi_0..phi_jmax at p Y and q Y, by phi's addition formula
 
         (p+q)^j phi_j((p+q) Y) = q^j e^(pY) phi_j(qY)
                                  + sum_{k=1..j} p^k q^(j-k)/(j-k)! phi_k(pY),
 
-    at jmax + 1 n x n products per matrix; mixed is a (live, jmax+1, n*n)
-    scratch.  p = q is the modified squaring phi_j(2X) from phi_j(X).
+    at jmax + 1 n x n products per matrix; scratch is a (live, n, n) stack
+    that takes one product at a time.  The sum over k is one product of
+    the weights with the stacked phi_k(pY), written straight into out.  p =
+    q is the modified squaring phi_j(2X) from phi_j(X).
 
     Each matrix of out then has its entries below PHI_FLUSH_RATIO (2^-200)
-    times its own largest entry set to zero, in place, with mixed holding
-    the absolute values.  For a smoothing M the entries far from the
-    diagonal fall to 1e-300 midway through a chain, and products of such
-    entries are subnormal, which the CPU computes in slow microcode; zeroed,
-    they cost nothing, and they move no product by more than 2^-147 of the
-    bound on its own rounding.  The floor is per matrix, so a matrix whose
-    entries are all tiny keeps them.  A matrix is flushed only when its
-    phi_0 holds a nonzero entry below PHI_FLUSH_TRIGGER (2^-511), whose
-    square is subnormal.  phi_0 alone is tested, to keep the test to a few
-    passes; on advdiff200 it falls below 2^-511 in the same squarings and
-    walk steps as the smallest entry of any phi_j.  A stack with no such
-    entry, as for a small or a non-smoothing M or the checker's 3 x 3
-    probes, pays those passes and is left as it is.
+    times its own largest entry set to zero, in place, with scratch holding
+    the absolute values of one phi_j at a time.  For a smoothing M the
+    entries far from the diagonal fall to 1e-300 midway through a chain,
+    and products of such entries are subnormal, which the CPU computes in
+    slow microcode; zeroed, they cost nothing, and they move no product by
+    more than 2^-147 of the bound on its own rounding.  The floor is per
+    matrix, so a matrix whose entries are all tiny keeps them.  A matrix is
+    flushed only when its phi_0 holds a nonzero entry below
+    PHI_FLUSH_TRIGGER (2^-511), whose square is subnormal.  phi_0 alone is
+    tested, to keep the test to a few passes; on advdiff200 it falls below
+    2^-511 in the same squarings and walk steps as the smallest entry of
+    any phi_j.  A stack with no such entry, as for a small or a
+    non-smoothing M or the checker's 3 x 3 probes, pays those passes and is
+    left as it is.
     """
     live, width, n = out.shape[:3]
     qpow, mix = _addition_weights(p, q, width - 1)
-    np.matmul(p_phis[:, :1], q_phis, out=out)
-    out *= qpow
-    np.matmul(mix, p_phis.reshape(live, width, n * n), out=mixed)
-    out += mixed.reshape(out.shape)
-    mag = mixed.reshape(out.shape)
-    mag0 = np.abs(out[:, 0], out=mag[:, 0])
-    if mag0[mag0 < PHI_FLUSH_TRIGGER].any():
-        fire = ((mag0 > 0) & (mag0 < PHI_FLUSH_TRIGGER)).any(axis=(-2, -1))
-        np.abs(out[:, 1:], out=mag[:, 1:])
-        floor = mag.max(axis=(-2, -1), keepdims=True)
-        floor *= PHI_FLUSH_RATIO * fire[:, None, None, None]
-        np.copyto(out, 0.0, where=mag < floor)
+    np.matmul(mix, p_phis.reshape(live, width, n * n), out=out.reshape(live, width, n * n))
+    for j in range(width):
+        np.matmul(p_phis[:, 0], q_phis[:, j], out=scratch)
+        scratch *= qpow[j]
+        out[:, j] += scratch
+    mag = np.abs(out[:, 0], out=scratch)
+    if mag[mag < PHI_FLUSH_TRIGGER].any():
+        fire = ((mag > 0) & (mag < PHI_FLUSH_TRIGGER)).any(axis=(-2, -1))
+        for j in range(width):
+            np.abs(out[:, j], out=mag)
+            floor = mag.max(axis=(-2, -1), keepdims=True)
+            floor *= PHI_FLUSH_RATIO * fire[:, None, None]
+            np.copyto(out[:, j], 0.0, where=mag < floor)
 
 
 @lru_cache(maxsize=None)
 def _addition_weights(p, q, jmax):
-    """(q/(p+q))^j as a (jmax+1, 1, 1) array, and the matrix of
+    """(q/(p+q))^j as a (jmax+1,) array, and the matrix of
     p^k q^(j-k) / ((p+q)^j (j-k)!) for 1 <= k <= j (zero elsewhere): the two
     parts of _combine, each an exact Fraction rounded once.  At p = q they
     are 2^-j and 2^-j/(j-k)!, the modified squaring's."""
     js = range(jmax + 1)
-    qpow = np.array([float(Fraction(q, p + q) ** j) for j in js])[:, None, None]
+    qpow = np.array([float(Fraction(q, p + q) ** j) for j in js])
     mix = np.array([[float(Fraction(p ** k * q ** (j - k), (p + q) ** j * factorial(j - k)))
                      if 1 <= k <= j else 0.0 for k in js] for j in js])
     qpow.flags.writeable = mix.flags.writeable = False
@@ -353,31 +379,27 @@ def phi_matrix_table(m, h, keys):
     """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
 
     M is a square matrix or a (..., n, n) stack of them, and each entry has
-    M's shape.  The keys fall into two families, the dyadic scales 2^-k and
-    the others.  Each family's scales are multiples t of Y = h M / L, L the
-    least common denominator of the family, and one _squaring_chain on Y to
-    the largest j the family requests, then _walk, reaches each tY.  The
-    dyadic family's walk only doubles: reaching scale 1 by additions from
-    the other family's Y costs 3-10x accuracy on stiff symmetric A.  The
-    non-dyadic family runs first, so that its stacks are gone before the
-    dyadic chain allocates its own.  An entry that overflows raises
-    OverflowError naming j, the scale and h.
+    M's shape.  Every scale is a multiple t of Y = h M / L, L the least
+    common denominator of all the scales, and one _squaring_chain on Y to
+    the largest j requested, then one _walk, reaches each tY.  Where every
+    scale is 2^-k, the walk only doubles, and where ||Y||_1 > 3 as well,
+    each entry is, bit for bit, the chain on its own scale alone.  One walk
+    can serve every scale because the chain squares only to ||X||_1 <= 3:
+    after a chain to ||X||_1 <= 1, the walk to scale 1 lost up to 3-10x
+    accuracy on stiff symmetric A (heat400: 1.26e-12 of the largest entry,
+    against 8.3e-13 now).  An entry that overflows raises OverflowError
+    naming j, the scale and h.
     """
-    dyadic, other = [], []
+    if not keys:
+        return {}
+    lcd = math.lcm(*(scale.denominator for _, scale in keys))
+    wants = {}
     for j, scale in keys:
-        power_of_two = scale.numerator == 1 and scale.denominator.bit_count() == 1
-        (dyadic if power_of_two else other).append((j, scale))
-    table = {}
+        wants.setdefault(int(scale * lcd), []).append(j)
     with np.errstate(over="ignore", invalid="ignore"):
-        for family in filter(None, (other, dyadic)):
-            lcd = math.lcm(*(scale.denominator for _, scale in family))
-            wants = {}
-            for j, scale in family:
-                wants.setdefault(int(scale * lcd), []).append(j)
-            got = _walk(_squaring_chain(h / lcd * m, max(j for j, _ in family)), wants)
-            table.update({(j, scale): got[j, int(scale * lcd)].reshape(np.shape(m))
-                          for j, scale in family})
-    return _finite(table, h)
+        got = _walk(_squaring_chain(h / lcd * m, max(j for j, _ in keys)), wants)
+    return _finite({(j, scale): got[j, int(scale * lcd)].reshape(np.shape(m))
+                    for j, scale in keys}, h)
 
 
 def _walk(base, wants):
@@ -389,11 +411,14 @@ def _walk(base, wants):
     the multiple, a 1 doubles it and adds Y, each step one _combine; a
     doubling is the chain's modified squaring.  The multiples passed form a
     trie rooted at 1 (the parent of t is t/2 or t - 1), so targets share
-    their common prefixes.  Siblings are taken smaller subtree first, and a
-    multiple's stack returns to a pool as soon as its last child is taken
-    from it, so a few stacks serve the whole walk.  Y's own stack, base,
-    returns so too, to be overwritten, when no multiple is reached by adding
-    Y, as when every t is a power of two.
+    their common prefixes.  Siblings are taken smaller subtree first.  A
+    multiple's wanted entries are copied out as it is formed, and its stack
+    is released as soon as its last child is taken from it, or at once if
+    it has none.  A released stack is kept for the next step when a step is
+    still to come and no other stack is kept, and freed otherwise, so the
+    walk holds only the stacks it will read or write.  Y's own stack, base,
+    is released so too, to be overwritten, when no multiple is reached by
+    adding Y, as when every t is a power of two.
     """
     parent = {}
     for t in wants:
@@ -409,23 +434,28 @@ def _walk(base, wants):
         kids.setdefault(parent[t], []).append(t)
     adds = any(t % 2 for t in parent)
     stacks, pool = {1: base}, []
-    mixed = np.empty(base.shape[:2] + (base.shape[-1] ** 2,))
+    scratch = np.empty(base.shape[:1] + base.shape[2:])
     got = {(j, 1): base[:, j].copy() for j in wants.get(1, ())}
     todo = kids.get(1, [])[::-1]
+
+    def release(t):
+        stack = stacks.pop(t)
+        if todo and not pool:
+            pool.append(stack)
+
     while todo:
         t = todo.pop()
         v = parent[t]
         out = pool.pop() if pool else np.empty_like(base)
         _combine(stacks[v], stacks[v] if t == 2 * v else base, v, v if t == 2 * v else 1,
-                 out, mixed)
+                 out, scratch)
         stacks[t] = out
+        todo += kids.get(t, [])[::-1]
         if t == kids[v][-1] and (v > 1 or not adds):
-            pool.append(stacks.pop(v))
+            release(v)
         got.update({(j, t): out[:, j].copy() for j in wants.get(t, ())})
-        if t in kids:
-            todo += kids[t][::-1]
-        else:
-            pool.append(stacks.pop(t))
+        if t not in kids:
+            release(t)
     return got
 
 
@@ -445,10 +475,10 @@ def build_phi_cache(a, h, requests):
     and symmetric tridiagonal A -- gets a spectral cache: each entry is the
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
-    SineBasis).  Dense A gets n x n matrices from phi_matrix_table: per
-    scale family, a squaring chain to its base Y and a walk from Y.  Either
-    way PhiCache.get returns an entry as stored, in the form the
-    integrator's Stepper applies it.
+    SineBasis).  Dense A gets n x n matrices from phi_matrix_table: one
+    squaring chain to a base Y of which every scale is a multiple, and one
+    walk from Y.  Either way PhiCache.get returns an entry as stored, in
+    the form the integrator's Stepper applies it.
     Duplicate requests collapse; each entry is computed once.  An entry that
     overflows raises OverflowError naming j, the scale and h.
     """

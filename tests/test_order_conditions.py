@@ -222,7 +222,11 @@ def test_worst_probe_names_the_probe_of_each_worst_residual(tab5):
         res = residuals[row.id, row.mode]
         assert row.worst_probe == labels[int(np.argmax(res))], (row.id, row.mode)
         assert row.residual == max(res)
-    huge = ProbeSet(3, probes[2].Z, 1e300 * probes[2].J, probes[2].K, probes[2].L,
+    # at Z = -I every coefficient is a multiple of I, a_87(-I) = 1.39 I among
+    # them; so a_87 J overflows to an all-inf matrix, and condition 6's next
+    # product multiplies it by psi_{2,7}, also a multiple of I, whose exact
+    # zeros make inf * 0: a NaN residual by construction
+    huge = ProbeSet(3, -np.eye(3), np.full((3, 3), 1.7e308), probes[2].K, probes[2].L,
                     probes[2].B, label="huge-J")
     with np.errstate(over="ignore", invalid="ignore"):
         rep = check(t, tolerance=1e-9, p=probes[:2] + [huge] + probes[3:])

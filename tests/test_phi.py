@@ -309,8 +309,10 @@ def _phi_matrices(jmax, m):
 
 @pytest.mark.parametrize("norm", [0.0, 0.3, 1.0, 1.5, 40.0, 900.0])
 def test_phi_matrices_match_augmented_exponential(norm):
-    """Every phi_k up to jmax = 4, with no squaring (||M||_1 <= 1) and with
-    up to ten."""
+    """Every phi_k up to jmax = 4, with no squaring (||M||_1 <= 3) and with
+    up to nine; phi_matrix(j, M) is, bit for bit, the table built for jmax
+    = j (the Taylor coefficients depend on jmax, so another jmax rounds
+    differently)."""
     m = np.random.default_rng(17).standard_normal((6, 6)) - 2.0 * np.eye(6)
     m *= norm / np.abs(m).sum(axis=0).max()
     got = _phi_matrices(4, m)
@@ -318,8 +320,9 @@ def test_phi_matrices_match_augmented_exponential(norm):
     for k, val in enumerate(got):
         want = augmented_phi(k, m)
         assert np.abs(val - want).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(phi_matrix(0, m), got[0])
-    assert np.array_equal(phi_matrix(3, m), _phi_matrices(3, m)[3])
+    assert np.array_equal(phi_matrix(4, m), got[4])
+    for j in (0, 3):
+        assert np.array_equal(phi_matrix(j, m), _phi_matrices(j, m)[j]), j
 
 
 def test_stacked_squaring_chain_matches_each_matrix_alone():
@@ -391,12 +394,73 @@ def _mp_cases():
             "stiff4": (q @ tri @ q.T, 1e-12)}
 
 
+def test_taylor_step_truncates_below_one_over_18_factorial():
+    """The chain's Taylor step at ||X||_1 <= theta drops terms of at most
+    theta^M/M! (M terms; the (M + j)! of phi_j only shrinks it), which
+    stays within the 1/18! of 18 terms at ||X||_1 <= 1."""
+    theta, terms = exprk.phi.PHI_SQUARING_THETA, exprk.phi.PHI_SQUARING_TERMS
+    assert theta ** terms / factorial(terms) <= 1.0 / factorial(18)
+
+
+def _at_theta(m):
+    """m scaled to a 1-norm of PHI_SQUARING_THETA, or a rounding below it."""
+    theta = exprk.phi.PHI_SQUARING_THETA
+    m = theta * m / np.abs(m).sum(axis=-2).max(axis=-1)[..., None, None]
+    while np.abs(m).sum(axis=-2).max() > theta:
+        m = np.nextafter(m, 0.0)
+    return m
+
+
+def _taylor_cases():
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    tri = np.diag([-1.0, -10.0, -100.0, -700.0]) + np.triu(50.0 * rng.standard_normal((4, 4)), 1)
+    r, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return {"symmetric-negative-definite": q @ np.diag(-np.logspace(0, 3, 6)) @ q.T,
+            # spectral radius = 1-norm = theta: the truncated terms at their largest
+            "diagonal-at-theta": np.diag([-3.0, -1.5, -0.1, 0.5]),
+            "stiff-non-normal": r @ tri @ r.T,
+            "probe-stack": rng.uniform(-1.0, 1.0, (5, 3, 3))}
+
+
+@pytest.mark.parametrize("case", ["symmetric-negative-definite", "diagonal-at-theta",
+                                  "stiff-non-normal", "probe-stack"])
+def test_taylor_step_matches_mpmath_at_theta(monkeypatch, case):
+    """At ||X||_1 = theta the chain does not square, so its phi_0..phi_4 are
+    the Paterson-Stockmeyer Taylor step and the recurrence alone; each is
+    within 1e-14 of 40-digit mpmath, relative to its largest entry.  The
+    chain with jmax = 0 sums exp's own series, whose truncation is the
+    largest (theta^M/M!)."""
+    mpmath = pytest.importorskip("mpmath")
+    m = _at_theta(_taylor_cases()[case])
+    combines = []
+    monkeypatch.setattr(exprk.phi, "_combine", lambda *args: combines.append(args))
+    chains = {jmax: exprk.phi._squaring_chain(m, jmax) for jmax in (0, 4)}
+    assert combines == []
+    for k, member in enumerate(m.reshape((-1,) + m.shape[-2:])):
+        wants = _mp_augmented_phis(mpmath, 4, member)
+        for jmax, got in chains.items():
+            for j in range(jmax + 1):
+                err = np.abs(got[k, j] - wants[j]).max()
+                assert err <= 1e-14 * np.abs(wants[j]).max(), (k, jmax, j)
+
+
+def test_empty_stack_gives_empty_entries():
+    """A (0, 3, 3) stack has (0, 3, 3) entries, through a walk that adds Y
+    as well as the bare chain."""
+    for keys in ([phi_request(1, 1)], EXPRK5S8_REQUESTS):
+        table = phi_matrix_table(np.zeros((0, 3, 3)), 1.0, keys)
+        assert table.keys() == set(keys)
+        assert all(val.shape == (0, 3, 3) for val in table.values())
+
+
 @pytest.mark.parametrize("j", [1, 4])
 @pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
 def test_phi_matrices_match_mpmath(case, j):
-    """Measured at most 6.9e-16 on the first three (advdiff5 squares ten
-    times).  On stiff4 it is 1.7e-13 (j = 1) and 6.0e-14 (j = 4), where
-    scipy's augmented expm gives 6.5e-14 and 2.1e-14."""
+    """Measured at most 4.2e-16 on the first three (advdiff5 squares eight
+    times).  On stiff4 it is 1.2e-14 (j = 1) and 6.6e-16 (j = 4), where
+    scipy's augmented expm gives 6.5e-14 and 2.1e-14, and the chain that
+    stopped squaring at ||X||_1 <= 1 gave 1.7e-13 and 6.0e-14."""
     mpmath = pytest.importorskip("mpmath")
     m, bound = _mp_cases()[case]
     want = _mp_augmented_phis(mpmath, j, m)[j]
@@ -405,16 +469,15 @@ def test_phi_matrices_match_mpmath(case, j):
 
 @pytest.mark.parametrize("case", ["gauss5", "jordan4", "advdiff5", "stiff4"])
 def test_exprk5s8_table_matches_mpmath(case):
-    """The entries of expRK5s8's table that the walk gives, at scales 1/5
-    and 2/3, within the case's bound (where ||M||_1 > 4, as here, the
-    dyadic scales 1, 1/2 and 1/4 are the chain on each scale alone, which
-    the test above measures at scale 1).  Measured at most 9.5e-16 on the
-    first three and 1.3e-14 on stiff4, where a chain per scale gave 1.3e-15
-    and 5.4e-14."""
+    """Every entry of expRK5s8's table, each walked from Y = M/60, within
+    the case's bound.  Measured at most 3.6e-15 on the first three (gauss5
+    at scale 1) and 2.9e-14 on stiff4 (at 2/3); with a chain and a walk per
+    scale family, and the chain squaring to ||X||_1 <= 1, it was 9.5e-16
+    and 1.7e-13 (stiff4 at scale 1)."""
     mpmath = pytest.importorskip("mpmath")
     m, bound = _mp_cases()[case]
     table = phi_matrix_table(m, 1.0, EXPRK5S8_REQUESTS)
-    for scale in (Fraction(1, 5), Fraction(2, 3)):
+    for scale in sorted({s for _, s in EXPRK5S8_REQUESTS}):
         wants = _mp_augmented_phis(mpmath, 4, float(scale) * m)
         for j in {j for j, s in EXPRK5S8_REQUESTS if s == scale}:
             want = wants[j]
@@ -543,7 +606,8 @@ EXPRK5S8_REQUESTS = sorted(required_requests(get_tableau("expRK5s8")))
 @pytest.mark.parametrize("n", [100, 400])
 def test_dense_route_matches_spectral_route_on_heat(n):
     """||hA||_1 is 2.6e3 (n = 100) and 4.0e4 (n = 400) at h = 1/16; measured
-    9.6e-14 and 6.9e-13 relative to the largest entry."""
+    1.4e-13 and 8.3e-13 relative to the largest entry (9.6e-14 and 8.7e-13
+    with a chain and a walk per scale family)."""
     a = heat_problem(n).A
     h = 1.0 / 16
     dense = build_phi_cache(DenseOperator(a.dense()), h, EXPRK5S8_REQUESTS)
@@ -596,11 +660,12 @@ def _count_work(monkeypatch):
 
 
 def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
-    """expRK5s8 on advdiff200 at h = 1/64: one chain on Y = hA/15 (61
-    products, s = 8), and 1/5 = 3Y and 2/3 = 10Y by a walk through 2Y, 3Y,
-    4Y, 5Y and 10Y (25); one chain on Y = hA/4 for the dyadic scales (71, s
-    = 10), and 1/2 = 2Y and 1 = 4Y by two doublings (10): 167 n x n
-    products, where a chain per scale family took 223."""
+    """expRK5s8 on advdiff200 at h = 1/64: one chain on Y = hA/60, with
+    ||Y||_1 = 42.1 and so s = 4 (33 products: 9 for the Taylor step, 4 for
+    the lower phis, 20 for the squarings), and 1/5 = 12Y, 1/4 = 15Y, 1/2 =
+    30Y, 2/3 = 40Y and 1 = 60Y by one walk of 14 steps (70): 103 n x n
+    products, where a chain and a walk per scale family took 167 and a
+    chain per scale 223."""
     expms = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
@@ -608,11 +673,10 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     cache = build_phi_cache(DenseOperator(a), h, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
-    (y15, jmax15), (y4, jmax4) = work["chains"]
-    assert np.array_equal(y15, h / 15 * a) and jmax15 == 4
-    assert np.array_equal(y4, h / 4 * a) and jmax4 == 4
-    assert sorted(work["steps"]) == [2, 2, 3, 4, 4, 5, 10]
-    assert work["products"] == 167
+    [(y, jmax)] = work["chains"]
+    assert np.array_equal(y, h / 60 * a) and jmax == 4
+    assert sorted(work["steps"]) == [2, 3, 4, 5, 6, 7, 10, 12, 14, 15, 20, 30, 40, 60]
+    assert work["products"] == 103
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
         with pytest.raises(ValueError):
@@ -621,16 +685,17 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 50, 200])
 def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
-    """Where ||hM||_1 > 2^K, the chain on Y = hM/2^K starts from the same
-    2^-s hM as the chain on each dyadic scale 2^-k hM alone (k <= K), and
-    the walk's doublings are that chain's last squarings, so every entry is
-    that chain's, bit for bit."""
+    """Where ||hM||_1 > theta 2^K, the chain on Y = hM/2^K starts from the
+    same 2^-s hM as the chain on each dyadic scale 2^-k hM alone (k <= K),
+    and the walk's doublings are that chain's last squarings, so every
+    entry is that chain's, bit for bit."""
     m, h = advdiff_matrix(n, beta=20.0), 1.0 / 64
+    theta = exprk.phi.PHI_SQUARING_THETA
     for keys in [[(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)],
                  [(4, Fraction(1, 2)), (1, Fraction(1, 8))]]:
         keys = [phi_request(*key) for key in keys]
         jmax = max(j for j, _ in keys)
-        assert np.abs(h * m).sum(axis=0).max() > max(s.denominator for _, s in keys)
+        assert np.abs(h * m).sum(axis=0).max() > theta * max(s.denominator for _, s in keys)
         table = phi_matrix_table(m, h, keys)
         assert len(table) == len(keys)
         for j, scale in keys:
@@ -639,12 +704,14 @@ def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
 
 
 def test_phi_matrix_table_peak_memory():
-    """The non-dyadic family's stacks are gone before the dyadic chain
-    runs, the walks draw on a pool of stacks, and the dyadic walk, which
-    never adds Y, returns Y's stack to the pool once 2Y is formed: the
-    table's tracemalloc peak stays below 34 n^2 floats.  Measured 32.0;
-    35.1 when the dyadic scales were read out of their chain, and 37.0 with
-    Y's stack kept to the end of the walk."""
+    """The chain frees its Taylor powers before it squares, the walk keeps
+    a released stack only for its next step, and _combine's scratch is one
+    n x n matrix: the table's tracemalloc peak stays below 34 n^2 floats.
+    Measured 29.2; 42.0 with a pool that kept every released stack and a
+    (jmax + 1) n^2 mixing scratch, and 32.0 with a chain and a walk per
+    scale family.  (Entries that are views of the walk's last stacks gave
+    27.1, but the cache then holds those stacks whole, 21 n^2 floats for
+    17 entries, for as long as it lives.)"""
     a = advdiff_matrix(200, beta=20.0)
     tracemalloc.start()
     try:
@@ -677,6 +744,13 @@ def _below_flush_floor(stack):
     return int(np.count_nonzero(((mag > 0) & (mag < floor))[fire]))
 
 
+def _below_flush_trigger(stack):
+    """How many entries of a stack are nonzero and below 2^-511, so that
+    the product of two of them is subnormal."""
+    mag = np.abs(stack)
+    return int(np.count_nonzero((mag > 0) & (mag < 2.0 ** -511)))
+
+
 def _subnormal(stack):
     """How many entries of a stack are subnormal."""
     mag = np.abs(stack)
@@ -684,24 +758,30 @@ def _subnormal(stack):
 
 
 def test_flush_keeps_the_chains_out_of_subnormals_and_moves_no_bit(monkeypatch):
-    """On advdiff200 at h = 1/64 the chains' stacks fall to subnormal
-    entries without the flush.  With it, no stack _combine writes holds a
-    subnormal entry, nor, where phi_0 triggers the flush, an entry in
-    (0, 2^-200 of its matrix's largest), and the 17 entries of expRK5s8's
-    table are bit for bit those built with the flush off (the ratio 0)."""
+    """On advdiff200 at h = 1/64, without the flush, the chain's last three
+    squarings leave entries below 2^-511, down to 5e-248, whose products in
+    the next step are subnormal, and entries below 2^-200 of their matrix's
+    largest.  (No stored entry is itself subnormal any more: the chain on
+    hA/60 squares 4 times, where the old dyadic family's squared 10.)  With
+    the flush, no stack _combine writes holds a subnormal entry, an entry
+    below 2^-511, nor, where phi_0 triggers the flush, an entry in (0,
+    2^-200 of its matrix's largest), and the 17 entries of expRK5s8's table
+    are bit for bit those built with the flush off (the ratio 0).  The 18
+    stacks are the chain's 4 squarings and the walk's 14 steps."""
     assert exprk.phi.PHI_FLUSH_RATIO == 2.0 ** -200
     assert exprk.phi.PHI_FLUSH_TRIGGER == 2.0 ** -511
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     outs = _combine_outputs(monkeypatch)
     flushed = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
-    assert len(outs) == 25
-    assert [_subnormal(out) for out in outs] == [0] * 25
-    assert [_below_flush_floor(out) for out in outs] == [0] * 25
+    assert len(outs) == 18
+    assert [_subnormal(out) for out in outs] == [0] * 18
+    assert [_below_flush_trigger(out) for out in outs] == [0] * 18
+    assert [_below_flush_floor(out) for out in outs] == [0] * 18
     outs.clear()
     monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
     kept = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
-    assert sum(_subnormal(out) > 0 for out in outs) >= 1
-    assert sum(_below_flush_floor(out) > 0 for out in outs) >= 4
+    assert sum(_below_flush_trigger(out) > 0 for out in outs) >= 3
+    assert sum(_below_flush_floor(out) > 0 for out in outs) >= 3
     assert flushed.keys() == kept.keys()
     for key in kept:
         assert np.array_equal(flushed[key], kept[key]), key
@@ -721,7 +801,7 @@ def test_flush_leaves_a_uniformly_tiny_matrix_alone(monkeypatch):
     """The floor is relative to each matrix's own largest entry, so e^-400
     and e^-401 (about 1e-174, below the 2^-511 that triggers the flush) are
     kept, bit for bit as with the flush off,
-    to the chain's accuracy: measured 3.2e-14 and 5.7e-14 relative, where
+    to the chain's accuracy: measured 3.2e-14 and 4.8e-14 relative, where
     e^x's condition number is |x| = 400."""
     m = np.diag([-400.0, -401.0])
     got = phi_matrix(0, m)
@@ -737,10 +817,10 @@ def _probe_sized_z():
 
 
 @pytest.mark.parametrize("m, h, requests, n_chains, steps", [
-    # ||Z||_1 = 0.8 needs no squaring: each family's chain is its Taylor
-    # polynomial at Y, Z/15 or Z/4, and the walks do the rest
-    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 2, [2, 2, 3, 4, 4, 5, 10],
-                 id="probe-sized-z"),
+    # ||Z||_1 = 0.8 needs no squaring: the chain is its Taylor polynomial at
+    # Y = Z/60, and the walk does the rest
+    pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 1,
+                 [2, 3, 4, 5, 6, 7, 10, 12, 14, 15, 20, 30, 40, 60], id="probe-sized-z"),
     # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
                  [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
