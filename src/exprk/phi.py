@@ -15,9 +15,11 @@ phi_scalar call in plain float arithmetic.  Matrices come from one
 scaling-and-modified-squaring chain, which yields phi_0..phi_j together from
 n x n products alone, and one walk from its base.  Every requested scale is
 a multiple t of one Y = hM/L, L the least common denominator of the scales;
-the chain runs on Y and the walk reaches each tY by doublings and additions
-of Y, by phi's addition formula.  expRK5s8's 1/5, 1/4, 1/2, 2/3 and 1 are
-12Y, 15Y, 30Y, 40Y and 60Y with L = 60: one chain and fourteen walk steps.
+the chain runs on Y and the walk reaches each tY along a shortest addition
+chain through the multiples, each step (p + q)Y from pY and qY by phi's
+addition formula.  expRK5s8's 1/5, 1/4, 1/2, 2/3 and 1 are 12Y, 15Y, 30Y,
+40Y and 60Y with L = 60: one chain and nine walk steps, 2, 4, 5, 10, 12,
+15, 30, 40 and 60.
 The chain stops squaring at ||X||_1 <= 3, where a Paterson-Stockmeyer
 evaluation makes its 29-term Taylor step cost 9 products, and that is what
 lets one walk serve every scale: each squaring skipped is rounding error not
@@ -63,6 +65,9 @@ PHI_FLUSH_RATIO = 2.0 ** -200
 # square root of the smallest normal float 2^-1022, so that two entries above
 # it multiply to a normal number.
 PHI_FLUSH_TRIGGER = 2.0 ** -511
+# _addition_chain's exact search visits at most this many chains: expRK5s8's
+# multiples take 277, one target up to 64 at most 4291.
+PHI_CHAIN_SEARCH_NODES = 100_000
 # Above this real part exp(z) overflows, and the recurrence with it.
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
@@ -381,9 +386,10 @@ def phi_matrix_table(m, h, keys):
     M is a square matrix or a (..., n, n) stack of them, and each entry has
     M's shape.  Every scale is a multiple t of Y = h M / L, L the least
     common denominator of all the scales, and one _squaring_chain on Y to
-    the largest j requested, then one _walk, reaches each tY.  Where every
-    scale is 2^-k, the walk only doubles, and where ||Y||_1 > 3 as well,
-    each entry is, bit for bit, the chain on its own scale alone.  One walk
+    the largest j requested, then one _walk along a shortest addition chain
+    through the multiples, reaches each tY.  Where every scale is 2^-k, the
+    shortest chain only doubles, and where ||Y||_1 > 3 as well, each entry
+    is, bit for bit, the chain on its own scale alone.  One walk
     can serve every scale because the chain squares only to ||X||_1 <= 3:
     after a chain to ||X||_1 <= 1, the walk to scale 1 lost up to 3-10x
     accuracy on stiff symmetric A (heat400: 1.26e-12 of the largest entry,
@@ -407,56 +413,95 @@ def _walk(base, wants):
     (P, n, n) stack, from base, the (P, jmax+1, n, n) stack of
     phi_0..phi_jmax(Y) that _squaring_chain gives on Y.
 
-    tY is reached along t's binary digits read left to right: a 0 doubles
-    the multiple, a 1 doubles it and adds Y, each step one _combine; a
-    doubling is the chain's modified squaring.  The multiples passed form a
-    trie rooted at 1 (the parent of t is t/2 or t - 1), so targets share
-    their common prefixes.  Siblings are taken smaller subtree first.  A
-    multiple's wanted entries are copied out as it is formed, and its stack
-    is released as soon as its last child is taken from it, or at once if
-    it has none.  A released stack is kept for the next step when a step is
-    still to come and no other stack is kept, and freed otherwise, so the
-    walk holds only the stacks it will read or write.  Y's own stack, base,
-    is released so too, to be overwritten, when no multiple is reached by
-    adding Y, as when every t is a power of two.
+    The walk follows _addition_chain(wants): each step forms (p + q)Y from
+    pY and qY by one _combine, and a step with p = q is the chain's
+    modified squaring.  A multiple's wanted entries are copied out as it is
+    formed, and its stack is released after the last step that reads it, or
+    at once if none does.  A released stack is kept for the next step when
+    a step is still to come and no other stack is kept, and freed
+    otherwise, so the walk holds only the stacks it will read or write.
+    Y's own stack, base, is released so too, to be overwritten.
     """
-    parent = {}
-    for t in wants:
-        while t > 1 and t not in parent:
-            parent[t] = t - 1 if t % 2 else t // 2
-            t = parent[t]
-    size = dict.fromkeys(parent, 0)
-    for t in parent:
-        while t in size:
-            size[t], t = size[t] + 1, parent[t]
-    kids = {}
-    for t in sorted(parent, key=size.get):
-        kids.setdefault(parent[t], []).append(t)
-    adds = any(t % 2 for t in parent)
-    stacks, pool = {1: base}, []
-    scratch = np.empty(base.shape[:1] + base.shape[2:])
+    chain = _addition_chain(frozenset(wants))
+    last_read = {v: i for i, step in enumerate(chain) for v in step}
+    shape, stacks, spare = base.shape, {1: base}, None
+    scratch = np.empty(shape[:1] + shape[2:])
     got = {(j, 1): base[:, j].copy() for j in wants.get(1, ())}
-    todo = kids.get(1, [])[::-1]
-
-    def release(t):
-        stack = stacks.pop(t)
-        if todo and not pool:
-            pool.append(stack)
-
-    while todo:
-        t = todo.pop()
-        v = parent[t]
-        out = pool.pop() if pool else np.empty_like(base)
-        _combine(stacks[v], stacks[v] if t == 2 * v else base, v, v if t == 2 * v else 1,
-                 out, scratch)
-        stacks[t] = out
-        todo += kids.get(t, [])[::-1]
-        if t == kids[v][-1] and (v > 1 or not adds):
-            release(v)
-        got.update({(j, t): out[:, j].copy() for j in wants.get(t, ())})
-        if t not in kids:
-            release(t)
+    del base
+    for i, (p, q) in enumerate(chain):
+        t = p + q
+        stacks[t] = np.empty(shape) if spare is None else spare
+        spare = None
+        _combine(stacks[p], stacks[q], p, q, stacks[t], scratch)
+        got.update({(j, t): stacks[t][:, j].copy() for j in wants.get(t, ())})
+        for v in {p, q, t}:
+            if last_read.get(v, i) == i:
+                if spare is None and i + 1 < len(chain):
+                    spare = stacks.pop(v)
+                else:
+                    del stacks[v]
     return got
+
+
+@lru_cache(maxsize=None)
+def _addition_chain(targets):
+    """A shortest addition chain through targets, a frozenset of ints >= 1,
+    as the tuple of its steps (p, q), p >= q: the chain is 1 and the sums
+    p + q in ascending order, and each p and q is 1 or an earlier sum
+    (Knuth, TAOCP vol. 2, 4.6.3).  {12, 15, 30, 40, 60} takes 9 steps, 2,
+    4, 5, 10, 12 = 10 + 2, 15 = 10 + 5, 30, 40 = 30 + 10 and 60, where t's
+    binary digits take 14.  The search is exact, by iterative deepening
+    below the length of the binary-digit chain (_chain_search), and gives
+    that chain when it visits more than PHI_CHAIN_SEARCH_NODES chains
+    first, as it can for targets in the thousands."""
+    targets = tuple(sorted(targets))
+    members = set()
+    for t in targets:
+        while t > 1 and t not in members:
+            members.add(t)
+            t = t - 1 if t % 2 else t // 2
+    binary = tuple((t - 1, 1) if t % 2 else (t // 2, t // 2) for t in sorted(members))
+    tally = [PHI_CHAIN_SEARCH_NODES]
+    for budget in range(len(binary)):
+        found = _chain_search((1,), (), targets, budget, tally)
+        if found is not None:
+            return found
+    return binary
+
+
+def _chain_search(chain, steps, targets, budget, tally):
+    """steps extended by at most budget more steps to an ascending chain
+    through every target, or None.  chain is 1 and the sums of steps, and
+    tally[0] counts down the chains left to visit.  The next member is
+    tried among the sums up to the largest target, larger first, each once,
+    as p + q with p the largest member that gives it.  A branch is cut when
+    a target below the last member is missing, or when the missing targets,
+    in ascending order, need more steps than budget: each takes a step, and
+    at least ceil(log2(t/m)) steps lead from a largest member m to t, since
+    a step at most doubles it."""
+    tally[0] -= 1
+    last = prev = chain[-1]
+    need = 0
+    for t in targets:
+        if t not in chain:
+            if t < last:
+                return None
+            need += max(1, ((t - 1) // prev).bit_length())
+            prev = t
+    if not need:
+        return steps
+    if need > budget or tally[0] < 0:
+        return None
+    sums = {}
+    for i, p in enumerate(chain):
+        for q in chain[:i + 1]:
+            if last < p + q <= targets[-1]:
+                sums[p + q] = (p, q)
+    for s in sorted(sums, reverse=True):
+        found = _chain_search(chain + (s,), steps + (sums[s],), targets, budget - 1, tally)
+        if found is not None:
+            return found
+    return None
 
 
 def _finite(table, h):
@@ -477,8 +522,9 @@ def build_phi_cache(a, h, requests):
     matrix is formed besides the basis (and none at all when V is a
     SineBasis).  Dense A gets n x n matrices from phi_matrix_table: one
     squaring chain to a base Y of which every scale is a multiple, and one
-    walk from Y.  Either way PhiCache.get returns an entry as stored, in
-    the form the integrator's Stepper applies it.
+    walk from Y along a shortest addition chain through those multiples
+    (9 steps for expRK5s8).  Either way PhiCache.get returns an entry as
+    stored, in the form the integrator's Stepper applies it.
     Duplicate requests collapse; each entry is computed once.  An entry that
     overflows raises OverflowError naming j, the scale and h.
     """

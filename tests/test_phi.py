@@ -363,6 +363,87 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
                 assert np.array_equal(got[key][k], mine[key][0]), (k, key)
 
 
+# OEIS A003313: the length l(n) of a shortest addition chain for n = 1..64
+SHORTEST_CHAIN_LENGTHS = [0, 1, 2, 2, 3, 3, 4, 3, 4, 4, 5, 4, 5, 5, 5, 4,
+                          5, 5, 6, 5, 6, 6, 6, 5, 6, 6, 6, 6, 7, 6, 7, 5,
+                          6, 6, 7, 6, 7, 7, 7, 6, 7, 7, 7, 7, 7, 7, 8, 6,
+                          7, 7, 7, 7, 8, 7, 8, 7, 8, 8, 8, 7, 8, 8, 8, 6]
+
+
+def _binary_digit_steps(targets):
+    """Steps of a walk along each target's binary digits, common prefixes
+    shared: the members t > 1 reached from t by t -> t/2 or t - 1."""
+    members = set()
+    for t in targets:
+        while t > 1 and t not in members:
+            members.add(t)
+            t = t - 1 if t % 2 else t // 2
+    return len(members)
+
+
+def _chain_members(targets):
+    """The members after 1 of _addition_chain(targets), after checking that
+    each step adds two earlier members, p >= q, the chain ascends and
+    holds every target."""
+    steps = exprk.phi._addition_chain(frozenset(targets))
+    chain = [1]
+    for p, q in steps:
+        assert p >= q and p in chain and q in chain, (p, q, chain)
+        assert p + q > chain[-1], (p, q, chain)
+        chain.append(p + q)
+    assert set(targets) <= set(chain)
+    return chain[1:]
+
+
+def test_addition_chain_through_the_expRK5s8_multiples():
+    """1/5, 1/4, 1/2, 2/3 and 1 are 12Y, 15Y, 30Y, 40Y and 60Y: 9 steps,
+    where the binary digits take 14."""
+    assert _chain_members({12, 15, 30, 40, 60}) == [2, 4, 5, 10, 12, 15, 30, 40, 60]
+    assert _binary_digit_steps({12, 15, 30, 40, 60}) == 14
+    assert _chain_members({1}) == []
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_addition_chain_to_one_target_is_shortest(n):
+    assert len(_chain_members({n})) == SHORTEST_CHAIN_LENGTHS[n - 1]
+
+
+def test_addition_chain_is_never_longer_than_the_binary_digits():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        targets = {int(t) for t in rng.choice(np.arange(1, 65), rng.integers(1, 7), replace=False)}
+        assert len(_chain_members(targets)) <= _binary_digit_steps(targets), targets
+
+
+def test_addition_chain_search_stops_at_its_node_limit(monkeypatch):
+    """Past PHI_CHAIN_SEARCH_NODES chains visited the walk follows the
+    binary digits: for the 277 that expRK5s8's multiples take, with a limit
+    of 100, and for nodes 1/7, 3/11, 1/13, 1/2, 5/6 and 1, multiples of
+    Y = hM/6006, with the limit as it is (about 0.3 s)."""
+    large = {462, 858, 1638, 3003, 5005, 6006}
+    assert len(_chain_members(large)) == _binary_digit_steps(large)
+    exprk.phi._addition_chain.cache_clear()
+    monkeypatch.setattr(exprk.phi, "PHI_CHAIN_SEARCH_NODES", 100)
+    try:
+        assert len(_chain_members({12, 15, 30, 40, 60})) == 14
+    finally:
+        exprk.phi._addition_chain.cache_clear()
+
+
+@pytest.mark.parametrize("p, q", [(10, 2), (30, 10)])
+def test_combine_adds_unequal_multiples(p, q):
+    """A walk step from pY and qY with q > 1, on Y = hA/60 of advdiff50 at
+    h = 1/64, against augmented expm at (p + q)Y: measured at most 7.8e-15
+    of the largest entry."""
+    y = advdiff_matrix(50, beta=20.0) / 64 / 60
+    p_phis, q_phis = exprk.phi._squaring_chain(p * y, 4), exprk.phi._squaring_chain(q * y, 4)
+    out, scratch = np.empty_like(p_phis), np.empty((1, 50, 50))
+    exprk.phi._combine(p_phis, q_phis, p, q, out, scratch)
+    for j in range(5):
+        want = augmented_phi(j, (p + q) * y)
+        assert np.abs(out[0, j] - want).max() <= 1e-13 * np.abs(want).max(), j
+
+
 def _mp_augmented_phis(mpmath, j, m):
     """[phi_0(M), ..., phi_j(M)] from one 40-digit mpmath exponential of the
     augmented matrix, M rounded to floats first."""
@@ -663,9 +744,10 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     """expRK5s8 on advdiff200 at h = 1/64: one chain on Y = hA/60, with
     ||Y||_1 = 42.1 and so s = 4 (33 products: 9 for the Taylor step, 4 for
     the lower phis, 20 for the squarings), and 1/5 = 12Y, 1/4 = 15Y, 1/2 =
-    30Y, 2/3 = 40Y and 1 = 60Y by one walk of 14 steps (70): 103 n x n
-    products, where a chain and a walk per scale family took 167 and a
-    chain per scale 223."""
+    30Y, 2/3 = 40Y and 1 = 60Y by one walk of 9 steps along a shortest
+    addition chain (45): 78 n x n products, where a walk along the binary
+    digits of each t took 14 steps and 103, a chain and a walk per scale
+    family 167 and a chain per scale 223."""
     expms = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
@@ -675,8 +757,8 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
     [(y, jmax)] = work["chains"]
     assert np.array_equal(y, h / 60 * a) and jmax == 4
-    assert sorted(work["steps"]) == [2, 3, 4, 5, 6, 7, 10, 12, 14, 15, 20, 30, 40, 60]
-    assert work["products"] == 103
+    assert work["steps"] == [2, 4, 5, 10, 12, 15, 30, 40, 60]
+    assert work["products"] == 78
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
         with pytest.raises(ValueError):
@@ -707,7 +789,8 @@ def test_phi_matrix_table_peak_memory():
     """The chain frees its Taylor powers before it squares, the walk keeps
     a released stack only for its next step, and _combine's scratch is one
     n x n matrix: the table's tracemalloc peak stays below 34 n^2 floats.
-    Measured 29.2; 42.0 with a pool that kept every released stack and a
+    Measured 29.0, and 29.2 with a walk along the binary digits of each
+    multiple; 42.0 with a pool that kept every released stack and a
     (jmax + 1) n^2 mixing scratch, and 32.0 with a chain and a walk per
     scale family.  (Entries that are views of the walk's last stacks gave
     27.1, but the cache then holds those stacks whole, 21 n^2 floats for
@@ -766,17 +849,17 @@ def test_flush_keeps_the_chains_out_of_subnormals_and_moves_no_bit(monkeypatch):
     the flush, no stack _combine writes holds a subnormal entry, an entry
     below 2^-511, nor, where phi_0 triggers the flush, an entry in (0,
     2^-200 of its matrix's largest), and the 17 entries of expRK5s8's table
-    are bit for bit those built with the flush off (the ratio 0).  The 18
-    stacks are the chain's 4 squarings and the walk's 14 steps."""
+    are bit for bit those built with the flush off (the ratio 0).  The 13
+    stacks are the chain's 4 squarings and the walk's 9 steps."""
     assert exprk.phi.PHI_FLUSH_RATIO == 2.0 ** -200
     assert exprk.phi.PHI_FLUSH_TRIGGER == 2.0 ** -511
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     outs = _combine_outputs(monkeypatch)
     flushed = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
-    assert len(outs) == 18
-    assert [_subnormal(out) for out in outs] == [0] * 18
-    assert [_below_flush_trigger(out) for out in outs] == [0] * 18
-    assert [_below_flush_floor(out) for out in outs] == [0] * 18
+    assert len(outs) == 13
+    assert [_subnormal(out) for out in outs] == [0] * 13
+    assert [_below_flush_trigger(out) for out in outs] == [0] * 13
+    assert [_below_flush_floor(out) for out in outs] == [0] * 13
     outs.clear()
     monkeypatch.setattr(exprk.phi, "PHI_FLUSH_RATIO", 0.0)
     kept = phi_matrix_table(a, h, EXPRK5S8_REQUESTS)
@@ -820,7 +903,7 @@ def _probe_sized_z():
     # ||Z||_1 = 0.8 needs no squaring: the chain is its Taylor polynomial at
     # Y = Z/60, and the walk does the rest
     pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 1,
-                 [2, 3, 4, 5, 6, 7, 10, 12, 14, 15, 20, 30, 40, 60], id="probe-sized-z"),
+                 [2, 4, 5, 10, 12, 15, 30, 40, 60], id="probe-sized-z"),
     # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
                  [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
