@@ -123,8 +123,9 @@ class Stepper:
         hq = Fraction(self.h)
         nodes = {t.node(i) for i in range(2, t.s + 1) if t.node(i) > 0} | {Fraction(1)}
         self._node_co = {float(c): (float(c) * self.h, cache.get(1, c)) for c in nodes}
-        self._a_co = {key: combo_sum(hq * v, cache.get) for key, v in t.a.items()}
-        self._b_co = {i: combo_sum(hq * v, cache.get) for i, v in t.b.items()}
+        co = lambda v: combo_sum(hq * v, cache.get)
+        self._rows = {i: {j: co(v) for j, v in t.row(i).items()} for i in range(2, t.s + 1)}
+        self._b_co = {i: co(v) for i, v in t.b.items()}
 
     def __call__(self, tn, un, return_stages=False):
         """u_{n+1} from (tn, un); with return_stages, (u_{n+1}, (U_2, ..., U_s))."""
@@ -139,13 +140,11 @@ class Stepper:
         f_terms = {c: ch * act(co, fn) for c, (ch, co) in self._node_co.items()}
         d = {}
         stages = []
-        for i in range(2, t.s + 1):
+        for i, row in self._rows.items():
             ci = float(t.node(i))
             acc = f_terms[ci] if ci > 0 else np.zeros_like(fn)
-            for j in range(2, i):
-                am = self._a_co.get((i, j))
-                if am is not None:
-                    acc = acc + act(am, d[j])
+            for j, am in row.items():
+                acc = acc + act(am, d[j])
             u_i = un + from_basis(acc)
             d[i] = to_basis(_eval_g(pb, tn + ci * self.h, u_i) - gn)
             stages.append(u_i)

@@ -202,8 +202,7 @@ def _group_sums(t, probes, parts):
     zeros = np.zeros((len(probes), probes[0].d, probes[0].d))
     mat = lambda combo: combo_sum(combo, get) if combo.terms else zeros
     b = {i: mat(v) for i, v in t.b.items()}
-    a = {k: mat(v) for k, v in t.a.items()}
-    rows = {i: {k: a[(i, k)] for k in range(2, i) if (i, k) in a} for i in range(2, t.s + 1)}
+    rows = {i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 1)}
     psi = {((), j, i): psi_values(j, t, b if i is None else rows[i], mat(target))
            for (j, i), (_, target) in parts.items()}
     return b, rows, psi
@@ -225,9 +224,8 @@ class _ProbeTables:
     def __init__(self, probe, k, sums, b_at_zero, at_zero, c):
         b, rows, psi = sums
         self.p, self.at_zero, self.c = probe, at_zero, c
-        self.coeffs = {"b": {i: b[i][k] for i in sorted(b)},
-                       "b(0)": dict(sorted(b_at_zero.items()))}
-        self.coeffs.update({i: {m: row[m][k] for m in sorted(row)} for i, row in rows.items()})
+        self.coeffs = {"b": {i: v[k] for i, v in b.items()}, "b(0)": b_at_zero}
+        self.coeffs.update({i: {m: v[k] for m, v in row.items()} for i, row in rows.items()})
         self.nests = {key: v[k] for key, v in psi.items()}
         self.lifts, self.left = {}, {}
 
@@ -277,6 +275,9 @@ def _word_value(word, tab, mode):
 def _probe_tables(t, probes):
     """(n, _ProbeTables of probes[n]) for each probe: the probes are grouped
     by dimension, with one phi table and one set of sums per group."""
+    for probe in probes:
+        if not isinstance(probe, ProbeSet):
+            raise TypeError(f"a probe must be a ProbeSet, got {probe!r}")
     parts, at_zero = _defects(t)
     c = [float(ci) for ci in t.c]
     for d in dict.fromkeys(probe.d for probe in probes):
@@ -368,20 +369,19 @@ class ConditionReport:
 def check(t, tolerance=1e-9, p=None, seed=0):
     """Run all 16 conditions in both modes over a probe batch.
 
-    p may be a single ProbeSet or a sequence of them; by default 50 seeded
-    random 3x3 probes are drawn.  The structured diagonal/permutation
-    probes are always appended.  The report carries the highest p below
-    TOP_ORDER whose strong conditions all pass, and the weakened verdict:
-    every weakened row passes (below TOP_ORDER those rows are the strong ones).
+    p may be a single ProbeSet or a list or tuple of them (anything else
+    raises TypeError); by default 50 seeded random 3x3 probes are drawn.
+    The structured diagonal/permutation probes are always appended.  The
+    report carries the highest p below TOP_ORDER whose strong conditions all
+    pass, and the weakened verdict: every weakened row passes (below
+    TOP_ORDER those rows are the strong ones).
     """
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if p is None:
         probes = draw_probe_sets(50, d=3, seed=seed)
-    elif isinstance(p, ProbeSet):
-        probes = [p]
     else:
-        probes = list(p)
+        probes = list(p) if isinstance(p, (list, tuple)) else [p]
     probes = probes + structured_probes()
     # np.argmax, unlike a running comparison, stops at a NaN residual
     worst = {key: (res[n], probes[n].label) for key, res in

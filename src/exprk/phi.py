@@ -236,8 +236,8 @@ def _combine(p_phis, q_phis, p, q, out, scratch):
         scratch *= qpow[j]
         out[:, j] += scratch
     mag = np.abs(out[:, 0], out=scratch)
-    if mag[mag < PHI_FLUSH_TRIGGER].any():
-        fire = ((mag > 0) & (mag < PHI_FLUSH_TRIGGER)).any(axis=(-2, -1))
+    fire = ((mag > 0) & (mag < PHI_FLUSH_TRIGGER)).any(axis=(-2, -1))
+    if fire.any():
         for j in range(width):
             np.abs(out[:, j], out=mag)
             floor = mag.max(axis=(-2, -1), keepdims=True)
@@ -414,32 +414,26 @@ def _walk(base, wants):
     phi_0..phi_jmax(Y) that _squaring_chain gives on Y.
 
     The walk follows _addition_chain(wants): each step forms (p + q)Y from
-    pY and qY by one _combine, and a step with p = q is the chain's
-    modified squaring.  A multiple's wanted entries are copied out as it is
-    formed, and its stack is released after the last step that reads it, or
-    at once if none does.  A released stack is kept for the next step when
-    a step is still to come and no other stack is kept, and freed
-    otherwise, so the walk holds only the stacks it will read or write.
-    Y's own stack, base, is released so too, to be overwritten.
+    pY and qY by one _combine, into a stack of its own, and a step with p =
+    q is the chain's modified squaring.  A multiple's wanted entries are
+    copied out as it is formed, and its stack is freed after the last step
+    that reads it, or at once if none does, so the walk holds only the
+    stacks it will still read.  Y's own stack, base, is freed so too.
     """
     chain = _addition_chain(frozenset(wants))
     last_read = {v: i for i, step in enumerate(chain) for v in step}
-    shape, stacks, spare = base.shape, {1: base}, None
+    shape, stacks = base.shape, {1: base}
     scratch = np.empty(shape[:1] + shape[2:])
     got = {(j, 1): base[:, j].copy() for j in wants.get(1, ())}
     del base
     for i, (p, q) in enumerate(chain):
         t = p + q
-        stacks[t] = np.empty(shape) if spare is None else spare
-        spare = None
+        stacks[t] = np.empty(shape)
         _combine(stacks[p], stacks[q], p, q, stacks[t], scratch)
         got.update({(j, t): stacks[t][:, j].copy() for j in wants.get(t, ())})
         for v in {p, q, t}:
             if last_read.get(v, i) == i:
-                if spare is None and i + 1 < len(chain):
-                    spare = stacks.pop(v)
-                else:
-                    del stacks[v]
+                del stacks[v]
     return got
 
 

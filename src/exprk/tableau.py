@@ -142,7 +142,8 @@ class ExpRKTableau:
     Storage follows the reformulated scheme: there is no first column and no
     b_1 (their phi_1 terms appear explicitly in the step formula), so `a`
     maps (i, j) with 2 <= j < i <= s and `b` maps i with 2 <= i <= s.  Zero
-    entries are simply absent.
+    entries are simply absent, and both are stored in stage order, whatever
+    order they were given in, so equal tableaux sum their entries alike.
     """
 
     name: str
@@ -177,7 +178,7 @@ class ExpRKTableau:
                     raise ValueError(f"{name}[{key}] uses scales {bad} outside the node set")
                 if not combo.is_zero:
                     kept[key] = combo
-            entries.append(kept)
+            entries.append({key: kept[key] for key in sorted(keys) if key in kept})
         a, b = entries
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
@@ -191,11 +192,9 @@ class ExpRKTableau:
         """c_i, 1-based."""
         return self.c[i - 1]
 
-    def a_combo(self, i, j):
-        return self.a.get((i, j), PhiCombo())
-
-    def weight(self, i):
-        return self.b.get(i, PhiCombo())
+    def row(self, i):
+        """{k: a_ik} over the nonzero entries of row i of a, in stage order."""
+        return {k: v for (r, k), v in self.a.items() if r == i}
 
     def phi_pairs(self):
         """All (j, scale) pairs referenced by a and b entries."""
@@ -311,8 +310,7 @@ def psi_parts(j, t, i=None):
     if not 2 <= i <= t.s:
         raise IndexError(f"stage index {i} out of range 2..{t.s}")
     ci = t.node(i)
-    row = {k: t.a[(i, k)] for k in range(2, i) if (i, k) in t.a}
-    return row, (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
+    return t.row(i), (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
 
 
 def psi_values(j, t, coeffs, target):
@@ -375,10 +373,8 @@ def classical_limit(t):
     rows = []
     for i in range(1, s + 1):
         row = [Fraction(0)] * s
-        for k in range(2, i):
-            combo = t.a.get((i, k))
-            if combo is not None:
-                row[k - 1] = combo.at_zero()
+        for k, combo in t.row(i).items():
+            row[k - 1] = combo.at_zero()
         row[0] = t.node(i) - sum(row[1:], Fraction(0))
         rows.append(tuple(row))
     b = [Fraction(0)] * s
@@ -407,8 +403,8 @@ def tableau_to_text(t):
     doc = {
         "name": t.name,
         "nodes": [str(ci) for ci in t.c],
-        "a": {f"{i},{j}": combo_terms(v) for (i, j), v in sorted(t.a.items())},
-        "b": {str(i): combo_terms(v) for i, v in sorted(t.b.items())},
+        "a": {f"{i},{j}": combo_terms(v) for (i, j), v in t.a.items()},
+        "b": {str(i): combo_terms(v) for i, v in t.b.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -11,6 +11,7 @@ ODE system *exactly* (the difference stencil is exact on quadratics in x), so
 measured errors are pure time-integration errors.
 """
 
+import numbers
 import re
 
 import numpy as np
@@ -92,8 +93,10 @@ def stability_bound_check(a, h, n):
     accuracy near 0.  For symmetric A with spectrum <= 0 the value is bounded
     by 1 uniformly in h and n.
     """
-    if h <= 0 or n < 1:
-        raise ValueError("need h > 0 and n >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if not (np.isfinite(h) and h > 0) or n < 1:
+        raise ValueError(f"need finite h > 0 and n >= 1, got h = {h!r}, n = {n!r}")
     lam = a.eigenvalues()
     if lam.max() > 1e-12:
         raise ValueError("operator must be negative semidefinite")

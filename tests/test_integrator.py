@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import EighTridiagonal, rk_integrate
+from golden import advdiff_problem
 import exprk.integrator
 from exprk.integrator import (BlowUpError, SemilinearProblem, Stepper,
                               StepRecord, integrate, required_requests)
 from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              SymTridiagonalOperator, ZeroOperator)
+from exprk.order_conditions import check
 from exprk.phi import PhiRequest
-from exprk.tableau import classical_limit, get_tableau
+from exprk.tableau import ExpRKTableau, classical_limit, get_tableau
 from exprk.testbed import discrete_l2_error, heat_problem
 
 F = Fraction
@@ -141,6 +143,18 @@ def test_integrate_builds_one_cache(monkeypatch, tab5):
                         lambda *args: builds.append(args) or build(*args))
     integrate(heat_problem(20), tab5, 8)
     assert len(builds) == 1
+
+
+def test_stage_order_of_the_entries_moves_no_bit(tab5):
+    """expRK5s8 with a and b given in reverse stage order is the same
+    tableau: the same integrate states, bit for bit, on the spectral and
+    the dense route, and the same check() rows."""
+    rev = ExpRKTableau(name=tab5.name, c=tab5.c, a=dict(reversed(tab5.a.items())),
+                       b=dict(reversed(tab5.b.items())))
+    assert rev == tab5
+    for pb in (heat_problem(200), advdiff_problem(50)):
+        assert np.array_equal(integrate(pb, rev, 16).u, integrate(pb, tab5, 16).u), pb.name
+    assert check(rev).rows == check(tab5).rows
 
 
 # ---------------------------------------------------------------------------

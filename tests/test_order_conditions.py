@@ -1,6 +1,7 @@
 """Stiff order-condition verification in strong and weakened modes."""
 
 import gc
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -13,7 +14,7 @@ from exprk.order_conditions import (CONDITION_ORDERS, MODES, TOP_ORDER, WORDS, P
                                     _probe_residuals, _probe_tables, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
-from exprk.tableau import ExpRKTableau, exprk5s8, get_tableau, phi_term
+from exprk.tableau import ExpRKTableau, PhiCombo, exprk5s8, get_tableau, phi_term
 
 F = Fraction
 
@@ -29,7 +30,7 @@ def _zero_z_probes(count=8, d=3, seed=77):
 
 def _with_weight_scaled(t, i, factor):
     """Copy of t with the whole combo b_i multiplied by an exact factor."""
-    b = {k: t.weight(k) for k in range(2, t.s + 1) if not t.weight(k).is_zero}
+    b = dict(t.b)
     b[i] = b[i] * factor
     a = {k: v for k, v in t.a.items()}
     return ExpRKTableau(name=f"{t.name}-scaled", c=t.c, a=a, b=b)
@@ -37,7 +38,7 @@ def _with_weight_scaled(t, i, factor):
 
 def _perturbed(t):
     """Copy of t with a 1e-3 bump on b_8's phi_4 coefficient."""
-    b = {i: t.weight(i) for i in (6, 7, 8)}
+    b = dict(t.b)
     b[8] = b[8] + phi_term(F(1, 1000), 4, 1)
     return ExpRKTableau(name="perturbed", c=t.c, a=dict(t.a), b=b)
 
@@ -177,6 +178,19 @@ def test_check_accepts_explicit_probes(tab5):
     assert rep.highest_strong_order == 4
     rep_one = check(tab5, tolerance=1e-9, p=probes[0])
     assert rep_one.weakened_order5 is True
+
+
+@pytest.mark.parametrize("bad", [[1, 2], "abc", 3.0, iter([])],
+                         ids=["ints", "str", "float", "iterator"])
+def test_a_probe_that_is_not_a_probe_set_is_a_type_error_naming_it(tab5, bad):
+    """Neither a list of numbers nor a string is read as probes: the error
+    names the bad probe (1, not an attribute of it; "abc", not "a")."""
+    probe = bad[0] if isinstance(bad, list) else bad
+    message = f"must be a ProbeSet, got {re.escape(repr(probe))}$"
+    with pytest.raises(TypeError, match=message):
+        check(tab5, p=bad)
+    with pytest.raises(TypeError, match=message):
+        condition_residual(1, tab5, probe)
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-9])
@@ -402,9 +416,9 @@ def _transcribed_residuals(t, p):
 
     c = [float(ci) for ci in t.c]
     stages = range(2, t.s + 1)
-    b = {i: coef(t.weight(i)) for i in stages}
-    b_at_0 = {i: float(t.weight(i).at_zero()) * eye for i in stages}
-    a = {(i, k): coef(t.a_combo(i, k)) for i in stages for k in range(2, i)}
+    b = {i: coef(t.b.get(i, PhiCombo())) for i in stages}
+    b_at_0 = {i: float(t.b.get(i, PhiCombo()).at_zero()) * eye for i in stages}
+    a = {(i, k): coef(t.a.get((i, k), PhiCombo())) for i in stages for k in range(2, i)}
 
     def psi_w(j):
         return (sum((b[i] * c[i - 1] ** (j - 1) / factorial(j - 1) for i in stages), zero)
@@ -453,7 +467,7 @@ def _transcribed_residuals(t, p):
         if mode == "strong":
             r[8] = psi_w(5)
         else:
-            r[8] = np.array(float(sum((t.weight(i).at_zero() * t.node(i) ** 4 / 24
+            r[8] = np.array(float(sum((t.b.get(i, PhiCombo()).at_zero() * t.node(i) ** 4 / 24
                                        for i in stages), F(0)) - F(1, 120)))
         for cid, val in r.items():
             out[cid, mode] = float(np.abs(val).max())
@@ -466,7 +480,7 @@ def _bumped_rows(t):
     only the weight defects, has a residual far above rounding."""
     a = dict(t.a)
     for i in range(3, t.s + 1):
-        a[i, 2] = t.a_combo(i, 2) + phi_term(F(1, 10), 2, t.node(i))
+        a[i, 2] = t.a.get((i, 2), PhiCombo()) + phi_term(F(1, 10), 2, t.node(i))
     return ExpRKTableau(name="bumped-rows", c=t.c, a=a, b=dict(t.b))
 
 

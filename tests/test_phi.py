@@ -786,10 +786,11 @@ def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
 
 
 def test_phi_matrix_table_peak_memory():
-    """The chain frees its Taylor powers before it squares, the walk keeps
-    a released stack only for its next step, and _combine's scratch is one
-    n x n matrix: the table's tracemalloc peak stays below 34 n^2 floats.
-    Measured 29.0, and 29.2 with a walk along the binary digits of each
+    """The chain frees its Taylor powers before it squares, the walk frees
+    each stack after its last read, and _combine's scratch is one n x n
+    matrix: the table's tracemalloc peak stays below 34 n^2 floats.
+    Measured 29.0, the same as with a walk that kept one released stack
+    for its next step, and 29.2 with a walk along the binary digits of each
     multiple; 42.0 with a pool that kept every released stack and a
     (jmax + 1) n^2 mixing scratch, and 32.0 with a chain and a walk per
     scale family.  (Entries that are views of the walk's last stacks gave

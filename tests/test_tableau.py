@@ -55,8 +55,8 @@ def test_eval_combo_scalar_matches_scaled_identity(tab5):
     for z in (-3.0, -0.7, 0.4, 1.0):
         zi = z * np.eye(4)
         for i in (6, 7, 8):
-            s = eval_combo(tab5.weight(i), z)
-            m = eval_combo(tab5.weight(i), zi)
+            s = eval_combo(tab5.b[i], z)
+            m = eval_combo(tab5.b[i], zi)
             assert np.abs(m - s * np.eye(4)).max() <= 1e-13
 
 
@@ -72,43 +72,53 @@ def test_nodes_and_shape(tab5):
 
 
 def test_b8_terms_verbatim(tab5):
-    assert tab5.weight(8).terms == ((F(1, 2), 2, F(1)), (F(-13, 2), 3, F(1)),
-                                    (F(45, 2), 4, F(1)))
+    assert tab5.b[8].terms == ((F(1, 2), 2, F(1)), (F(-13, 2), 3, F(1)),
+                               (F(45, 2), 4, F(1)))
 
 
 def test_weights_only_on_last_three_stages(tab5):
-    for i in (2, 3, 4, 5):
-        assert tab5.weight(i).is_zero
-    for i in (6, 7, 8):
-        assert not tab5.weight(i).is_zero
+    assert list(tab5.b) == [6, 7, 8]
 
 
 def test_weights_match_three_node_formula(tab5):
     """The b's must equal the generic interpolation weights at c6, c7, c8."""
     b6, b7, b8 = three_node_weights(F(1, 5), F(2, 3), F(1))
-    assert (b6 - tab5.weight(6)).is_zero
-    assert (b7 - tab5.weight(7)).is_zero
-    assert (b8 - tab5.weight(8)).is_zero
+    assert (b6 - tab5.b[6]).is_zero
+    assert (b7 - tab5.b[7]).is_zero
+    assert (b8 - tab5.b[8]).is_zero
 
 
 def test_weights_at_zero(tab5):
-    assert tab5.weight(6).at_zero() == F(125, 336)
-    assert tab5.weight(7).at_zero() == F(27, 56)
-    assert tab5.weight(8).at_zero() == F(5, 48)
-    assert eval_combo(tab5.weight(6), 0.0) == pytest.approx(125 / 336, abs=1e-15)
+    assert tab5.b[6].at_zero() == F(125, 336)
+    assert tab5.b[7].at_zero() == F(27, 56)
+    assert tab5.b[8].at_zero() == F(5, 48)
+    assert eval_combo(tab5.b[6], 0.0) == pytest.approx(125 / 336, abs=1e-15)
+
+
+def test_entries_are_stored_in_stage_order(tab5):
+    """Entries given in any order are stored by stage, and row(i) is row i
+    of a by column."""
+    text = json.loads(tableau_to_text(tab5))
+    text["a"] = dict(reversed(text["a"].items()))
+    text["b"] = dict(reversed(text["b"].items()))
+    for t in (ExpRKTableau(name="rev", c=tab5.c, a=dict(reversed(tab5.a.items())),
+                           b=dict(reversed(tab5.b.items()))),
+              tableau_from_text(json.dumps(text))):
+        assert list(t.a) == sorted(tab5.a) and list(t.b) == [6, 7, 8]
+        assert list(t.row(8)) == [5, 6, 7] and t.row(2) == {}
+        assert t.row(7) == {4: tab5.a[7, 4], 5: tab5.a[7, 5], 6: tab5.a[7, 6]}
 
 
 def test_free_entries_are_zero(tab5):
     for key in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3),
                 (8, 2), (8, 3), (8, 4)):
-        assert tab5.a_combo(*key).is_zero
+        assert key not in tab5.a
 
 
 def test_first_weight_combo_identity(tab5):
     """b6(0) a64 + b7(0) a74 + b8(0) a84 = 0 exactly as a combo."""
-    s = (tab5.weight(6).at_zero() * tab5.a_combo(6, 4)
-         + tab5.weight(7).at_zero() * tab5.a_combo(7, 4)
-         + tab5.weight(8).at_zero() * tab5.a_combo(8, 4))
+    s = sum((bi.at_zero() * tab5.row(i).get(4, PhiCombo()) for i, bi in tab5.b.items()),
+            PhiCombo())
     assert s.is_zero
 
 
@@ -156,7 +166,7 @@ def test_psi_stage_values(tab5):
 
 def test_weighted_psi4_stage_sum_vanishes(tab5):
     z = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3))
-    total = sum(float(tab5.weight(i).at_zero()) * psi(4, tab5, z, i)
+    total = sum(float(tab5.b[i].at_zero()) * psi(4, tab5, z, i)
                 for i in (6, 7, 8))
     assert np.abs(total).max() <= 1e-11
 
@@ -222,7 +232,7 @@ def test_baseline_shapes():
     euler, two = baseline_tableaux()
     assert euler.s == 1 and not euler.a and not euler.b
     assert two.s == 2 and two.c == (F(0), F(1, 2))
-    assert two.weight(2).terms == ((F(2), 2, F(1)),)
+    assert two.b[2].terms == ((F(2), 2, F(1)),)
     assert set(tableau_names()) == {"expRK5s8", "expEuler", "expRK2s2"}
     with pytest.raises(ValueError):
         get_tableau("rk4")
@@ -231,7 +241,7 @@ def test_baseline_shapes():
 def test_two_stage_weight_identity():
     """b2(z) c2 = phi_2(z) identically for the second-order baseline."""
     two = get_tableau("expRK2s2")
-    combo = F(1, 2) * two.weight(2) - phi_term(F(1), 2)
+    combo = F(1, 2) * two.b[2] - phi_term(F(1), 2)
     assert combo.is_zero
 
 

@@ -138,3 +138,15 @@ def test_stability_bound_validation():
         stability_bound_check(a, 0.1, 0)
     with pytest.raises(ValueError):
         stability_bound_check(DiagonalOperator(np.array([0.5])), 0.1, 5)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+def test_stability_bound_rejects_a_step_that_is_not_finite(h):
+    with pytest.raises(ValueError, match="finite h > 0"):
+        stability_bound_check(DiagonalOperator(np.array([-1.0])), h, 5)
+
+
+@pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
+def test_stability_bound_rejects_a_step_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError, match="n must be an integer"):
+        stability_bound_check(DiagonalOperator(np.array([-1.0])), 0.1, n)
