@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import integrate
+from .operators import integer
 from .tableau import get_tableau
 from .testbed import discrete_l2_error
 
@@ -70,9 +71,9 @@ def run_convergence(method, pb, steps=DEFAULT_STEPS, floor=DEFAULT_FLOOR):
     increasing positive integers, and floor finite and >= 0 (fit_slope).
     """
     t = get_tableau(method) if isinstance(method, str) else method
-    steps = [int(k) for k in steps]
-    if any(k < 1 for k in steps) or any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be strictly increasing and >= 1")
+    steps = [integer(k, "steps", 1) for k in steps]
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("steps must be strictly increasing")
     fit_slope((), floor)  # rejects a bad floor before any integration
     rows = []
     for k in steps:

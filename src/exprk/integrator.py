@@ -25,13 +25,12 @@ is handled by passing stage times directly, which is equivalent to
 autonomization for these methods.
 """
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .operators import LinearOperator, real_array
+from .operators import LinearOperator, integer, real_array
 from .phi import build_phi_cache, phi_request
 from .tableau import ExpRKTableau, combo_sum
 
@@ -162,11 +161,7 @@ def integrate(pb, t, n_steps):
 
     One Stepper, for h = (t_end - t0)/n_steps, makes every step.
     """
-    if not isinstance(n_steps, numbers.Integral) or isinstance(n_steps, bool):
-        raise TypeError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    n_steps = int(n_steps)
+    n_steps = integer(n_steps, "n_steps", 1)
     h = (pb.t_end - pb.t0) / n_steps
     stepper = Stepper(pb, t, h)
     un = pb.u0.copy()

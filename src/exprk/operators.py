@@ -13,6 +13,7 @@ without forming them.
 """
 
 import hashlib
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -33,6 +34,17 @@ def real_array(x, name):
     if a.dtype.kind in "cSU":
         raise TypeError(f"{name} must be real, got dtype {a.dtype}")
     return a.astype(float)
+
+
+def integer(x, name, least):
+    """x as an int: an int or a numpy integer of at least least.  A float, a
+    str or a bool raises TypeError naming it (int(2.5) is 2, True is 1), and
+    a smaller value ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return int(x)
 
 
 class LinearOperator(ABC):
@@ -82,9 +94,7 @@ class ZeroOperator(LinearOperator):
     """A = 0; reduces the integrator to a classical explicit method."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        self._n = int(n)
+        self._n = integer(n, "n", 1)
 
     @property
     def n(self):
@@ -145,7 +155,8 @@ class SineBasis:
         from scipy.fft import dst  # imported only where a sine basis is used
 
         self._dst = dst
-        self.shape = (int(n), int(n))
+        n = integer(n, "n", 1)
+        self.shape = (n, n)
 
     @property
     def T(self):

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import real_array
+from .operators import integer, real_array
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
 from .phi import build_phi_cache, phi_matrix_table, phi_request
 from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
@@ -74,6 +74,7 @@ class ProbeSet:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "d", integer(self.d, "probe d", 1))
         for name in ("Z", "J", "K", "L"):
             m = real_array(getattr(self, name), f"probe {name}")
             if m.shape != (self.d, self.d) or not np.all(np.isfinite(m)):
@@ -87,6 +88,7 @@ class ProbeSet:
 
 def draw_probe_sets(count, d=3, seed=0):
     """Seeded batch of random probes, entries i.i.d. uniform on [-1, 1]."""
+    count, d, seed = integer(count, "count", 0), integer(d, "d", 1), integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
@@ -308,6 +310,7 @@ def _probe_residuals(t, probes):
 def condition_residual(cid, t, p, mode="strong"):
     """Max-abs residual of one condition at one probe set: that probe's
     tables as check() builds them, and the one word evaluated on them."""
+    cid = integer(cid, "condition id", 1)
     if cid not in WORDS:
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:

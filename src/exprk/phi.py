@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import LinearOperator, real_array
+from .operators import LinearOperator, integer, real_array
 
 # Below this modulus the downward recurrence from exp(z) loses digits to
 # cancellation, so a truncated Taylor series is used instead.
@@ -78,8 +78,8 @@ class CacheMissError(KeyError):
 
 def phi_scalar(j, z):
     """Evaluate phi_j at a real scalar z (an int or a numpy float too), as a
-    float; a complex z or a str raises TypeError, and a j that phi_index
-    rejects raises as phi_index does.
+    float; a complex z, a str or a j that is not an integer raises TypeError,
+    and a negative j ValueError (j is read by operators.integer).
 
     Uses the truncated Taylor series sum_m z^m / (m+j)! for |z| < 1 and the
     recurrence from exp(z) otherwise; accurate to machine precision in both
@@ -90,7 +90,7 @@ def phi_scalar(j, z):
     largest float, 0.0 at -inf and nan at nan, with no warning.
     """
     if type(j) is not int or j < 0:
-        j = phi_index(j)
+        j = integer(j, "phi index", 0)
     if type(z) is not float:
         if not isinstance(z, numbers.Real):
             raise TypeError(f"phi_scalar takes a real z, got {z!r}")
@@ -261,8 +261,8 @@ def _addition_weights(p, q, jmax):
 
 def phi_matrix(j, m):
     """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain.
-    j is read by phi_index."""
-    j = phi_index(j)
+    j is read by operators.integer."""
+    j = integer(j, "phi index", 0)
     if np.ndim(m) != 2:
         raise ValueError("matrix must be square")
     return _squaring_chain(m, j)[0, j].copy()
@@ -278,17 +278,6 @@ class PhiRequest(NamedTuple):
 
     j: int
     scale: Fraction
-
-
-def phi_index(j):
-    """j as an int; a j that is not an integer, or is a bool, raises
-    TypeError rather than naming some other phi (int(2.5) is 2, True is 1),
-    and a negative j raises ValueError."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-        raise TypeError(f"phi index must be an integer, got {j!r}")
-    if j < 0:
-        raise ValueError("phi index must be >= 0")
-    return int(j)
 
 
 def exact_rational(x):
@@ -308,8 +297,8 @@ def exact_rational(x):
 
 def phi_request(j, scale):
     """Normalize (j, scale) to a PhiRequest with an exact rational scale,
-    read by exact_rational."""
-    j = phi_index(j)
+    read by integer and exact_rational."""
+    j = integer(j, "phi index", 0)
     scale = exact_rational(scale)
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
@@ -390,11 +379,8 @@ def phi_matrix_table(m, h, keys):
     through the multiples, reaches each tY.  Where every scale is 2^-k, the
     shortest chain only doubles, and where ||Y||_1 > 3 as well, each entry
     is, bit for bit, the chain on its own scale alone.  One walk
-    can serve every scale because the chain squares only to ||X||_1 <= 3:
-    after a chain to ||X||_1 <= 1, the walk to scale 1 lost up to 3-10x
-    accuracy on stiff symmetric A (heat400: 1.26e-12 of the largest entry,
-    against 8.3e-13 now).  An entry that overflows raises OverflowError
-    naming j, the scale and h.
+    can serve every scale because the chain squares only to ||X||_1 <= 3.
+    An entry that overflows raises OverflowError naming j, the scale and h.
     """
     if not keys:
         return {}

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .operators import real_array
+from .operators import integer, real_array
 from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
 
 __all__ = [
@@ -303,11 +303,11 @@ def psi_parts(j, t, i=None):
     c_i^j phi_j(c_i z), the empty combo at a zero node.  The defect is
     sum_k coeff_k c_k^{j-1}/(j-1)! - target.
     """
-    if j < 2:
-        raise ValueError("psi index must be >= 2")
+    j = integer(j, "psi index", 2)
     if i is None:
         return dict(t.b), phi_term(1, j)
-    if not 2 <= i <= t.s:
+    i = integer(i, "stage index", 2)
+    if i > t.s:
         raise IndexError(f"stage index {i} out of range 2..{t.s}")
     ci = t.node(i)
     return t.row(i), (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())

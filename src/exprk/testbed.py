@@ -11,13 +11,12 @@ ODE system *exactly* (the difference stencil is exact on quadratics in x), so
 measured errors are pure time-integration errors.
 """
 
-import numbers
 import re
 
 import numpy as np
 
 from .integrator import SemilinearProblem
-from .operators import SymTridiagonalOperator, real_array
+from .operators import SymTridiagonalOperator, integer, real_array
 
 __all__ = [
     "Grid1D", "heat_problem", "heat_forcing", "discrete_l2_error",
@@ -29,9 +28,7 @@ class Grid1D:
     """Uniform grid on (0, 1): N interior points, Dirichlet ends excluded."""
 
     def __init__(self, n):
-        if n < 2:
-            raise ValueError("need at least 2 interior points")
-        self.n = int(n)
+        self.n = integer(n, "n", 2)
         self.dx = 1.0 / (self.n + 1)
         self.x = self.dx * np.arange(1, self.n + 1)
 
@@ -64,7 +61,7 @@ def heat_problem(n=200):
         return q * np.exp(t)
 
     return SemilinearProblem(A=a, g=g, u0=q.copy(), t0=0.0, t_end=1.0,
-                             exact=exact, name=f"heat{n}")
+                             exact=exact, name=f"heat{grid.n}")
 
 
 def problem_by_name(name):
@@ -93,10 +90,9 @@ def stability_bound_check(a, h, n):
     accuracy near 0.  For symmetric A with spectrum <= 0 the value is bounded
     by 1 uniformly in h and n.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if not (np.isfinite(h) and h > 0) or n < 1:
-        raise ValueError(f"need finite h > 0 and n >= 1, got h = {h!r}, n = {n!r}")
+    n = integer(n, "n", 1)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"need finite h > 0, got h = {h!r}")
     lam = a.eigenvalues()
     if lam.max() > 1e-12:
         raise ValueError("operator must be negative semidefinite")

@@ -51,6 +51,23 @@ def phi_quadrature_oracle(j, z, tol=1e-12):
     return val
 
 
+def not_integers(least):
+    """(value, error) pairs that operators.integer refuses for an argument of
+    least value least: a float, a bool and a str (TypeError, where int()
+    would have read 2, 1 and 3), and the integer below the least."""
+    return [(2.5, TypeError), (True, TypeError), ("3", TypeError), (least - 1, ValueError)]
+
+
+def phi_mpmath(mpmath, j, z):
+    """phi_j(z) in 50-digit arithmetic: the Taylor series for |z| < 1, the
+    closed form (e^z - sum_{k<j} z^k/k!)/z^j elsewhere."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(z)
+        if abs(x) < 1:
+            return sum(x ** m / mpmath.factorial(m + j) for m in range(60))
+        return (mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(j))) / x ** j
+
+
 def augmented_phi(j, m):
     """phi_j(M) as one exponential of an augmented block matrix: the
     reference for the library's scaling-and-squaring kernel.

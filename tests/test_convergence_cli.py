@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import not_integers
 from exprk import convergence
 from exprk.cli import main
 from exprk.convergence import (DEFAULT_FLOOR, DEFAULT_STEPS, ConvergenceRow,
@@ -72,6 +73,22 @@ def test_run_convergence_validates_steps():
         run_convergence("expEuler", pb, steps=(16, 8))
     with pytest.raises(ValueError):
         run_convergence("expEuler", pb, steps=(0, 8))
+
+
+@pytest.mark.parametrize("k, error", not_integers(1))
+def test_run_convergence_reads_each_step_count_as_an_integer(monkeypatch, k, error):
+    """steps=[8.9, 16.2] ran 8 and 16 steps; a bad count now fails before any
+    integration, naming steps."""
+    monkeypatch.setattr(convergence, "integrate", lambda *args: pytest.fail("integrated"))
+    with pytest.raises(error, match="^steps must be "):
+        run_convergence("expEuler", heat_problem(10), steps=[k, 16])
+
+
+def test_run_convergence_takes_numpy_integer_step_counts():
+    pb = heat_problem(10)
+    got = run_convergence("expEuler", pb, steps=np.array([8, 16]))
+    assert got.rows == run_convergence("expEuler", pb, steps=[8, 16]).rows
+    assert all(type(r.n_steps) is int for r in got.rows)
 
 
 @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import EighTridiagonal, rk_integrate
+from conftest import EighTridiagonal, not_integers, rk_integrate
 from golden import advdiff_problem
 import exprk.integrator
 from exprk.integrator import (BlowUpError, SemilinearProblem, Stepper,
                               StepRecord, integrate, required_requests)
 from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
-                             SymTridiagonalOperator, ZeroOperator)
+                             SymTridiagonalOperator, ZeroOperator, integer)
 from exprk.order_conditions import check
 from exprk.phi import PhiRequest
 from exprk.tableau import ExpRKTableau, classical_limit, get_tableau
@@ -194,6 +194,42 @@ def test_integrate_accepts_numpy_integer_step_counts(tab5):
     pb = _nonstiff_problem()
     got = integrate(pb, tab5, np.int64(3))
     assert np.array_equal(got.u, integrate(pb, tab5, 3).u)
+
+
+@pytest.mark.parametrize("x", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_integer_reads_ints_and_numpy_integers_as_int(x):
+    got = integer(x, "count", 3)
+    assert type(got) is int and got == 3
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (2.5, TypeError, "count must be an integer, got 2.5"),
+    (3.0, TypeError, "count must be an integer, got 3.0"),
+    (True, TypeError, "count must be an integer, got True"),
+    ("3", TypeError, "count must be an integer, got '3'"),
+    (np.float64(3.0), TypeError, "count must be an integer, got np.float64(3.0)"),
+    (2, ValueError, "count must be >= 3, got 2"),
+    (np.int64(-1), ValueError, "count must be >= 3, got -1"),
+])
+def test_integer_refuses_what_is_not_an_integer_of_at_least_least(x, error, message):
+    with pytest.raises(error) as info:
+        integer(x, "count", 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [ZeroOperator, SineBasis])
+@pytest.mark.parametrize("n, error", not_integers(1))
+def test_operator_dimension_is_read_as_an_integer(make, n, error):
+    """ZeroOperator(2.5) had n = 2 and ZeroOperator(True) n = 1; SineBasis
+    truncated its n alike."""
+    with pytest.raises(error, match="^n must be "):
+        make(n)
+
+
+def test_numpy_integer_operator_dimension_is_the_int():
+    a = ZeroOperator(np.int64(3))
+    assert type(a.n) is int and a.n == 3 and a.fingerprint == ZeroOperator(3).fingerprint
+    assert np.array_equal(np.asarray(SineBasis(np.int64(3))), np.asarray(SineBasis(3)))
 
 
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])

@@ -8,7 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import augmented_phi
+from conftest import augmented_phi, not_integers
 from exprk.order_conditions import (CONDITION_ORDERS, MODES, TOP_ORDER, WORDS, ProbeSet,
                                     _bilinear_columns, _defects, _phi_tables,
                                     _probe_residuals, _probe_tables, check,
@@ -54,6 +54,37 @@ def test_condition_orders_table():
     assert by_order[3] == [2, 3]
     assert by_order[4] == [4, 5, 6, 7]
     assert by_order[5] == list(range(8, 17))
+
+
+@pytest.mark.parametrize("name, bad, error", [
+    (name, bad, error) for name, least in (("count", 0), ("d", 1), ("seed", 0))
+    for bad, error in not_integers(least)])
+def test_draw_probe_sets_reads_its_counts_as_integers(name, bad, error):
+    """draw_probe_sets(True) drew 1 probe and a negative count none."""
+    with pytest.raises(error, match=f"^{name} must be "):
+        draw_probe_sets(**{"count": 2, "d": 3, "seed": 0, name: bad})
+
+
+def test_draw_probe_sets_takes_numpy_integers():
+    got = draw_probe_sets(np.int64(2), d=np.int32(3), seed=np.uint8(5))
+    want = draw_probe_sets(2, d=3, seed=5)
+    assert [(p.d, p.seed, p.label) for p in got] == [(p.d, p.seed, p.label) for p in want]
+    assert all(type(p.d) is int and type(p.seed) is int for p in got)
+    assert all(np.array_equal(p.B, q.B) for p, q in zip(got, want))
+
+
+@pytest.mark.parametrize("d, error", not_integers(1))
+def test_probe_set_dimension_is_read_as_an_integer(d, error):
+    """ProbeSet(True, ...) with 1x1 matrices was accepted with d = True."""
+    one = np.ones((1, 1))
+    with pytest.raises(error, match="^probe d must be "):
+        ProbeSet(d, one, one, one, one, np.ones((1, 1, 1)))
+
+
+def test_probe_set_takes_a_numpy_integer_dimension():
+    one = np.ones((1, 1))
+    p = ProbeSet(np.int64(1), one, one, one, one, np.ones((1, 1, 1)))
+    assert type(p.d) is int and p.d == 1
 
 
 def test_draw_probe_sets_deterministic_and_bounded():
@@ -130,6 +161,14 @@ def test_condition_residual_validation(tab5):
         condition_residual(17, tab5, p, "strong")
     with pytest.raises(ValueError):
         condition_residual(1, tab5, p, "sideways")
+
+
+@pytest.mark.parametrize("cid, error", not_integers(1))
+def test_condition_id_is_read_as_an_integer(tab5, cid, error):
+    """condition_residual(True, ...) evaluated condition 1."""
+    p = draw_probe_sets(1, d=3, seed=1)[0]
+    with pytest.raises(error, match="^condition id must be "):
+        condition_residual(cid, tab5, p)
 
 
 # ---------------------------------------------------------------------------

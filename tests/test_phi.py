@@ -16,7 +16,7 @@ import scipy.linalg
 
 import exprk.phi
 from conftest import (EighTridiagonal, QuadratureError, advdiff_matrix, augmented_phi,
-                      dense_phi, phi_quadrature_oracle, phi_symmetric)
+                      dense_phi, phi_mpmath, phi_quadrature_oracle, phi_symmetric)
 from exprk.integrator import SemilinearProblem, Stepper, integrate, required_requests
 from exprk.operators import (DST_MIN_N, DenseOperator, DiagonalOperator,
                              SineBasis, SymTridiagonalOperator, ZeroOperator)
@@ -106,16 +106,6 @@ PHI_SWEEP_Z = np.concatenate([-np.logspace(-4, 7, 111),
                               np.logspace(-4, np.log10(50.0), 61)])
 
 
-def _mp_phi(mpmath, j, z):
-    """phi_j(z) in 50-digit arithmetic: the Taylor series for |z| < 1, the
-    closed form (e^z - sum_{k<j} z^k/k!)/z^j elsewhere."""
-    with mpmath.workdps(50):
-        x = mpmath.mpf(z)
-        if abs(x) < 1:
-            return sum(x ** m / mpmath.factorial(m + j) for m in range(60))
-        return (mpmath.exp(x) - sum(x ** k / mpmath.factorial(k) for k in range(j))) / x ** j
-
-
 @pytest.mark.parametrize("j", range(0, 8))
 def test_phi_scalar_matches_mpmath_sweep(j):
     """Relative error at most 2e-12 over [-1e7, 50]; the worst measured is
@@ -123,7 +113,7 @@ def test_phi_scalar_matches_mpmath_sweep(j):
     mpmath = pytest.importorskip("mpmath")
     tiny = np.finfo(float).tiny  # e^z underflows for j = 0 and z < -708
     for z in PHI_SWEEP_Z:
-        want = float(_mp_phi(mpmath, j, z))
+        want = float(phi_mpmath(mpmath, j, z))
         assert abs(phi_scalar(j, z) - want) <= 2e-12 * abs(want) + tiny, (j, z)
 
 
@@ -219,7 +209,7 @@ def test_phi_scalar_rejects_negative_index():
 @pytest.mark.parametrize("j", [True, False, 2.0, 2.5, "2", Fraction(2)])
 def test_phi_index_that_is_not_an_integer_is_rejected(j):
     """A bool would name phi_1 or phi_0 and a float another phi, so both
-    scalar and matrix routes read j through phi_index."""
+    scalar and matrix routes read j through operators.integer."""
     with pytest.raises(TypeError, match="phi index must be an integer"):
         phi_scalar(j, 0.5)
     with pytest.raises(TypeError, match="phi index must be an integer"):

@@ -10,6 +10,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from conftest import not_integers
 from exprk.order_conditions import (_rooted_trees, classical_order,
                                     classical_order_conditions)
 from exprk.tableau import (ButcherTableau, ExpRKTableau, PhiCombo,
@@ -178,6 +179,29 @@ def test_psi_validation(tab5):
         psi(2, tab5, 0.5, 9)
     with pytest.raises(ValueError):
         psi_combo(1, tab5, 3)
+
+
+@pytest.mark.parametrize("i", [None, 3])
+@pytest.mark.parametrize("j, error", not_integers(2))
+def test_psi_index_is_read_as_an_integer(tab5, i, j, error):
+    """psi_parts(2.5, t, 3) got past the j < 2 test and failed naming the
+    "phi index"."""
+    with pytest.raises(error, match="^psi index must be "):
+        psi_parts(j, tab5, i)
+
+
+@pytest.mark.parametrize("i, error", not_integers(2))
+def test_psi_stage_index_is_read_as_an_integer(tab5, i, error):
+    """psi_parts(3, t, True) raised IndexError naming stage True, and 2.5
+    failed indexing the nodes."""
+    with pytest.raises(error, match="^stage index must be "):
+        psi_parts(3, tab5, i)
+
+
+def test_numpy_integer_psi_indices_are_the_ints(tab5):
+    for i in (None, 3, 8):
+        assert psi_parts(np.int64(3), tab5, i) == psi_parts(3, tab5, i)
+    assert psi_parts(3, tab5, np.int64(5)) == psi_parts(3, tab5, 5)
 
 
 def _zero_node_tableau():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import not_integers
 from exprk.integrator import SemilinearProblem
 from exprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
 from exprk.testbed import (Grid1D, discrete_l2_error, heat_forcing,
@@ -17,6 +18,28 @@ def test_grid():
     assert grid.x == pytest.approx([0.2, 0.4, 0.6, 0.8])
     with pytest.raises(ValueError):
         Grid1D(1)
+
+
+@pytest.mark.parametrize("n, error", not_integers(2))
+def test_grid_size_is_read_as_an_integer(n, error):
+    """Grid1D(2.5) had 2 points: int() truncated it."""
+    with pytest.raises(error, match="^n must be "):
+        Grid1D(n)
+
+
+@pytest.mark.parametrize("n, error", not_integers(2))
+def test_heat_problem_size_is_read_as_an_integer(n, error):
+    """heat_problem(5.7) had 5 points and was named "heat5.7"."""
+    with pytest.raises(error, match="^n must be "):
+        heat_problem(n)
+
+
+def test_numpy_integer_grid_size_is_the_int():
+    grid = Grid1D(np.int64(4))
+    assert type(grid.n) is int and np.array_equal(grid.x, Grid1D(4).x)
+    pb, want = heat_problem(np.int64(20)), heat_problem(20)
+    assert pb.name == "heat20"
+    assert np.array_equal(pb.u0, want.u0) and np.array_equal(pb.A.dense(), want.A.dense())
 
 
 def test_heat_problem_structure():
