@@ -14,6 +14,7 @@ import numpy as np
 
 from .convergence import DEFAULT_FLOOR, DEFAULT_STEPS, run_convergence, write_csv
 from .integrator import BlowUpError, Stepper
+from .operators import integer
 from .order_conditions import TOP_ORDER, check
 from .phi import phi_scalar
 from .tableau import get_tableau, tableau_from_text, tableau_names
@@ -89,11 +90,10 @@ def cmd_phi(args):
 
 
 def cmd_step_demo(args):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    steps = integer(args.steps, "--steps", 1)
     t = _load_method(args.method)
     pb = problem_by_name(args.problem)
-    h = (pb.t_end - pb.t0) / args.steps
+    h = (pb.t_end - pb.t0) / steps
     stepper = Stepper(pb, t, h)
     cache = stepper.cache
     u1, stages = stepper(pb.t0, pb.u0, return_stages=True)

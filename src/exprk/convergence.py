@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import integrate
-from .operators import integer
+from .operators import integer, real_array
 from .tableau import get_tableau
 from .testbed import discrete_l2_error
 
@@ -52,6 +52,7 @@ def fit_slope(rows, floor=DEFAULT_FLOOR):
     Returns (slope, used, excluded); slope is None for fewer than two usable
     rows.  The floor must be finite and >= 0.
     """
+    floor = float(real_array(floor, "floor"))
     if not (np.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     used = tuple(r for r in rows if r.error > floor)

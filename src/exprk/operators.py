@@ -27,11 +27,12 @@ DST_MIN_N = 512
 
 
 def real_array(x, name):
-    """x as a float ndarray; a complex x or a str raises TypeError naming it."""
+    """x as a float ndarray; a complex x, a str or a bool raises TypeError
+    naming it (True would read as 1.0)."""
     a = np.asarray(x)
     if a.dtype == float:
         return a
-    if a.dtype.kind in "cSU":
+    if a.dtype.kind in "bcSU":
         raise TypeError(f"{name} must be real, got dtype {a.dtype}")
     return a.astype(float)
 

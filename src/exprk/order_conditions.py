@@ -27,15 +27,19 @@ The phi matrices come in stacks: check() groups its probes by dimension d
 and builds one phi table per group over the stacked Z of the whole group
 (phi.phi_matrix_table: one chain and one walk, for expRK5s8 on Z/60 to
 all five scales), on which it sums the weights, the rows of a and every
-psi defect the words read.  The words are then evaluated probe by probe on its members of those
-stacks, each inner nest, left factor coeffs_i X and bilinear lift formed
-once per probe for all words and both modes, and each nest sum starting at
-its first term; a probe's word values are reduced to residuals together.
-Table and sums compute for each member exactly what they compute for that
-Z alone, so every probe gets the numbers it would get alone;
-condition_residual builds the tables of one probe.  On the stacks, the
-words' 3x3 products would make a check() of about 15 ms, shorter than the
-benchmark speed probe's 25 ms period, so they stay per probe.
+psi defect the words read.  The words are then evaluated probe by probe on
+its members of those stacks through one recursion, _nest, over one memo
+dict per probe: seeded with the psi defects, it gains each inner nest, left
+factor coeffs_i X and bilinear lift once, for all words and both modes.
+Weakened mode is no branch there, only the outer set a word sums over:
+b_i(0) I in place of b_i(Z), and for a word without links the leaf
+psi_j(0) I in place of psi_j.  Each nest sum starts at its first term, and
+a probe's word values are reduced to residuals together.  Table and sums
+compute for each member exactly what they compute for that Z alone, so
+every probe gets the numbers it would get alone; condition_residual runs
+the same loop on one probe.  On the stacks, the words' 3x3 products would
+make a check() of about 15 ms, shorter than the benchmark speed probe's
+25 ms period, so they stay per probe.
 """
 
 from dataclasses import dataclass
@@ -132,10 +136,11 @@ class Word(NamedTuple):
 
     A word with no links is the weight defect psi_j.  Otherwise the residual
     is sum_i W_i X_1 [sum_k a_ik X_2 [... psi_{j,k}]], with the outer weight
-    W_i = b_i(Z) and the links (p, X) read from the outer sum inward: each
-    link multiplies its term by c^p of its stage index and interleaves the
-    probe matrix X (J, K or L), or, for the letter B, applies the bilinear
-    map to the inner value taken twice.
+    W_i = b_i(Z) (b_i(0) I in weakened mode at TOP_ORDER) and the links
+    (p, X) read from the outer sum inward: each link multiplies its term by
+    c^p of its stage index and interleaves the probe matrix X (J, K or L),
+    or, for the letter B, applies the bilinear map to the inner value taken
+    twice.
     """
 
     order: int
@@ -167,14 +172,14 @@ MODES = ("strong", "weakened")
 def _defects(t):
     """The psi defects the words read, built once per check.
 
-    Returns parts, {(j, i): tableau.psi_parts(j, t, i)} over the weight
-    defect psi_j of each word without links and psi_{j,i} at every stage for
-    each word with them, and at_zero, {j: psi_j at Z = 0} over the weight
-    defects that weakened mode takes at Z = 0 (see _word_value).
+    Returns parts, {(j, where): tableau.psi_parts}: psi_{j,i} at every stage
+    i for each word with links, and the weight defect psi_j (where = "b")
+    for each word without; and at_zero, {j: psi_j at Z = 0} over the weight
+    defects of the top order, which weakened mode reads.
     """
     keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
-                         for i in (range(2, t.s + 1) if w.links else (None,)))
-    parts = {(j, i): psi_parts(j, t, i) for j, i in keys}
+                         for i in (range(2, t.s + 1) if w.links else ("b",)))
+    parts = {(j, i): psi_parts(j, t, None if i == "b" else i) for j, i in keys}
     at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
                if w.order == TOP_ORDER and not w.links}
     return parts, at_zero
@@ -190,8 +195,9 @@ def _phi_tables(t, probes, parts):
 
 
 def _group_sums(t, probes, parts):
-    """(b, rows, psi): the stacks of b_i(Z), of the rows of a_ij(Z), and of
-    each psi defect in parts keyed ((), j, i), over one dimension group.
+    """(sets, leaves) over one dimension group: the stacks of the sets a nest
+    sums over, "b" (the weights b_i(Z)) and, at stage i, row i of a; and the
+    stack of each psi defect in parts, keyed ((), j, where).
 
     combo_sum sums them on the group's phi table, as the stepper sums its
     coefficients, and each defect goes through tableau.psi_values, so
@@ -203,120 +209,99 @@ def _group_sums(t, probes, parts):
     # the empty combo, a zero node's target, is the zero matrix here
     zeros = np.zeros((len(probes), probes[0].d, probes[0].d))
     mat = lambda combo: combo_sum(combo, get) if combo.terms else zeros
-    b = {i: mat(v) for i, v in t.b.items()}
-    rows = {i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 1)}
-    psi = {((), j, i): psi_values(j, t, b if i is None else rows[i], mat(target))
-           for (j, i), (_, target) in parts.items()}
-    return b, rows, psi
-
-
-class _ProbeTables:
-    """What condition evaluation reads at one probe: the members [k] of its
-    group's stacks from _group_sums, b_i(0) I and psi_j(0) I.
-
-    coeffs holds the sets a nest sums over, each in stage order: "b" (the
-    weights b_i(Z)), "b(0)" (b_i(0) I) and, at stage i, row i of a.  Three
-    plain dicts grow as the words read them, shared by all words and both
-    modes: nests maps (links, j, i) to the nest of those links over row i
-    around psi_{j,.} (see _nest), or to psi_{j,i} for no links; lifts maps
-    the same key to that nest's bilinear lift; left maps (set, letter, i) to
-    coeffs[set][i] X.
-    """
-
-    def __init__(self, probe, k, sums, b_at_zero, at_zero, c):
-        b, rows, psi = sums
-        self.p, self.at_zero, self.c = probe, at_zero, c
-        self.coeffs = {"b": {i: v[k] for i, v in b.items()}, "b(0)": b_at_zero}
-        self.coeffs.update({i: {m: v[k] for m, v in row.items()} for i, row in rows.items()})
-        self.nests = {key: v[k] for key, v in psi.items()}
-        self.lifts, self.left = {}, {}
-
-
-def _nest(tab, links, j, where):
-    """sum_i c_i^p coeffs_i X [inner_i] over the set tab.coeffs[where],
-    inner_i being psi_{j,i} at the last link and the memoized nest of the
-    remaining links over row i before it.  Each term is (coeffs_i X) inner_i
-    with the left factor and the bilinear lift memoized, and the sum starts
-    at its first term; an empty set (stage 2's row) gives a zero matrix."""
-    (power, letter), rest = links[0], links[1:]
-    acc = None
-    for i, coeff in tab.coeffs[where].items():
-        key = (rest, j, i)
-        if key not in tab.nests:
-            tab.nests[key] = _nest(tab, rest, j, i)
-        if letter == "B":
-            if key not in tab.lifts:
-                tab.lifts[key] = _bilinear_columns(tab.p.B, tab.nests[key], tab.nests[key])
-            term = coeff @ tab.lifts[key]
-        else:
-            if (where, letter, i) not in tab.left:
-                tab.left[where, letter, i] = coeff @ getattr(tab.p, letter)
-            term = tab.left[where, letter, i] @ tab.nests[key]
-        if power:
-            term *= tab.c[i - 1] ** power
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    return np.zeros_like(tab.p.Z) if acc is None else acc
-
-
-def _word_value(word, tab, mode):
-    """The matrix value of one word at one probe; its residual is the
-    largest absolute entry.
-
-    Weakened mode changes only the top order: the outer weights become the
-    scalars b_i(0), and its weight defect (psi_5) is taken at Z = 0 alone.
-    """
-    weakened = mode == "weakened" and word.order == TOP_ORDER
-    if word.links:
-        return _nest(tab, word.links, word.psi, "b(0)" if weakened else "b")
-    return tab.at_zero[word.psi] if weakened else tab.nests[(), word.psi, None]
+    sets = {"b": {i: mat(v) for i, v in t.b.items()}}
+    sets.update({i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 1)})
+    leaves = {((), j, where): psi_values(j, t, sets[where], mat(target))
+              for (j, where), (_, target) in parts.items()}
+    return sets, leaves
 
 
 def _probe_tables(t, probes):
-    """(n, _ProbeTables of probes[n]) for each probe: the probes are grouped
-    by dimension, with one phi table and one set of sums per group."""
+    """(n, coeffs, memo) for each probe n; the probes are grouped by
+    dimension, with one phi table and one set of sums per group.
+
+    coeffs holds the sets a nest sums over, each in stage order: "b" (the
+    weights b_i(Z)), "b(0)" (b_i(0) I) and, at stage i, row i of a.  memo is
+    seeded with the leaves: psi_{j,i} under ((), j, i), the weight defect
+    psi_j under ((), j, "b") and psi_j(0) I under ((), j, "b(0)").
+    """
     for probe in probes:
         if not isinstance(probe, ProbeSet):
             raise TypeError(f"a probe must be a ProbeSet, got {probe!r}")
     parts, at_zero = _defects(t)
-    c = [float(ci) for ci in t.c]
     for d in dict.fromkeys(probe.d for probe in probes):
         ns = [n for n, probe in enumerate(probes) if probe.d == d]
-        sums = _group_sums(t, [probes[n] for n in ns], parts)
+        sets, leaves = _group_sums(t, [probes[n] for n in ns], parts)
         weights = {i: float(v.at_zero()) * np.eye(d) for i, v in t.b.items()}
-        zero = {j: v * np.eye(d) for j, v in at_zero.items()}
+        zero = {((), j, "b(0)"): v * np.eye(d) for j, v in at_zero.items()}
         for k, n in enumerate(ns):
-            yield n, _ProbeTables(probes[n], k, sums, weights, zero, c)
+            coeffs = {where: {i: v[k] for i, v in s.items()} for where, s in sets.items()}
+            coeffs["b(0)"] = weights
+            yield n, coeffs, {**{key: v[k] for key, v in leaves.items()}, **zero}
+
+
+def _nest(p, c, coeffs, memo, key):
+    """The nest key = (links, j, where) at probe p, stored in memo: the sum
+    over coeffs[where] of c_i^power (coeffs_i X) inner_i for the first link
+    (power, X), inner_i being the nest of the remaining links over row i, or
+    the leaf psi_{j,i} after the last link.  The letter B makes the term
+    coeffs_i B(inner_i, inner_i).  memo also keeps each left factor
+    coeffs_i X under (where, X, i) and each bilinear lift under
+    (rest, j, i, "B"); the sum starts at its first term, and an empty set
+    (stage 2's row) gives a zero matrix."""
+    links, j, where = key
+    (power, letter), rest = links[0], links[1:]
+    acc = None
+    for i, coeff in coeffs[where].items():
+        inner = memo.get((rest, j, i))
+        if inner is None:
+            inner = _nest(p, c, coeffs, memo, (rest, j, i))
+        if letter == "B":
+            lift = memo.get((rest, j, i, "B"))
+            if lift is None:
+                lift = memo[rest, j, i, "B"] = _bilinear_columns(p.B, inner, inner)
+            term = coeff @ lift
+        else:
+            left = memo.get((where, letter, i))
+            if left is None:
+                left = memo[where, letter, i] = coeff @ getattr(p, letter)
+            term = left @ inner
+        if power:
+            term *= c[i - 1] ** power
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    memo[key] = np.zeros_like(p.Z) if acc is None else acc
+    return memo[key]
 
 
 def _probe_residuals(t, probes):
-    """{(cid, mode): [residual at each probe]}, in probe order.  Below
-    TOP_ORDER the modes are one condition, evaluated once per probe, and a
-    probe's distinct word values are reduced to residuals together."""
-    keys = [(cid, mode) for cid, word in WORDS.items() for mode in MODES
-            if mode == "strong" or word.order == TOP_ORDER]
-    residuals = {(cid, mode): [None] * len(probes) for cid in WORDS for mode in MODES}
-    for n, tab in _probe_tables(t, probes):
-        values = np.stack([_word_value(WORDS[cid], tab, mode) for cid, mode in keys])
-        for (cid, mode), res in zip(keys, np.abs(values).max(axis=(1, 2)).tolist()):
-            residuals[cid, mode][n] = res
-            if WORDS[cid].order < TOP_ORDER:
-                residuals[cid, "weakened"][n] = res
-    return residuals
+    """{(cid, mode): [residual at each probe]}, in probe order; a probe's
+    word values are reduced to residuals together.  A word's outer set is
+    "b(0)" in weakened mode at TOP_ORDER and "b" otherwise, so below
+    TOP_ORDER both modes read one memo entry."""
+    words = {(cid, mode): (w.links, w.psi, "b(0)" if mode == "weakened"
+                           and w.order == TOP_ORDER else "b")
+             for cid, w in WORDS.items() for mode in MODES}
+    c = [float(ci) for ci in t.c]
+    residuals = np.empty((len(probes), len(words)))
+    for n, coeffs, memo in _probe_tables(t, probes):
+        values = np.stack([memo[key] if key in memo else _nest(probes[n], c, coeffs, memo, key)
+                           for key in words.values()])
+        residuals[n] = np.abs(values).max(axis=(1, 2))
+    return dict(zip(words, residuals.T.tolist()))
 
 
 def condition_residual(cid, t, p, mode="strong"):
-    """Max-abs residual of one condition at one probe set: that probe's
-    tables as check() builds them, and the one word evaluated on them."""
+    """Max-abs residual of one condition at one probe set, as check()
+    evaluates it there."""
     cid = integer(cid, "condition id", 1)
     if cid not in WORDS:
         raise ValueError(f"unknown condition id {cid}")
     if mode not in MODES:
         raise ValueError("mode must be strong or weakened")
-    [(_, tab)] = _probe_tables(t, [p])
-    return float(np.abs(_word_value(WORDS[cid], tab, mode)).max())
+    return _probe_residuals(t, [p])[cid, mode][0]
 
 
 @dataclass(frozen=True)
@@ -379,6 +364,7 @@ def check(t, tolerance=1e-9, p=None, seed=0):
     pass, and the weakened verdict: every weakened row passes (below
     TOP_ORDER those rows are the strong ones).
     """
+    tolerance = float(real_array(tolerance, "tolerance"))
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if p is None:

@@ -23,7 +23,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
@@ -169,6 +169,9 @@ class ExpRKTableau:
         for name, table, keys in (("a", self.a, lower), ("b", self.b, range(2, s + 1))):
             kept = {}
             for key, combo in table.items():
+                # a float or bool equal to a stage index would pass the range check
+                key = (tuple(integer(k, f"{name} index {key}", -inf) for k in key)
+                       if isinstance(key, tuple) else integer(key, f"{name} index", -inf))
                 if key not in keys:
                     raise ValueError(f"{name} index {key} out of range")
                 if not isinstance(combo, PhiCombo):

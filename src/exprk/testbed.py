@@ -91,6 +91,7 @@ def stability_bound_check(a, h, n):
     by 1 uniformly in h and n.
     """
     n = integer(n, "n", 1)
+    h = float(real_array(h, "h"))
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"need finite h > 0, got h = {h!r}")
     lam = a.eigenvalues()

@@ -51,6 +51,14 @@ def test_fit_slope_rejects_a_bad_floor(floor):
         fit_slope(_rows(2.5), floor=floor)
 
 
+@pytest.mark.parametrize("floor", ["0.1", True, 1e-11 + 0j])
+def test_fit_slope_reads_its_floor_as_a_real_number(floor):
+    """A str, bool or complex floor is a TypeError naming it, not numpy's
+    unnamed ufunc error or a floor of 1.0."""
+    with pytest.raises(TypeError, match="^floor must be real, got dtype "):
+        fit_slope(_rows(2.5), floor=floor)
+
+
 # ---------------------------------------------------------------------------
 # sweep driver
 

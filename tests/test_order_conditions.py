@@ -238,6 +238,19 @@ def test_check_rejects_a_tolerance_that_is_not_finite_and_positive(tab5, toleran
         check(tab5, tolerance=tolerance, p=draw_probe_sets(1, d=3, seed=0))
 
 
+@pytest.mark.parametrize("tolerance", ["1e-9", True, 1e-9 + 0j])
+def test_check_reads_its_tolerance_as_a_real_number(tab5, tolerance):
+    """A str, bool or complex tolerance is a TypeError naming it, not numpy's
+    unnamed ufunc error or a report with tolerance True."""
+    with pytest.raises(TypeError, match="^tolerance must be real, got dtype "):
+        check(tab5, tolerance=tolerance, p=draw_probe_sets(1, d=3, seed=0))
+
+
+def test_check_stores_its_tolerance_as_a_float():
+    report = check(get_tableau("expEuler"), tolerance=1, p=draw_probe_sets(1, d=3, seed=0))
+    assert type(report.tolerance) is float and report.tolerance == 1.0
+
+
 @pytest.mark.parametrize("make", [lambda t: t, _perturbed], ids=["expRK5s8", "perturbed"])
 def test_probe_stacking_leaves_each_probe_unchanged(tab5, make):
     """check() stacks probes by dimension; no probe's residuals may depend on
@@ -560,32 +573,34 @@ def test_every_residual_of_the_stacks_matches_a_probe_alone(tab5, make):
             assert res[n] == condition_residual(cid, t, p, mode), (cid, mode, p.label)
 
 
-def _unmemoized_residuals(tab):
-    """{(cid, mode): residual} at one probe's tables by the word recursion
-    with no memo: every inner nest, left factor coeffs_i X and bilinear lift
-    is formed again where a word reads it, and each sum starts at zero."""
-    zero = np.zeros((tab.p.d, tab.p.d))
+def _unmemoized_residuals(p, c, coeffs, leaves):
+    """{(cid, mode): residual} at probe p by the word recursion with no
+    memo: it reads only the sets in coeffs and the leaves a probe's memo is
+    seeded with, forms every inner nest, left factor coeffs_i X and
+    bilinear lift again where a word reads it, starts each sum at zero and
+    visits its stages in sorted order."""
+    zero = np.zeros((p.d, p.d))
 
-    def nest(links, j, coeffs):
+    def nest(links, j, where):
         (power, letter), rest = links[0], links[1:]
         acc = zero
-        for i in sorted(coeffs):
-            inner = nest(rest, j, tab.coeffs[i]) if rest else tab.nests[(), j, i]
+        for i in sorted(coeffs[where]):
+            inner = nest(rest, j, i) if rest else leaves[(), j, i]
             if letter == "B":
-                term = coeffs[i] @ _bilinear_columns(tab.p.B, inner, inner)
+                term = coeffs[where][i] @ _bilinear_columns(p.B, inner, inner)
             else:
-                term = (coeffs[i] @ getattr(tab.p, letter)) @ inner
-            acc = acc + tab.c[i - 1] ** power * term
+                term = (coeffs[where][i] @ getattr(p, letter)) @ inner
+            acc = acc + c[i - 1] ** power * term
         return acc
 
     out = {}
     for cid, word in WORDS.items():
         for mode in MODES:
-            weakened = mode == "weakened" and word.order == TOP_ORDER
+            where = "b(0)" if mode == "weakened" and word.order == TOP_ORDER else "b"
             if word.links:
-                value = nest(word.links, word.psi, tab.coeffs["b(0)" if weakened else "b"])
+                value = nest(word.links, word.psi, where)
             else:
-                value = tab.at_zero[word.psi] if weakened else tab.nests[(), word.psi, None]
+                value = leaves[(), word.psi, where]
             out[cid, mode] = float(np.abs(value).max())
     return out
 
@@ -593,15 +608,17 @@ def _unmemoized_residuals(tab):
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])
 def test_memoized_residuals_equal_the_unmemoized_recursion(name):
     """The residual loop forms each inner nest, left factor and bilinear lift
-    once per probe, keyed by coefficient set (b(Z), b(0) I or a row of a),
-    letter and stage; on the 93 default probes every residual equals, bit
-    for bit, the recursion that forms each of them where it is read."""
+    once per probe in one memo, keyed by coefficient set (b(Z), b(0) I or a
+    row of a), letter and stage; on the 93 default probes every residual
+    equals, bit for bit, the recursion that forms each of them where it is
+    read."""
     t = get_tableau(name)
     probes = draw_probe_sets(50, d=3, seed=0) + structured_probes()
     assert len(probes) == 93
     residuals = _probe_residuals(t, probes)
-    for n, tab in _probe_tables(t, probes):
-        for key, want in _unmemoized_residuals(tab).items():
+    c = [float(ci) for ci in t.c]
+    for n, coeffs, leaves in _probe_tables(t, probes):
+        for key, want in _unmemoized_residuals(probes[n], c, coeffs, leaves).items():
             assert residuals[key][n] == want, (key, probes[n].label)
 
 

@@ -456,3 +456,32 @@ def test_tableau_validation():
     with pytest.raises(ValueError):  # scale must come from the node set
         ExpRKTableau(name="bad", c=(F(0), F(1, 2)), a={},
                      b={2: phi_term(F(1), 2, F(1, 3))})
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"b": {2.0: phi_term(1, 2)}}, "b index must be an integer, got 2.0"),
+    ({"b": {True: phi_term(1, 2)}}, "b index must be an integer, got True"),
+    ({"a": {(3.0, 2.0): phi_term(1, 2)}}, r"a index \(3.0, 2.0\) must be an integer, got 3.0"),
+    ({"a": {(3, True): phi_term(1, 2)}}, r"a index \(3, True\) must be an integer, got True")])
+def test_stage_keys_are_read_as_integers(entries, message):
+    """A float or bool stage key equal to a stage index is refused, not
+    stored under the int it compares equal to."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        ExpRKTableau(name="x", c=(0, F(1, 2), 1), **entries)
+
+
+def test_numpy_integer_stage_keys_are_the_ints():
+    t = ExpRKTableau(name="x", c=(0, F(1, 2), 1), a={(np.int64(3), np.int32(2)): phi_term(1, 2)},
+                     b={np.int64(3): phi_term(1, 2)})
+    assert [type(k) for k in t.b] == [int]
+    assert [type(k) for key in t.a for k in key] == [int, int]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"b": {1: phi_term(1, 2)}}, "b index 1 out of range"),
+    ({"b": {-1: phi_term(1, 2)}}, "b index -1 out of range"),
+    ({"a": {(2, 3): phi_term(1, 2)}}, r"a index \(2, 3\) out of range"),
+    ({"a": {3: phi_term(1, 2)}}, "a index 3 out of range")])
+def test_stage_key_outside_the_stages_is_a_value_error(entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExpRKTableau(name="x", c=(0, F(1, 2), 1), **entries)

@@ -169,6 +169,14 @@ def test_stability_bound_rejects_a_step_that_is_not_finite(h):
         stability_bound_check(DiagonalOperator(np.array([-1.0])), h, 5)
 
 
+@pytest.mark.parametrize("h", ["0.1", True, 0.1 + 0j])
+def test_stability_bound_reads_its_step_as_a_real_number(h):
+    """A str, bool or complex step is a TypeError naming h, not numpy's
+    unnamed ufunc error or a step of 1.0."""
+    with pytest.raises(TypeError, match="^h must be real, got dtype "):
+        stability_bound_check(DiagonalOperator(np.array([-1.0])), h, 5)
+
+
 @pytest.mark.parametrize("n", [2.5, 5.0, True, "5"])
 def test_stability_bound_rejects_a_step_count_that_is_not_an_integer(n):
     with pytest.raises(TypeError, match="n must be an integer"):
