@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import integrate
-from .operators import integer, real_array
+from .operators import integer, real_scalar
 from .tableau import get_tableau
 from .testbed import discrete_l2_error
 
@@ -52,7 +52,7 @@ def fit_slope(rows, floor=DEFAULT_FLOOR):
     Returns (slope, used, excluded); slope is None for fewer than two usable
     rows.  The floor must be finite and >= 0.
     """
-    floor = float(real_array(floor, "floor"))
+    floor = real_scalar(floor, "floor")
     if not (np.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     used = tuple(r for r in rows if r.error > floor)
@@ -75,6 +75,7 @@ def run_convergence(method, pb, steps=DEFAULT_STEPS, floor=DEFAULT_FLOOR):
     steps = [integer(k, "steps", 1) for k in steps]
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
+    floor = real_scalar(floor, "floor")
     fit_slope((), floor)  # rejects a bad floor before any integration
     rows = []
     for k in steps:

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import LinearOperator, integer, real_array
+from .operators import LinearOperator, finite_array, integer, real_array, real_scalar
 from .phi import build_phi_cache, phi_request
 from .tableau import ExpRKTableau, combo_sum
 
@@ -52,8 +52,12 @@ class BlowUpError(ArithmeticError):
 class SemilinearProblem:
     """u' = A u + g(t, u) on [t0, t_end] with initial state u0.
 
-    g maps (t, u) to a vector of the state dimension; exact, when given, maps
-    t to the true solution vector and enables error measurement.
+    A is a LinearOperator and g a callable mapping (t, u) to a vector of the
+    state dimension; exact, when given, maps t to the true solution vector
+    and enables error measurement.  The constructor checks A and g (TypeError
+    naming them), reads u0 by operators.finite_array as a vector of A's
+    dimension and t0, t_end by operators.real_scalar, and stores them as a
+    float ndarray and floats; the interval must be finite with t0 < t_end.
     """
 
     A: LinearOperator
@@ -65,14 +69,16 @@ class SemilinearProblem:
     name: str = ""
 
     def __post_init__(self):
-        u0 = real_array(self.u0, "u0")
-        if u0.ndim != 1 or u0.size != self.A.n:
-            raise ValueError("u0 must be a vector of the operator dimension")
-        if not np.all(np.isfinite(u0)):
-            raise ValueError("u0 must be finite")
-        if not self.t0 < self.t_end:
-            raise ValueError("need t0 < t_end")
-        object.__setattr__(self, "u0", u0)
+        if not isinstance(self.A, LinearOperator):
+            raise TypeError(f"A must be a LinearOperator, got {type(self.A).__name__}")
+        if not callable(self.g):
+            raise TypeError(f"g must be callable, got {self.g!r}")
+        t0, t_end = real_scalar(self.t0, "t0"), real_scalar(self.t_end, "t_end")
+        if not -np.inf < t0 < t_end < np.inf:
+            raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
+        for name, value in (("u0", finite_array(self.u0, "u0", (self.A.n,))),
+                            ("t0", t0), ("t_end", t_end)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

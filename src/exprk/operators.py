@@ -10,6 +10,12 @@ matrices from phi.phi_matrix_table (scaling and modified squaring).  The basis
 is an orthogonal ndarray, or, for a large constant-coefficient tridiagonal
 A, a SineBasis that applies the eigenvectors as a fast sine transform
 without forming them.
+
+Caller input is read here, one reader per kind: real_array for any real
+array, real_scalar for a real number, finite_array for an array of given
+shape whose entries must all be finite (an operator's entries, an initial
+state, a probe matrix), and integer for every count and index.  Each raises
+an error naming the argument it read.
 """
 
 import hashlib
@@ -35,6 +41,28 @@ def real_array(x, name):
     if a.dtype.kind in "bcSU":
         raise TypeError(f"{name} must be real, got dtype {a.dtype}")
     return a.astype(float)
+
+
+def real_scalar(x, name):
+    """x as a float, read by real_array; an x of any shape but a scalar's
+    raises TypeError naming it.  No range is checked: each caller checks
+    its own."""
+    a = real_array(x, name)
+    if a.ndim:
+        raise TypeError(f"{name} must be a real scalar, got shape {a.shape}")
+    return float(a)
+
+
+def finite_array(x, name, shape):
+    """x as a float ndarray of the given shape, read by real_array; a None
+    in shape matches any length.  Another shape or a non-finite entry
+    raises ValueError naming it."""
+    a = real_array(x, name)
+    if a.ndim != len(shape) or any(k is not None and k != m for k, m in zip(shape, a.shape)):
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
 
 
 def integer(x, name, least):
@@ -119,10 +147,9 @@ class DiagonalOperator(LinearOperator):
     """A = diag(d)."""
 
     def __init__(self, diag):
-        d = real_array(diag, "diag")
-        if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
-            raise ValueError("diagonal must be a finite 1-d array")
-        self.diag = d
+        self.diag = finite_array(diag, "diag", (None,))
+        if self.diag.size < 1:
+            raise ValueError("diag must not be empty")
 
     @property
     def n(self):
@@ -179,13 +206,8 @@ class SymTridiagonalOperator(LinearOperator):
     """
 
     def __init__(self, diag, off):
-        d, e = real_array(diag, "diag"), real_array(off, "off")
-        if d.ndim != 1 or e.ndim != 1 or e.size != d.size - 1:
-            raise ValueError("need main diagonal of length n and off diagonal of length n-1")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ValueError("operator entries must be finite")
-        self.diag = d
-        self.off = e
+        self.diag = finite_array(diag, "diag", (None,))
+        self.off = finite_array(off, "off", (self.diag.size - 1,))
         self._eig = None
 
     @property
@@ -235,12 +257,9 @@ class DenseOperator(LinearOperator):
     """General dense A."""
 
     def __init__(self, a):
-        m = real_array(a, "a")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size < 1:
+        self.a = finite_array(a, "a", (None, None))
+        if self.a.shape[0] != self.a.shape[1] or self.a.size < 1:
             raise ValueError("matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        self.a = m
 
     @property
     def n(self):

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import integer, real_array
+from .operators import finite_array, integer, real_scalar
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
 from .phi import build_phi_cache, phi_matrix_table, phi_request
 from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
@@ -79,15 +79,8 @@ class ProbeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "d", integer(self.d, "probe d", 1))
-        for name in ("Z", "J", "K", "L"):
-            m = real_array(getattr(self, name), f"probe {name}")
-            if m.shape != (self.d, self.d) or not np.all(np.isfinite(m)):
-                raise ValueError(f"probe {name} must be finite {self.d}x{self.d}")
-            object.__setattr__(self, name, m)
-        b = real_array(self.B, "probe B")
-        if b.shape != (self.d, self.d, self.d) or not np.all(np.isfinite(b)):
-            raise ValueError("probe B must be a finite rank-3 tensor")
-        object.__setattr__(self, "B", b)
+        for name, dims in zip("ZJKLB", [(self.d, self.d)] * 4 + [(self.d,) * 3]):
+            object.__setattr__(self, name, finite_array(getattr(self, name), f"probe {name}", dims))
 
 
 def draw_probe_sets(count, d=3, seed=0):
@@ -364,7 +357,7 @@ def check(t, tolerance=1e-9, p=None, seed=0):
     pass, and the weakened verdict: every weakened row passes (below
     TOP_ORDER those rows are the strong ones).
     """
-    tolerance = float(real_array(tolerance, "tolerance"))
+    tolerance = real_scalar(tolerance, "tolerance")
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if p is None:

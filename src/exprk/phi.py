@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import LinearOperator, integer, real_array
+from .operators import LinearOperator, finite_array, integer, real_array, real_scalar
 
 # Below this modulus the downward recurrence from exp(z) loses digits to
 # cancellation, so a truncated Taylor series is used instead.
@@ -122,12 +122,14 @@ def phi_scalar(j, z):
 def _squaring_chain(m, jmax):
     """The (P, jmax+1, n, n) stack of phi_0(M)..phi_jmax(M) from one chain.
 
-    M is an n x n matrix (P = 1) or a (..., n, n) stack of P of them, and
-    the result holds them in M's order.  Each matrix is scaled by 2^-s, with
-    its own s the least s >= 0 that gives X = 2^-s M a 1-norm of at most
-    PHI_SQUARING_THETA (3).  phi_jmax(X) is the Taylor polynomial of
-    PHI_SQUARING_TERMS (29) terms, sum_r X^r/(r+jmax)!, by Paterson and
-    Stockmeyer (SIAM J. Comput. 1973): with b = isqrt(29) = 5, the terms
+    M is a finite float n x n matrix (P = 1) or a (..., n, n) stack of P of
+    them, as phi_matrix and phi_matrix_table read it by
+    operators.finite_array, and the result holds them in M's order.  Each
+    matrix is scaled by 2^-s, with its own s the least s >= 0 that gives
+    X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA (3).  phi_jmax(X)
+    is the Taylor polynomial of PHI_SQUARING_TERMS (29) terms,
+    sum_r X^r/(r+jmax)!, by Paterson and Stockmeyer (SIAM J. Comput.
+    1973): with b = isqrt(29) = 5, the terms
     fall into 6 blocks of b, each block's sum of c_r X^r (r < b) is one
     product of the block coefficients with the stacked powers I..X^(b-1),
     and the blocks are summed by Horner's rule in X^b, at 9 n x n products
@@ -149,12 +151,9 @@ def _squaring_chain(m, jmax):
     squaring's products stay out of subnormal arithmetic.  An empty (0, n,
     n) stack gives an empty result.
     """
-    m = real_array(m, "M")
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
     n = m.shape[-1]
+    if m.shape[-2] != n:
+        raise ValueError("matrix must be square")
     m = m.reshape(-1, n, n)
     norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
     s = [max(0, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else 0 for v in norms.tolist()]
@@ -261,11 +260,9 @@ def _addition_weights(p, q, jmax):
 
 def phi_matrix(j, m):
     """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain.
-    j is read by operators.integer."""
+    j is read by operators.integer and M by operators.finite_array."""
     j = integer(j, "phi index", 0)
-    if np.ndim(m) != 2:
-        raise ValueError("matrix must be square")
-    return _squaring_chain(m, j)[0, j].copy()
+    return _squaring_chain(finite_array(m, "M", (None, None)), j)[0, j].copy()
 
 
 def _phi_values(j, zs):
@@ -372,11 +369,12 @@ class PhiCache:
 def phi_matrix_table(m, h, keys):
     """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
 
-    M is a square matrix or a (..., n, n) stack of them, and each entry has
-    M's shape.  Every scale is a multiple t of Y = h M / L, L the least
-    common denominator of all the scales, and one _squaring_chain on Y to
-    the largest j requested, then one _walk along a shortest addition chain
-    through the multiples, reaches each tY.  Where every scale is 2^-k, the
+    M is a square matrix or a (..., n, n) stack of them, read by
+    operators.finite_array, and each entry has M's shape.  Every scale is a
+    multiple t of Y = h M / L, L the least common denominator of all the
+    scales, and one _squaring_chain on Y to the largest j requested, then
+    one _walk along a shortest addition chain through the multiples,
+    reaches each tY.  Where every scale is 2^-k, the
     shortest chain only doubles, and where ||Y||_1 > 3 as well, each entry
     is, bit for bit, the chain on its own scale alone.  One walk
     can serve every scale because the chain squares only to ||X||_1 <= 3.
@@ -384,6 +382,7 @@ def phi_matrix_table(m, h, keys):
     """
     if not keys:
         return {}
+    m = finite_array(m, "M", (None,) * max(np.ndim(m), 2))
     lcd = math.lcm(*(scale.denominator for _, scale in keys))
     wants = {}
     for j, scale in keys:
@@ -510,7 +509,7 @@ def build_phi_cache(a, h, requests):
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
-    h = float(real_array(h, "h"))
+    h = real_scalar(h, "h")
     if not (np.isfinite(h) and h > 0):
         raise ValueError("step size must be positive and finite")
     keys = sorted({phi_request(*r) for r in requests})

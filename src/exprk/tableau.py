@@ -27,7 +27,7 @@ from math import factorial, inf
 
 import numpy as np
 
-from .operators import integer, real_array
+from .operators import integer, real_array, real_scalar
 from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
 
 __all__ = [
@@ -125,7 +125,7 @@ def eval_combo(f, z):
     """Evaluate a PhiCombo at real scalar or square-matrix z (TypeError if complex)
     through phi_scalar or phi_matrix; the empty combo gives 0.0 or the zero matrix."""
     if np.ndim(z) == 0:
-        zval = float(real_array(z, "z"))
+        zval = real_scalar(z, "z")
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
     z = real_array(z, "z")
     if z.ndim != 2 or z.shape[0] != z.shape[1]:

@@ -16,7 +16,7 @@ import re
 import numpy as np
 
 from .integrator import SemilinearProblem
-from .operators import SymTridiagonalOperator, integer, real_array
+from .operators import SymTridiagonalOperator, integer, real_array, real_scalar
 
 __all__ = [
     "Grid1D", "heat_problem", "heat_forcing", "discrete_l2_error",
@@ -91,7 +91,7 @@ def stability_bound_check(a, h, n):
     by 1 uniformly in h and n.
     """
     n = integer(n, "n", 1)
-    h = float(real_array(h, "h"))
+    h = real_scalar(h, "h")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"need finite h > 0, got h = {h!r}")
     lam = a.eigenvalues()

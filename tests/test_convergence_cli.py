@@ -92,6 +92,12 @@ def test_run_convergence_reads_each_step_count_as_an_integer(monkeypatch, k, err
         run_convergence("expEuler", heat_problem(10), steps=[k, 16])
 
 
+def test_run_convergence_stores_its_floor_as_a_float():
+    """The report kept the caller's floor: floor=0 was the int 0."""
+    report = run_convergence("expEuler", heat_problem(10), steps=(8, 16), floor=0)
+    assert type(report.floor) is float and report.floor == 0.0
+
+
 def test_run_convergence_takes_numpy_integer_step_counts():
     pb = heat_problem(10)
     got = run_convergence("expEuler", pb, steps=np.array([8, 16]))

@@ -1,6 +1,7 @@
 """Stepper and fixed-step driver: exactness, consistency, equivalences."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +10,16 @@ import pytest
 from conftest import EighTridiagonal, not_integers, rk_integrate
 from golden import advdiff_problem
 import exprk.integrator
+from exprk.convergence import fit_slope, run_convergence
 from exprk.integrator import (BlowUpError, SemilinearProblem, Stepper,
                               StepRecord, integrate, required_requests)
 from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
-                             SymTridiagonalOperator, ZeroOperator, integer)
-from exprk.order_conditions import check
-from exprk.phi import PhiRequest
+                             SymTridiagonalOperator, ZeroOperator, finite_array,
+                             integer, real_scalar)
+from exprk.order_conditions import ProbeSet, check
+from exprk.phi import PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table, phi_request
 from exprk.tableau import ExpRKTableau, classical_limit, get_tableau
-from exprk.testbed import discrete_l2_error, heat_problem
+from exprk.testbed import discrete_l2_error, heat_problem, stability_bound_check
 
 F = Fraction
 
@@ -215,6 +218,155 @@ def test_integer_refuses_what_is_not_an_integer_of_at_least_least(x, error, mess
     with pytest.raises(error) as info:
         integer(x, "count", 3)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x", [0.25, 1, np.float32(0.25), np.int64(1), np.array(0.25),
+                               Fraction(1, 4)])
+def test_real_scalar_reads_a_real_number_as_a_float(x):
+    got = real_scalar(x, "x")
+    assert type(got) is float and got == float(x)
+
+
+@pytest.mark.parametrize("x, error, message", [
+    ([0.25], TypeError, "x must be a real scalar, got shape (1,)"),
+    (np.zeros((2, 2)), TypeError, "x must be a real scalar, got shape (2, 2)"),
+    (True, TypeError, "x must be real, got dtype bool"),
+    (0.25j, TypeError, "x must be real, got dtype complex128"),
+])
+def test_real_scalar_refuses_what_is_not_one_real_number(x, error, message):
+    with pytest.raises(error) as info:
+        real_scalar(x, "x")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x, shape", [([[1, 2], [3, 4]], (2, 2)), ([[1, 2]], (None, 2)),
+                                      ([1, 2, 3], (None,)), (np.zeros((0, 3)), (None, None))])
+def test_finite_array_reads_a_finite_array_of_the_shape(x, shape):
+    got = finite_array(x, "x", shape)
+    assert got.dtype == float and np.array_equal(got, np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("x, shape, message", [
+    (np.zeros(3), (2,), "x has shape (3,), expected (2,)"),
+    (np.zeros((2, 3)), (None, 2), "x has shape (2, 3), expected (None, 2)"),
+    (np.zeros(4), (None, None), "x has shape (4,), expected (None, None)"),
+    (np.zeros((1, 1)), (None,), "x has shape (1, 1), expected (None,)"),
+    (np.array([0.0, np.nan]), (None,), "x has a non-finite entry"),
+    (np.array([[-np.inf]]), (1, 1), "x has a non-finite entry"),
+])
+def test_finite_array_refuses_another_shape_or_a_non_finite_entry(x, shape, message):
+    with pytest.raises(ValueError) as info:
+        finite_array(x, "x", shape)
+    assert str(info.value) == message
+
+
+def _problem(**kw):
+    return SemilinearProblem(**{"A": ZeroOperator(2), "g": lambda t, u: u,
+                                "u0": np.zeros(2), **kw})
+
+
+# Every real scalar a caller passes, read by operators.real_scalar.  eval_combo
+# reads its z so only where np.ndim(z) == 0, and sends an array down its
+# matrix route, so it has no row here.
+REAL_SCALAR_SITES = {
+    "tolerance": lambda x: check(get_tableau("expEuler"), tolerance=x),
+    "floor": lambda x: fit_slope((), x),
+    "run_convergence-floor": lambda x: run_convergence("expEuler", heat_problem(4), (8,), x),
+    "stability_bound_check-h": lambda x: stability_bound_check(heat_problem(4).A, x, 3),
+    "build_phi_cache-h": lambda x: build_phi_cache(ZeroOperator(2), x, [(1, 1)]),
+    "t0": lambda x: _problem(t0=x, t_end=2.0),
+    "t_end": lambda x: _problem(t_end=x),
+}
+
+
+@pytest.mark.parametrize("x", [np.array([0.1, 0.2]), [0.1]], ids=["two", "one-element-list"])
+@pytest.mark.parametrize("site", REAL_SCALAR_SITES)
+def test_real_scalar_sites_refuse_an_array_naming_it(site, x):
+    """An array of two numbers got numpy's unnamed "only 0-dimensional
+    arrays can be converted" (or, for t0 and t_end, an ambiguous truth
+    value), and a one-element list passed with a DeprecationWarning."""
+    message = rf"^{site.rpartition('-')[2]} must be a real scalar, got shape \({len(x)},\)$"
+    with pytest.raises(TypeError, match=message):
+        REAL_SCALAR_SITES[site](x)
+
+
+@pytest.mark.parametrize("interval, error, message", [
+    ({"t0": "0"}, TypeError, "t0 must be real, got dtype <U1"),
+    ({"t0": True}, TypeError, "t0 must be real, got dtype bool"),
+    ({"t_end": "1"}, TypeError, "t_end must be real, got dtype <U1"),
+    ({"t_end": True}, TypeError, "t_end must be real, got dtype bool"),
+    ({"t_end": 1 + 0j}, TypeError, "t_end must be real, got dtype complex128"),
+    ({"t_end": np.inf}, ValueError, "need finite t0 < t_end, got t0 = 0.0, t_end = inf"),
+    ({"t0": -np.inf}, ValueError, "need finite t0 < t_end, got t0 = -inf, t_end = 1.0"),
+    ({"t0": np.nan}, ValueError, "need finite t0 < t_end, got t0 = nan, t_end = 1.0"),
+    ({"t0": 1, "t_end": 1.0}, ValueError, "need finite t0 < t_end, got t0 = 1.0, t_end = 1.0"),
+    ({"t0": 2.0, "t_end": 1}, ValueError, "need finite t0 < t_end, got t0 = 2.0, t_end = 1.0"),
+])
+def test_problem_interval_is_rejected_at_construction(interval, error, message):
+    """t_end=True was stored as True and t_end=inf failed only in integrate,
+    when the phi cache was built ("step size must be positive and finite")."""
+    with pytest.raises(error) as info:
+        _problem(**interval)
+    assert str(info.value) == message
+
+
+def test_problem_stores_its_interval_as_floats():
+    pb = _problem(t0=np.int64(-1), t_end=2)
+    assert (type(pb.t0), type(pb.t_end)) == (float, float) and (pb.t0, pb.t_end) == (-1.0, 2.0)
+
+
+def test_problem_operator_must_be_a_linear_operator():
+    """An ndarray A failed with AttributeError: 'numpy.ndarray' object has no
+    attribute 'n'."""
+    with pytest.raises(TypeError, match="^A must be a LinearOperator, got ndarray$"):
+        _problem(A=np.eye(2))
+
+
+def test_problem_nonlinearity_must_be_callable():
+    """g=None failed at the first step: 'NoneType' object is not callable."""
+    with pytest.raises(TypeError, match="^g must be callable, got None$"):
+        _problem(g=None)
+
+
+def _probe_set(name, x):
+    mats = {k: np.zeros((2, 2)) for k in "ZJKL"} | {"B": np.zeros((2, 2, 2))}
+    return ProbeSet(2, **(mats | {name: x}))
+
+
+# Every array a caller passes whose entries must be finite, read by
+# operators.finite_array: a shape it must have and a shape it must not.
+FINITE_ARRAY_SITES = {
+    "u0": ((2,), (3,), lambda x: _problem(u0=x)),
+    "DiagonalOperator-diag": ((2,), (2, 2), DiagonalOperator),
+    "SymTridiagonalOperator-diag": ((2,), (2, 2), lambda x: SymTridiagonalOperator(x, np.ones(1))),
+    "off": ((1,), (2,), lambda x: SymTridiagonalOperator(-np.ones(2), x)),
+    "a": ((2, 2), (2,), DenseOperator),
+    **{f"probe {k}": ((2, 2), (3, 3), lambda x, k=k: _probe_set(k, x)) for k in "ZJKL"},
+    "probe B": ((2, 2, 2), (2, 2), lambda x: _probe_set("B", x)),
+    "phi_matrix-M": ((2, 2), (2, 2, 2), lambda x: phi_matrix(1, x)),
+    "phi_matrix_table-M": ((2, 2), (2,), lambda x: phi_matrix_table(x, 1.0, [phi_request(1, 1)])),
+}
+
+
+@pytest.mark.parametrize("site", FINITE_ARRAY_SITES)
+def test_finite_array_sites_refuse_another_shape_naming_it(site):
+    """Each message was the site's own ("diagonal must be a finite 1-d array",
+    "matrix must be square", "probe Z must be finite 2x2", ...), most of
+    them naming no argument."""
+    _, wrong, make = FINITE_ARRAY_SITES[site]
+    name = re.escape(site.rpartition("-")[2])
+    with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(wrong))}, expected "):
+        make(np.zeros(wrong))
+
+
+@pytest.mark.parametrize("site", FINITE_ARRAY_SITES)
+def test_finite_array_sites_refuse_a_nan_entry_naming_it(site):
+    shape, _, make = FINITE_ARRAY_SITES[site]
+    x = np.zeros(shape)
+    x.flat[-1] = np.nan
+    name = re.escape(site.rpartition("-")[2])
+    with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
+        make(x)
 
 
 @pytest.mark.parametrize("make", [ZeroOperator, SineBasis])

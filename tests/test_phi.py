@@ -285,6 +285,16 @@ def test_matrix_routes_validate_input(func):
         func(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
+def test_phi_matrix_table_reads_a_nested_list_as_the_matrix():
+    """h / L * M ran before M was read, so a list M raised "can't multiply
+    sequence by non-int of type 'float'"."""
+    m = _random_symmetric(3, seed=4)
+    keys = [phi_request(1, 1), phi_request(2, Fraction(1, 2))]
+    got, want = phi_matrix_table(m.tolist(), 0.5, keys), phi_matrix_table(m, 0.5, keys)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
 def test_phi_matrix_rejects_negative_index():
     with pytest.raises(ValueError):
         phi_matrix(-1, np.eye(2))
