@@ -8,20 +8,22 @@ increments, reads
     D_j     = g(t_n + c_j h, U_j) - g(t_n, u_n).
 
 A Stepper prepares one step size on one problem: it builds a PhiCache for
-every phi_k(c hA) the tableau needs and assembles the coefficients h a_ij,
-h b_i from its entries, once; each call then advances one step, and
-integrate is a loop of such calls.  The step runs in the cache's basis V,
-in which A = V diag(w) V^T: F(t_n, u_n) and each D_j go into it with V^T,
-the coefficients act there, and each stage U_i and u_{n+1} return with one
-V.  For a spectral cache (zero, diagonal and symmetric tridiagonal A) the
+every phi_k(c hA) the tableau needs and assembles the coefficients h a_ij
+from its entries, once; each call then advances one step, and integrate is a
+loop of such calls.  The update is stage s + 1, whose row is b at node 1
+(ExpRKTableau.row and node), so one loop forms every stage U_i and u_{n+1},
+with no g call at u_{n+1}.  The step runs in the cache's basis V, in which
+A = V diag(w) V^T: F(t_n, u_n) and each D_j go into it with V^T, the
+coefficients act there, and each stage U_i and u_{n+1} return with one V.
+For a spectral cache (zero, diagonal and symmetric tridiagonal A) the
 coefficients are length-n vectors of eigenvalue functions acting
 elementwise, so a step of s stages makes 2s basis changes (none when V is
 the identity) and no n x n matrix is ever formed besides V.  For a large
 constant-coefficient tridiagonal A, V is a SineBasis and each basis change
 is an O(n log n) DST-I instead of a dense product.  For a dense cache V is
 the identity and the coefficients are matrices acting by matrix-vector
-products.  Stage 1 is U_1 = u_n and never materialized.  Non-autonomous g
-is handled by passing stage times directly, which is equivalent to
+products.  Stage 1 is U_1 = u_n and never materialized.  Non-autonomous g is
+handled by passing stage times directly, which is equivalent to
 autonomization for these methods.
 """
 
@@ -93,12 +95,11 @@ def required_requests(t):
     """All (j, scale) phi matrices a tableau needs for stepping.
 
     The union of the pairs referenced by the a/b combos, plus (1, c_i) for
-    each stage with c_i > 0 and (1, 1) for the update formula.
+    each stage i = 2..s + 1 with c_i > 0; the update, stage s + 1, is at
+    c = 1.
     """
     reqs = {phi_request(j, s) for j, s in t.phi_pairs()}
-    reqs |= {phi_request(1, ci) for ci in t.c[1:] if ci > 0}
-    reqs.add(phi_request(1, Fraction(1)))
-    return reqs
+    return reqs | {phi_request(1, t.node(i)) for i in range(2, t.s + 2) if t.node(i) > 0}
 
 
 def _eval_g(pb, t, u):
@@ -112,11 +113,12 @@ class Stepper:
     """Steps of size h of tableau t on problem pb, prepared once.
 
     The constructor checks t, builds the phi cache for required_requests(t)
-    and assembles the coefficients from its entries, in its basis: h a_ij
-    and h b_i, with h folded into each combo exactly, and for each distinct
-    positive node c (the update's is c = 1) the pair c h, phi_1(c hA).  The
-    phi_1 entry is not scaled, which would copy it, n x n on the dense
-    route.  No phi function is evaluated after construction.
+    and assembles the coefficients from its entries, in its basis: for each
+    stage i = 2..s + 1 (the update) its float node c_i and h a_ij, with h
+    folded into each combo exactly, and for each distinct positive node c
+    the pair c h, phi_1(c hA).  The phi_1 entry is not scaled, which would
+    copy it, n x n on the dense route.  No phi function is evaluated after
+    construction.
     """
 
     def __init__(self, pb, t, h):
@@ -126,11 +128,11 @@ class Stepper:
         self.cache = cache = build_phi_cache(pb.A, h, required_requests(t))
         self.h = float(h)
         hq = Fraction(self.h)
-        nodes = {t.node(i) for i in range(2, t.s + 1) if t.node(i) > 0} | {Fraction(1)}
+        nodes = {t.node(i) for i in range(2, t.s + 2) if t.node(i) > 0}
         self._node_co = {float(c): (float(c) * self.h, cache.get(1, c)) for c in nodes}
         co = lambda v: combo_sum(hq * v, cache.get)
-        self._rows = {i: {j: co(v) for j, v in t.row(i).items()} for i in range(2, t.s + 1)}
-        self._b_co = {i: co(v) for i, v in t.b.items()}
+        self._rows = {i: (float(t.node(i)), {j: co(v) for j, v in t.row(i).items()})
+                      for i in range(2, t.s + 2)}
 
     def __call__(self, tn, un, return_stages=False):
         """u_{n+1} from (tn, un); with return_stages, (u_{n+1}, (U_2, ..., U_s))."""
@@ -145,21 +147,18 @@ class Stepper:
         f_terms = {c: ch * act(co, fn) for c, (ch, co) in self._node_co.items()}
         d = {}
         stages = []
-        for i, row in self._rows.items():
-            ci = float(t.node(i))
+        for i, (ci, row) in self._rows.items():
             acc = f_terms[ci] if ci > 0 else np.zeros_like(fn)
             for j, am in row.items():
                 acc = acc + act(am, d[j])
             u_i = un + from_basis(acc)
+            if i > t.s:  # u_{s+1} is u_{n+1}, and g is not called there
+                break
             d[i] = to_basis(_eval_g(pb, tn + ci * self.h, u_i) - gn)
             stages.append(u_i)
-        acc = f_terms[1.0]
-        for i, bm in self._b_co.items():
-            acc = acc + act(bm, d[i])
-        u_next = un + from_basis(acc)
-        if not np.all(np.isfinite(u_next)):
+        if not np.all(np.isfinite(u_i)):
             raise BlowUpError(f"non-finite state after step from t = {tn}")
-        return (u_next, tuple(stages)) if return_stages else u_next
+        return (u_i, tuple(stages)) if return_stages else u_i
 
 
 def integrate(pb, t, n_steps):

@@ -207,6 +207,8 @@ class SymTridiagonalOperator(LinearOperator):
 
     def __init__(self, diag, off):
         self.diag = finite_array(diag, "diag", (None,))
+        if self.diag.size < 1:
+            raise ValueError("diag must not be empty")
         self.off = finite_array(off, "off", (self.diag.size - 1,))
         self._eig = None
 
@@ -240,8 +242,6 @@ class SymTridiagonalOperator(LinearOperator):
                 k = np.arange(1, self.n + 1)
                 w = d[0] + 2.0 * e[0] * np.cos(np.pi * k / (self.n + 1))
                 self._eig = (w, SineBasis(self.n))
-            elif self.n == 1:
-                self._eig = (d.copy(), np.eye(1))
             else:
                 from scipy.linalg import eigh_tridiagonal
 

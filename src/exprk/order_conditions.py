@@ -26,11 +26,12 @@ probes is the (probabilistic) verdict that it holds.
 The phi matrices come in stacks: check() groups its probes by dimension d
 and builds one phi table per group over the stacked Z of the whole group
 (phi.phi_matrix_table: one chain and one walk, for expRK5s8 on Z/60 to
-all five scales), on which it sums the weights, the rows of a and every
-psi defect the words read.  The words are then evaluated probe by probe on
-its members of those stacks through one recursion, _nest, over one memo
-dict per probe: seeded with the psi defects, it gains each inner nest, left
-factor coeffs_i X and bilinear lift once, for all words and both modes.
+all five scales), on which it sums the rows of a and b, the update's row
+s + 1, and every psi defect the words read.  The words are then evaluated
+probe by probe on its members of those stacks through one recursion,
+_nest, over one memo dict per probe: seeded with the psi defects, it gains
+each inner nest, left factor coeffs_i X and bilinear lift once, for all
+words and both modes.
 Weakened mode is no branch there, only the outer set a word sums over:
 b_i(0) I in place of b_i(Z), and for a word without links the leaf
 psi_j(0) I in place of psi_j.  Each nest sum starts at its first term, and
@@ -165,14 +166,14 @@ MODES = ("strong", "weakened")
 def _defects(t):
     """The psi defects the words read, built once per check.
 
-    Returns parts, {(j, where): tableau.psi_parts}: psi_{j,i} at every stage
-    i for each word with links, and the weight defect psi_j (where = "b")
+    Returns parts, {(j, i): tableau.psi_parts}: psi_{j,i} at every stage
+    i for each word with links, and the weight defect psi_j = psi_{j,s+1}
     for each word without; and at_zero, {j: psi_j at Z = 0} over the weight
     defects of the top order, which weakened mode reads.
     """
     keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
-                         for i in (range(2, t.s + 1) if w.links else ("b",)))
-    parts = {(j, i): psi_parts(j, t, None if i == "b" else i) for j, i in keys}
+                         for i in (range(2, t.s + 1) if w.links else (t.s + 1,)))
+    parts = {(j, i): psi_parts(j, t, None if i > t.s else i) for j, i in keys}
     at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
                if w.order == TOP_ORDER and not w.links}
     return parts, at_zero
@@ -189,8 +190,8 @@ def _phi_tables(t, probes, parts):
 
 def _group_sums(t, probes, parts):
     """(sets, leaves) over one dimension group: the stacks of the sets a nest
-    sums over, "b" (the weights b_i(Z)) and, at stage i, row i of a; and the
-    stack of each psi defect in parts, keyed ((), j, where).
+    sums over, row i at each stage i = 2..s + 1 (row s + 1 is the weights
+    b_i(Z)); and the stack of each psi defect in parts, keyed ((), j, i).
 
     combo_sum sums them on the group's phi table, as the stepper sums its
     coefficients, and each defect goes through tableau.psi_values, so
@@ -202,8 +203,7 @@ def _group_sums(t, probes, parts):
     # the empty combo, a zero node's target, is the zero matrix here
     zeros = np.zeros((len(probes), probes[0].d, probes[0].d))
     mat = lambda combo: combo_sum(combo, get) if combo.terms else zeros
-    sets = {"b": {i: mat(v) for i, v in t.b.items()}}
-    sets.update({i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 1)})
+    sets = {i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 2)}
     leaves = {((), j, where): psi_values(j, t, sets[where], mat(target))
               for (j, where), (_, target) in parts.items()}
     return sets, leaves
@@ -213,10 +213,10 @@ def _probe_tables(t, probes):
     """(n, coeffs, memo) for each probe n; the probes are grouped by
     dimension, with one phi table and one set of sums per group.
 
-    coeffs holds the sets a nest sums over, each in stage order: "b" (the
-    weights b_i(Z)), "b(0)" (b_i(0) I) and, at stage i, row i of a.  memo is
-    seeded with the leaves: psi_{j,i} under ((), j, i), the weight defect
-    psi_j under ((), j, "b") and psi_j(0) I under ((), j, "b(0)").
+    coeffs holds the sets a nest sums over, each in stage order: row i at
+    stage i = 2..s + 1 (row s + 1 is b_i(Z)) and "b(0)" (b_i(0) I).  memo is
+    seeded with the leaves: psi_{j,i} under ((), j, i), psi_j = psi_{j,s+1}
+    among them, and psi_j(0) I under ((), j, "b(0)").
     """
     for probe in probes:
         if not isinstance(probe, ProbeSet):
@@ -272,10 +272,10 @@ def _nest(p, c, coeffs, memo, key):
 def _probe_residuals(t, probes):
     """{(cid, mode): [residual at each probe]}, in probe order; a probe's
     word values are reduced to residuals together.  A word's outer set is
-    "b(0)" in weakened mode at TOP_ORDER and "b" otherwise, so below
-    TOP_ORDER both modes read one memo entry."""
+    "b(0)" in weakened mode at TOP_ORDER and otherwise the update's row,
+    s + 1, so below TOP_ORDER both modes read one memo entry."""
     words = {(cid, mode): (w.links, w.psi, "b(0)" if mode == "weakened"
-                           and w.order == TOP_ORDER else "b")
+                           and w.order == TOP_ORDER else t.s + 1)
              for cid, w in WORDS.items() for mode in MODES}
     c = [float(ci) for ci in t.c]
     residuals = np.empty((len(probes), len(words)))

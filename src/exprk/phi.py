@@ -370,7 +370,8 @@ def phi_matrix_table(m, h, keys):
     """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
 
     M is a square matrix or a (..., n, n) stack of them, read by
-    operators.finite_array, and each entry has M's shape.  Every scale is a
+    operators.finite_array, and each entry has M's shape; h is read as
+    build_phi_cache reads it, a finite positive real.  Every scale is a
     multiple t of Y = h M / L, L the least common denominator of all the
     scales, and one _squaring_chain on Y to the largest j requested, then
     one _walk along a shortest addition chain through the multiples,
@@ -380,6 +381,7 @@ def phi_matrix_table(m, h, keys):
     can serve every scale because the chain squares only to ||X||_1 <= 3.
     An entry that overflows raises OverflowError naming j, the scale and h.
     """
+    h = _step_size(h)
     if not keys:
         return {}
     m = finite_array(m, "M", (None,) * max(np.ndim(m), 2))
@@ -483,6 +485,14 @@ def _chain_search(chain, steps, targets, budget, tally):
     return None
 
 
+def _step_size(h):
+    """h read by operators.real_scalar; ValueError unless finite and positive."""
+    h = real_scalar(h, "h")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("step size must be positive and finite")
+    return h
+
+
 def _finite(table, h):
     """table, once every entry is checked finite."""
     for (j, scale), val in table.items():
@@ -509,9 +519,7 @@ def build_phi_cache(a, h, requests):
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
-    h = real_scalar(h, "h")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError("step size must be positive and finite")
+    h = _step_size(h)
     keys = sorted({phi_request(*r) for r in requests})
     eig = a.eigendecomposition()
     if eig is None:

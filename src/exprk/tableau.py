@@ -27,7 +27,7 @@ from math import factorial, inf
 
 import numpy as np
 
-from .operators import integer, real_array, real_scalar
+from .operators import finite_array, integer, real_scalar
 from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
 
 __all__ = [
@@ -127,8 +127,8 @@ def eval_combo(f, z):
     if np.ndim(z) == 0:
         zval = real_scalar(z, "z")
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
-    z = real_array(z, "z")
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+    z = finite_array(z, "z", (None, None))
+    if z.shape[0] != z.shape[1]:
         raise ValueError("z must be a scalar or a square matrix")
     if not f.terms:
         return np.zeros_like(z)
@@ -144,6 +144,8 @@ class ExpRKTableau:
     maps (i, j) with 2 <= j < i <= s and `b` maps i with 2 <= i <= s.  Zero
     entries are simply absent, and both are stored in stage order, whatever
     order they were given in, so equal tableaux sum their entries alike.
+    The update u_{n+1} reads as one more stage, s + 1: row(s + 1) is b and
+    node(s + 1) is 1.
     """
 
     name: str
@@ -192,11 +194,13 @@ class ExpRKTableau:
         return len(self.c)
 
     def node(self, i):
-        """c_i, 1-based."""
-        return self.c[i - 1]
+        """c_i, 1-based; the update u_{n+1} is stage s + 1, at node 1."""
+        return (*self.c, Fraction(1))[i - 1]
 
     def row(self, i):
-        """{k: a_ik} over the nonzero entries of row i of a, in stage order."""
+        """{k: a_ik} over the nonzero entries of row i, in stage order; row s + 1 is b."""
+        if i == self.s + 1:
+            return dict(self.b)
         return {k: v for (r, k), v in self.a.items() if r == i}
 
     def phi_pairs(self):
@@ -301,19 +305,17 @@ def get_tableau(name):
 def psi_parts(j, t, i=None):
     """(coefficient combos by stage, target combo) of one psi defect.
 
-    With i None it is the weight defect psi_j: the weights b_k against
-    phi_j(z).  Otherwise it is psi_{j,i}: row i of a against
-    c_i^j phi_j(c_i z), the empty combo at a zero node.  The defect is
-    sum_k coeff_k c_k^{j-1}/(j-1)! - target.
+    It is psi_{j,i}: row i against c_i^j phi_j(c_i z), the empty combo at a
+    zero node.  An explicit i is a stage 2..s; i None is the update, stage
+    s + 1, so it gives the weight defect psi_j: the weights b_k against
+    phi_j(z).  The defect is sum_k coeff_k c_k^{j-1}/(j-1)! - target.
     """
     j = integer(j, "psi index", 2)
-    if i is None:
-        return dict(t.b), phi_term(1, j)
-    i = integer(i, "stage index", 2)
-    if i > t.s:
-        raise IndexError(f"stage index {i} out of range 2..{t.s}")
-    ci = t.node(i)
-    return t.row(i), (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
+    stage = t.s + 1 if i is None else integer(i, "stage index", 2)
+    if i is not None and stage > t.s:
+        raise IndexError(f"stage index {stage} out of range 2..{t.s}")
+    ci = t.node(stage)
+    return t.row(stage), (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
 
 
 def psi_values(j, t, coeffs, target):
@@ -369,22 +371,18 @@ def classical_limit(t):
     """Butcher tableau of the A = 0 specialization of an exponential tableau.
 
     The phi_1 terms of the step formula contribute the implicit first column:
-    row sums must equal c_i and the weights must sum to 1, so
-    a_i1 = c_i - sum_j a_ij(0) and b_1 = 1 - sum_i b_i(0).
+    row sums must equal c_i, so a_i1 = c_i - sum_j a_ij(0).  The weights are
+    row s + 1, at node 1, so the same rule gives b_1 = 1 - sum_i b_i(0).
     """
     s = t.s
     rows = []
-    for i in range(1, s + 1):
+    for i in range(1, s + 2):
         row = [Fraction(0)] * s
         for k, combo in t.row(i).items():
             row[k - 1] = combo.at_zero()
         row[0] = t.node(i) - sum(row[1:], Fraction(0))
         rows.append(tuple(row))
-    b = [Fraction(0)] * s
-    for i, combo in t.b.items():
-        b[i - 1] = combo.at_zero()
-    b[0] = 1 - sum(b[1:], Fraction(0))
-    return ButcherTableau(name=t.name + "-classical", c=t.c, a=tuple(rows), b=tuple(b))
+    return ButcherTableau(name=t.name + "-classical", c=t.c, a=tuple(rows[:s]), b=rows[s])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              integer, real_scalar)
 from exprk.order_conditions import ProbeSet, check
 from exprk.phi import PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table, phi_request
-from exprk.tableau import ExpRKTableau, classical_limit, get_tableau
+from exprk.tableau import ExpRKTableau, classical_limit, eval_combo, get_tableau, phi_term
 from exprk.testbed import discrete_l2_error, heat_problem, stability_bound_check
 
 F = Fraction
@@ -274,6 +274,7 @@ REAL_SCALAR_SITES = {
     "run_convergence-floor": lambda x: run_convergence("expEuler", heat_problem(4), (8,), x),
     "stability_bound_check-h": lambda x: stability_bound_check(heat_problem(4).A, x, 3),
     "build_phi_cache-h": lambda x: build_phi_cache(ZeroOperator(2), x, [(1, 1)]),
+    "phi_matrix_table-h": lambda x: phi_matrix_table(-np.eye(2), x, [phi_request(1, 1)]),
     "t0": lambda x: _problem(t0=x, t_end=2.0),
     "t_end": lambda x: _problem(t_end=x),
 }
@@ -288,6 +289,20 @@ def test_real_scalar_sites_refuse_an_array_naming_it(site, x):
     message = rf"^{site.rpartition('-')[2]} must be a real scalar, got shape \({len(x)},\)$"
     with pytest.raises(TypeError, match=message):
         REAL_SCALAR_SITES[site](x)
+
+
+@pytest.mark.parametrize("h, error, message", [
+    ("0.5", TypeError, "^h must be real, got dtype <U3$"),
+    (-1, ValueError, "^step size must be positive and finite$"),
+    (np.inf, ValueError, "^step size must be positive and finite$"),
+])
+def test_phi_matrix_table_reads_its_step_size_as_build_phi_cache_does(h, error, message):
+    """phi_matrix_table took h as given: "0.5" raised the unnamed
+    "unsupported operand type(s) for /", and h = -1 built phi of -M."""
+    for make in (lambda: phi_matrix_table(-np.eye(2), h, [phi_request(1, 1)]),
+                 lambda: build_phi_cache(DenseOperator(-np.eye(2)), h, [(1, 1)])):
+        with pytest.raises(error, match=message):
+            make()
 
 
 @pytest.mark.parametrize("interval, error, message", [
@@ -345,6 +360,7 @@ FINITE_ARRAY_SITES = {
     "probe B": ((2, 2, 2), (2, 2), lambda x: _probe_set("B", x)),
     "phi_matrix-M": ((2, 2), (2, 2, 2), lambda x: phi_matrix(1, x)),
     "phi_matrix_table-M": ((2, 2), (2,), lambda x: phi_matrix_table(x, 1.0, [phi_request(1, 1)])),
+    "eval_combo-z": ((2, 2), (2,), lambda x: eval_combo(phi_term(1, 1), x)),
 }
 
 
@@ -367,6 +383,30 @@ def test_finite_array_sites_refuse_a_nan_entry_naming_it(site):
     name = re.escape(site.rpartition("-")[2])
     with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
         make(x)
+
+
+@pytest.mark.parametrize("make", [lambda: DiagonalOperator([]),
+                                  lambda: SymTridiagonalOperator([], [])],
+                         ids=["diagonal", "tridiagonal"])
+def test_an_empty_diagonal_is_refused_naming_diag(make):
+    """SymTridiagonalOperator([], []) said "off has shape (0,), expected
+    (-1,)", naming the off diagonal for an empty main diagonal."""
+    with pytest.raises(ValueError, match="^diag must not be empty$"):
+        make()
+
+
+@pytest.mark.parametrize("d", [-2.0, 3.5e7, -1e-300, 0.0, 7.123456789])
+def test_a_1x1_tridiagonal_operator_steps_as_the_diagonal_one(d):
+    """n = 1 takes eigh_tridiagonal's route, with no branch of its own:
+    w = [d] and V = [[1]], so four expRK5s8 steps (with |hd| <= 1/4) give
+    the diagonal operator's result exactly."""
+    tri, diag = SymTridiagonalOperator([d], []), DiagonalOperator([d])
+    w, v = tri.eigendecomposition()
+    assert np.array_equal(w, diag.eigendecomposition()[0]) and np.array_equal(v, np.eye(1))
+    got, want = (integrate(SemilinearProblem(A=a, g=lambda t, u: -u ** 2, u0=[0.5],
+                                             t_end=1.0 / max(1.0, abs(d))),
+                           get_tableau("expRK5s8"), 4).u for a in (tri, diag))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("make", [ZeroOperator, SineBasis])

@@ -596,7 +596,7 @@ def _unmemoized_residuals(p, c, coeffs, leaves):
     out = {}
     for cid, word in WORDS.items():
         for mode in MODES:
-            where = "b(0)" if mode == "weakened" and word.order == TOP_ORDER else "b"
+            where = "b(0)" if mode == "weakened" and word.order == TOP_ORDER else len(c) + 1
             if word.links:
                 value = nest(word.links, word.psi, where)
             else:
@@ -608,8 +608,8 @@ def _unmemoized_residuals(p, c, coeffs, leaves):
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])
 def test_memoized_residuals_equal_the_unmemoized_recursion(name):
     """The residual loop forms each inner nest, left factor and bilinear lift
-    once per probe in one memo, keyed by coefficient set (b(Z), b(0) I or a
-    row of a), letter and stage; on the 93 default probes every residual
+    once per probe in one memo, keyed by coefficient set (a row of a, b(Z)
+    as row s + 1, or b(0) I), letter and stage; on the 93 default probes every residual
     equals, bit for bit, the recursion that forms each of them where it is
     read."""
     t = get_tableau(name)

@@ -211,6 +211,18 @@ def _zero_node_tableau():
                         b={2: phi_term(2, 2), 3: phi_term(1, 3)})
 
 
+@pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "zero-node"])
+def test_the_update_is_stage_s_plus_one(name):
+    """row(s + 1) is b at node(s + 1) = 1, so psi_j is psi_{j,s+1}; past
+    the update there is no stage."""
+    t = _zero_node_tableau() if name == "zero-node" else get_tableau(name)
+    assert t.row(t.s + 1) == t.b and t.node(t.s + 1) == 1
+    with pytest.raises(IndexError):
+        t.node(t.s + 2)
+    for j in (2, 3, 4, 5):
+        assert psi_parts(j, t) == (t.row(t.s + 1), phi_term(1, j))
+
+
 def _old_psi_weight_combo(j, t):
     # psi_j as the weight-defect combo was written before psi_parts
     acc = phi_term(-1, j)
