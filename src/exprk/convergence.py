@@ -3,8 +3,9 @@
 The report rows are (n_steps, h, error) with the error the discrete L2
 distance to the exact solution at the final time.  The observed order is the
 least-squares slope of log(error) against log(h), using only rows whose error
-sits above a roundoff floor; rows at or below the floor are excluded from the
-fit (and reported), since they measure arithmetic noise, not the method.
+sits above a roundoff floor; rows at or below the floor, or with a NaN error,
+are excluded from the fit (and reported), since they measure arithmetic noise
+or a failed run, not the method.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class ConvergenceReport:
     rows: tuple
     floor: float
     fitted_slope: float  # None when fewer than two rows clear the floor
-    excluded: tuple      # rows at or below the floor, left out of the fit
+    excluded: tuple      # rows at or below the floor or with a NaN error, left out of the fit
 
     def csv_text(self):
         lines = ["n_steps,h,error"]
@@ -49,14 +50,15 @@ class ConvergenceReport:
 def fit_slope(rows, floor=DEFAULT_FLOOR):
     """Least-squares slope of log error vs log h over rows above the floor.
 
-    Returns (slope, used, excluded); slope is None for fewer than two usable
-    rows.  The floor must be finite and >= 0.
+    Returns (slope, used, excluded); excluded is every row not used, those
+    at or below the floor and those whose error is NaN.  slope is None for
+    fewer than two usable rows.  The floor must be finite and >= 0.
     """
     floor = real_scalar(floor, "floor")
     if not (np.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     used = tuple(r for r in rows if r.error > floor)
-    excluded = tuple(r for r in rows if r.error <= floor)
+    excluded = tuple(r for r in rows if not r.error > floor)
     if len(used) < 2:
         return None, used, excluded
     lh = np.log([r.h for r in used])
@@ -69,7 +71,9 @@ def run_convergence(method, pb, steps=DEFAULT_STEPS, floor=DEFAULT_FLOOR):
     """Integrate pb at each step count and assemble the fitted report.
 
     method is a tableau or a shipped-method name; steps must be strictly
-    increasing positive integers, and floor finite and >= 0 (fit_slope).
+    increasing positive integers, floor finite and >= 0 (fit_slope), and pb
+    must have an exact solution.  All three are checked before the first
+    integration.
     """
     t = get_tableau(method) if isinstance(method, str) else method
     steps = [integer(k, "steps", 1) for k in steps]
@@ -77,6 +81,8 @@ def run_convergence(method, pb, steps=DEFAULT_STEPS, floor=DEFAULT_FLOOR):
         raise ValueError("steps must be strictly increasing")
     floor = real_scalar(floor, "floor")
     fit_slope((), floor)  # rejects a bad floor before any integration
+    if pb.exact is None:
+        raise ValueError("problem has no exact solution to compare against")
     rows = []
     for k in steps:
         rec = integrate(pb, t, k)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .operators import finite_array, integer, real_scalar
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
-from .phi import build_phi_cache, phi_matrix_table, phi_request
+from .phi import build_phi_cache, phi_matrix_table
 from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
 
 __all__ = [
@@ -184,8 +184,7 @@ def _phi_tables(t, probes, parts):
     t's coefficients and of the psi targets in parts, from one table on the
     stacked Z of probes (all of one dimension)."""
     pairs = t.phi_pairs().union(*(target.phi_pairs() for _, target in parts.values()))
-    return phi_matrix_table(np.stack([p.Z for p in probes]), 1.0,
-                            {phi_request(*r) for r in pairs})
+    return phi_matrix_table(np.stack([p.Z for p in probes]), 1.0, pairs)
 
 
 def _group_sums(t, probes, parts):

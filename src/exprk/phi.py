@@ -30,10 +30,13 @@ smoothing A of a parabolic problem the far off-diagonal entries fall to
 subnormal arithmetic, while zeroing them moves no later product by more than
 2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is flushed
 only when its phi_0 holds a nonzero entry below 2^-511, whose square is
-subnormal (PHI_FLUSH_TRIGGER).  phi_matrix runs one chain alone.  Chains and
-walks also run on a stack of matrices at once, each matrix getting what it
-would get alone; the order-condition checker builds its probes' phi tables
-so.  Every route is real and rejects a complex argument (TypeError).
+subnormal (PHI_FLUSH_TRIGGER).  phi_matrix_table is the one entry to chain
+and walk: a dense cache, phi_matrix (one key at scale 1, so one chain and
+an empty walk), tableau.eval_combo and the order-condition checker all
+build their matrices through it.  Chains and walks also run on a stack of
+matrices at once, each matrix getting what it would get alone; the checker
+builds its probes' phi tables so.  Every route is real and rejects a
+complex argument (TypeError).
 """
 
 import math
@@ -259,10 +262,12 @@ def _addition_weights(p, q, jmax):
 
 
 def phi_matrix(j, m):
-    """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): one _squaring_chain.
-    j is read by operators.integer and M by operators.finite_array."""
-    j = integer(j, "phi index", 0)
-    return _squaring_chain(finite_array(m, "M", (None, None)), j)[0, j].copy()
+    """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): the one-key
+    phi_matrix_table at h = 1 and scale 1, whose walk is empty, so one
+    _squaring_chain on M.  M is read by operators.finite_array as a 2-d
+    array and j by phi_request; an overflowing result raises OverflowError
+    as phi_matrix_table does."""
+    return phi_matrix_table(finite_array(m, "M", (None, None)), 1.0, [(j, 1)])[j, 1]
 
 
 def _phi_values(j, zs):
@@ -367,11 +372,16 @@ class PhiCache:
 
 
 def phi_matrix_table(m, h, keys):
-    """{(j, scale): phi_j(scale * h * M)} for each PhiRequest in keys.
+    """{(j, scale): phi_j(scale * h * M)} for each (j, scale) in keys.
 
-    M is a square matrix or a (..., n, n) stack of them, read by
-    operators.finite_array, and each entry has M's shape; h is read as
-    build_phi_cache reads it, a finite positive real.  Every scale is a
+    Each key is read by phi_request, so j is an integer >= 0 and the scale
+    an exact rational in (0, 1] (0.5 and "1/2" are the key (j, 1/2)), and
+    equal keys give one entry.  M is a square matrix or a (..., n, n) stack
+    of them, read by operators.finite_array, and each entry has M's shape;
+    h is read as build_phi_cache reads it, a finite positive real.  This is
+    the one entry to the matrix phi kernel: phi_matrix, eval_combo, the
+    order-condition checker and a dense cache all build their matrices
+    here.  Every scale is a
     multiple t of Y = h M / L, L the least common denominator of all the
     scales, and one _squaring_chain on Y to the largest j requested, then
     one _walk along a shortest addition chain through the multiples,
@@ -382,6 +392,7 @@ def phi_matrix_table(m, h, keys):
     An entry that overflows raises OverflowError naming j, the scale and h.
     """
     h = _step_size(h)
+    keys = dict.fromkeys(phi_request(*key) for key in keys)
     if not keys:
         return {}
     m = finite_array(m, "M", (None,) * max(np.ndim(m), 2))

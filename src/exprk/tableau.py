@@ -28,7 +28,7 @@ from math import factorial, inf
 import numpy as np
 
 from .operators import finite_array, integer, real_scalar
-from .phi import exact_rational, phi_matrix, phi_request, phi_scalar
+from .phi import exact_rational, phi_matrix_table, phi_request, phi_scalar
 
 __all__ = [
     "PhiCombo", "phi_term", "combo_sum", "eval_combo", "ExpRKTableau",
@@ -122,17 +122,21 @@ def combo_sum(f, phi):
 
 
 def eval_combo(f, z):
-    """Evaluate a PhiCombo at real scalar or square-matrix z (TypeError if complex)
-    through phi_scalar or phi_matrix; the empty combo gives 0.0 or the zero matrix."""
+    """Evaluate a PhiCombo at real scalar or square-matrix z (TypeError if complex).
+
+    A scalar goes through phi_scalar at float(scale) * z.  A matrix gets one
+    phi.phi_matrix_table over the combo's (j, scale) pairs at h = 1, one
+    chain and one walk to every exact scale, which raises OverflowError
+    where an entry overflows.  The empty combo gives 0.0 or the zero matrix.
+    """
     if np.ndim(z) == 0:
         zval = real_scalar(z, "z")
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
     z = finite_array(z, "z", (None, None))
     if z.shape[0] != z.shape[1]:
         raise ValueError("z must be a scalar or a square matrix")
-    if not f.terms:
-        return np.zeros_like(z)
-    return combo_sum(f, lambda j, s: phi_matrix(j, float(s) * z))
+    phi = phi_matrix_table(z, 1.0, f.phi_pairs())
+    return combo_sum(f, lambda j, s: phi[j, s]) if f.terms else np.zeros_like(z)
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,20 @@ class ExpRKTableau:
     def s(self):
         return len(self.c)
 
+    def _stage(self, i):
+        """i read by operators.integer as a stage 1..s + 1; IndexError past s + 1."""
+        i = integer(i, "stage index", 1)
+        if i > self.s + 1:
+            raise IndexError(f"stage index {i} out of range 1..{self.s + 1}")
+        return i
+
     def node(self, i):
         """c_i, 1-based; the update u_{n+1} is stage s + 1, at node 1."""
-        return (*self.c, Fraction(1))[i - 1]
+        return (*self.c, Fraction(1))[self._stage(i) - 1]
 
     def row(self, i):
         """{k: a_ik} over the nonzero entries of row i, in stage order; row s + 1 is b."""
+        i = self._stage(i)
         if i == self.s + 1:
             return dict(self.b)
         return {k: v for (r, k), v in self.a.items() if r == i}

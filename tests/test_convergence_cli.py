@@ -1,5 +1,7 @@
 """Convergence sweeps, CSV round-trips, and the command-line front end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_fit_slope_excludes_floor_rows():
     assert slope == pytest.approx(5.0, abs=1e-10)
     assert [r.n_steps for r in used] == [8, 16, 32, 64]
     assert [r.n_steps for r in excluded] == [128, 256]
+
+
+def test_fit_slope_excludes_every_row_it_does_not_use():
+    """A NaN error is neither above nor at or below the floor, so its row
+    was in neither list: the 16-step row below fell out of the report."""
+    rows = (ConvergenceRow(8, 1.0 / 8, 1e-6), ConvergenceRow(16, 1.0 / 16, float("nan")),
+            ConvergenceRow(32, 1.0 / 32, 3e-8))
+    slope, used, excluded = fit_slope(rows)
+    assert [r.n_steps for r in used] == [8, 32]
+    assert [r.n_steps for r in excluded] == [16]
+    assert slope == pytest.approx(np.log(1e-6 / 3e-8) / np.log(4.0), rel=1e-12)
 
 
 def test_fit_slope_needs_two_rows():
@@ -111,6 +124,17 @@ def test_run_convergence_rejects_a_bad_floor(monkeypatch, floor):
     monkeypatch.setattr(convergence, "integrate", lambda *args: pytest.fail("integrated"))
     with pytest.raises(ValueError, match="floor must be finite and >= 0"):
         run_convergence("expEuler", heat_problem(10), steps=(8, 16), floor=floor)
+
+
+def test_run_convergence_needs_an_exact_solution_before_integrating(monkeypatch):
+    """A problem without an exact solution was integrated at the first step
+    count before the error metric raised; the check now comes first."""
+    calls = []
+    monkeypatch.setattr(convergence, "integrate", lambda *args: calls.append(args))
+    pb = dataclasses.replace(heat_problem(10), exact=None)
+    with pytest.raises(ValueError, match="^problem has no exact solution to compare against$"):
+        run_convergence("expEuler", pb, steps=(8, 16))
+    assert calls == []
 
 
 def test_defaults():

@@ -292,6 +292,48 @@ def test_phi_matrix_table_reads_a_nested_list_as_the_matrix():
     assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
+@pytest.mark.parametrize("scale", [0.5, "1/2", np.float64(0.5)], ids=["float", "str", "float64"])
+def test_phi_matrix_table_reads_its_keys_by_phi_request(scale):
+    """A float or str scale raised "'float' object has no attribute
+    'denominator'"; each is now the exact key (1, 1/2), and keys equal
+    once read give one entry."""
+    m = _random_symmetric(3, seed=6)
+    want = phi_matrix_table(m, 0.5, [(1, Fraction(1, 2))])
+    got = phi_matrix_table(m, 0.5, [(1, scale)])
+    assert list(got) == list(want) == [(1, Fraction(1, 2))]
+    assert np.array_equal(got[1, Fraction(1, 2)], want[1, Fraction(1, 2)])
+    assert len(phi_matrix_table(m, 0.5, [(1, scale), (1, Fraction(1, 2))])) == 1
+
+
+@pytest.mark.parametrize("key, error, message", [
+    ((1, Fraction(3, 2)), ValueError, "scale must lie in (0, 1]"),
+    ((1, 0), ValueError, "scale must lie in (0, 1]"),
+    ((True, 1), TypeError, "phi index must be an integer, got True"),
+    ((-1, Fraction(1, 2)), ValueError, "phi index must be >= 0, got -1"),
+    ((1, True), TypeError, "cannot interpret True as an exact rational"),
+], ids=["scale-3/2", "scale-0", "j-True", "j--1", "scale-True"])
+def test_phi_matrix_table_refuses_a_key_as_phi_request_does(key, error, message):
+    """Scale 3/2 gave an entry outside (0, 1], j = True a reshape error and
+    j = -1 "factorial() not defined"; each key now gets phi_request's error."""
+    with pytest.raises(error, match=re.escape(message)):
+        phi_request(*key)
+    with pytest.raises(error, match=re.escape(message)):
+        phi_matrix_table(-np.eye(2), 1.0, [key])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: phi_matrix(0, 800.0 * np.eye(2)), id="phi_matrix-0"),
+    pytest.param(lambda: phi_matrix(1, 2000.0 * np.eye(2)), id="phi_matrix-1"),
+    pytest.param(lambda: eval_combo(phi_term(1, 1), 2000.0 * np.eye(2)), id="eval_combo"),
+])
+def test_matrix_phi_overflow_raises_as_the_cache_does(call):
+    """phi_matrix and eval_combo ran their own chains and returned inf on
+    the diagonal (phi_0 at 800 I) or all NaN (phi_1 at 2000 I); through
+    phi_matrix_table they raise its OverflowError."""
+    with pytest.raises(OverflowError, match=r"overflows at scale 1, h = 1\.0$"):
+        call()
+
+
 def test_phi_matrix_rejects_negative_index():
     with pytest.raises(ValueError):
         phi_matrix(-1, np.eye(2))

@@ -223,6 +223,30 @@ def test_the_update_is_stage_s_plus_one(name):
         assert psi_parts(j, t) == (t.row(t.s + 1), phi_term(1, j))
 
 
+@pytest.mark.parametrize("method", ["node", "row"])
+@pytest.mark.parametrize("i, error", not_integers(1) + [(-1, ValueError), (-3, ValueError)])
+def test_stage_index_is_read_as_a_stage(method, i, error):
+    """node(0) and node(-1) indexed (*c, 1) from its end and gave 1 for
+    expRK5s8, and row(0) and row(-3) gave {}: i is read by operators.integer."""
+    with pytest.raises(error, match="^stage index must be "):
+        getattr(exprk5s8(), method)(i)
+
+
+@pytest.mark.parametrize("method", ["node", "row"])
+@pytest.mark.parametrize("i", [10, 11])
+def test_stage_index_past_the_update_is_an_index_error(method, i):
+    """row(10) of expRK5s8 (s = 8) gave {}; past stage s + 1 there is none."""
+    with pytest.raises(IndexError, match=f"^stage index {i} out of range 1..9$"):
+        getattr(exprk5s8(), method)(i)
+
+
+def test_stage_index_reads_numpy_integers_and_keeps_row_one_empty():
+    t = exprk5s8()
+    assert t.node(np.int64(7)) == t.node(7) == F(2, 3)
+    assert t.row(np.int32(7)) == t.row(7) and t.row(np.int64(9)) == t.b
+    assert t.row(1) == {} and t.node(1) == 0
+
+
 def _old_psi_weight_combo(j, t):
     # psi_j as the weight-defect combo was written before psi_parts
     acc = phi_term(-1, j)

@@ -113,6 +113,21 @@ def test_discrete_l2_error():
         discrete_l2_error(np.zeros(2), bare, 0.0)
 
 
+@pytest.mark.parametrize("u", [[0.1], np.zeros((50, 50)), np.zeros(49), np.zeros(51)],
+                         ids=["one-element", "50x50", "length-49", "length-51"])
+def test_discrete_l2_error_reads_u_as_a_state(u):
+    """[0.1] broadcast against the exact solution with dx = 1/2 (2.0545 on
+    heat50), a 50 x 50 u broadcast too (0.5011), and a length-49 u raised
+    numpy's broadcast error, which did not name u."""
+    with pytest.raises(ValueError, match=r"^u has shape \(.*\), expected \(50,\)$"):
+        discrete_l2_error(u, heat_problem(50), 0.0)
+
+
+def test_discrete_l2_error_of_a_nan_state_is_nan():
+    pb = heat_problem(50)
+    assert np.isnan(discrete_l2_error(np.full(50, np.nan), pb, 0.0))
+
+
 def test_stability_bound_zero_operator():
     assert stability_bound_check(ZeroOperator(5), 0.1, 10) == 0.0
 
