@@ -3,9 +3,9 @@
 The report rows are (n_steps, h, error) with the error the discrete L2
 distance to the exact solution at the final time.  The observed order is the
 least-squares slope of log(error) against log(h), using only rows whose error
-sits above a roundoff floor; rows at or below the floor, or with a NaN error,
-are excluded from the fit (and reported), since they measure arithmetic noise
-or a failed run, not the method.
+sits above a roundoff floor; rows at or below the floor, or with a NaN or
+infinite error, are excluded from the fit (and reported), since they measure
+arithmetic noise or a failed run, not the method.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ class ConvergenceReport:
     rows: tuple
     floor: float
     fitted_slope: float  # None when fewer than two rows clear the floor
-    excluded: tuple      # rows at or below the floor or with a NaN error, left out of the fit
+    excluded: tuple      # rows at or below the floor or with a non-finite error, left out of the fit
 
     def csv_text(self):
         lines = ["n_steps,h,error"]
@@ -48,17 +48,18 @@ class ConvergenceReport:
 
 
 def fit_slope(rows, floor=DEFAULT_FLOOR):
-    """Least-squares slope of log error vs log h over rows above the floor.
+    """Least-squares slope of log error vs log h over the rows whose error
+    is finite and above the floor.
 
     Returns (slope, used, excluded); excluded is every row not used, those
-    at or below the floor and those whose error is NaN.  slope is None for
+    at or below the floor and those whose error is NaN or infinite.  slope is None for
     fewer than two usable rows.  The floor must be finite and >= 0.
     """
     floor = real_scalar(floor, "floor")
     if not (np.isfinite(floor) and floor >= 0):
         raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
-    used = tuple(r for r in rows if r.error > floor)
-    excluded = tuple(r for r in rows if not r.error > floor)
+    used = tuple(r for r in rows if np.isfinite(r.error) and r.error > floor)
+    excluded = tuple(r for r in rows if r not in used)
     if len(used) < 2:
         return None, used, excluded
     lh = np.log([r.h for r in used])

@@ -13,9 +13,9 @@ Every condition nests the same pieces, so each is stored as a Word: an
 outer weight b_i, zero or more links (a power of c and a probe matrix J, K or
 L, or the bilinear map B) leading inward through the rows of a, and a psi
 defect at the leaf; one recursive routine evaluates them all.  Each psi
-defect is defined by tableau.psi_parts alone: check() takes the parts its
-words read once per check, derives from them the phi pairs its tables hold,
-and sums them with tableau.combo_sum.
+defect is defined by tableau.psi_parts alone: the residual loop takes the
+parts its words read once per check, one psi_parts per (j, i), and every
+table is summed from them with tableau.combo_sum.
 
 Checking an identity over *all* matrices is impossible numerically; the
 checker evaluates residuals on a batch of seeded random probes plus
@@ -23,24 +23,27 @@ structured diagonal/permutation probes chosen to separate the terms.  A
 residual above tolerance on any probe disproves the identity; passing on all
 probes is the (probabilistic) verdict that it holds.
 
-The phi matrices come in stacks: check() groups its probes by dimension d
-and builds one phi table per group over the stacked Z of the whole group
-(phi.phi_matrix_table: one chain and one walk, for expRK5s8 on Z/60 to
-all five scales), on which it sums the rows of a and b, the update's row
-s + 1, and every psi defect the words read.  The words are then evaluated
-probe by probe on its members of those stacks through one recursion,
-_nest, over one memo dict per probe: seeded with the psi defects, it gains
-each inner nest, left factor coeffs_i X and bilinear lift once, for all
-words and both modes.
-Weakened mode is no branch there, only the outer set a word sums over:
-b_i(0) I in place of b_i(Z), and for a word without links the leaf
-psi_j(0) I in place of psi_j.  Each nest sum starts at its first term, and
-a probe's word values are reduced to residuals together.  Table and sums
-compute for each member exactly what they compute for that Z alone, so
-every probe gets the numbers it would get alone; condition_residual runs
-the same loop on one probe.  On the stacks, the words' 3x3 products would
-make a check() of about 15 ms, shorter than the benchmark speed probe's
-25 ms period, so they stay per probe.
+The phi matrices come in stacks: check() groups its probes by dimension d,
+and one builder, _group_tables, makes each group's tables over the stacked
+Z of the group.  From one phi table (phi.phi_matrix_table: one chain and
+one walk, for expRK5s8 on Z/60 to all five scales) it sums the sets a nest
+sums over, the rows of a and the update's row s + 1 (b_i(Z)), and the
+leaves, every psi defect the words read; beside them it stacks the set
+"b(0)" of b_i(0) I and the leaves psi_j(0) I.  Weakened mode is no branch
+anywhere, only these ordinary sets and leaves: in weakened mode a word
+of TOP_ORDER sums over "b(0)" in place of row s + 1, and without links it
+reads the leaf psi_j(0) I in place of psi_j.  Table and sums compute for each member
+exactly what they compute for that Z alone, so every probe gets the numbers
+it would get alone; condition_residual runs the same loop on one probe.
+
+The words are then evaluated probe by probe on its members of those stacks
+through one recursion, _nest, over one memo dict per probe: seeded with the
+leaves, it gains each inner nest, left factor coeffs_i X and bilinear lift
+once, for all words and both modes.  Each nest sum starts at its first
+term, and a probe's word values are reduced to residuals together.  On the
+stacks, the words' 3x3 products would make a check() of about 15 ms,
+shorter than the benchmark speed probe's 25 ms period, so they stay per
+probe.
 """
 
 from dataclasses import dataclass
@@ -163,73 +166,36 @@ TOP_ORDER = max(CONDITION_ORDERS.values())
 MODES = ("strong", "weakened")
 
 
-def _defects(t):
-    """The psi defects the words read, built once per check.
+def _group_tables(t, probes, targets):
+    """(sets, leaves) for one dimension group of probes, each value a stack
+    over the group's probes.
 
-    Returns parts, {(j, i): tableau.psi_parts}: psi_{j,i} at every stage
-    i for each word with links, and the weight defect psi_j = psi_{j,s+1}
-    for each word without; and at_zero, {j: psi_j at Z = 0} over the weight
-    defects of the top order, which weakened mode reads.
+    sets holds what a nest sums over, each in stage order: row i at stage
+    i = 2..s + 1 (row s + 1 is the weights b_i(Z)) and "b(0)", each
+    b_i(0) I.  leaves holds the psi defect of each target, targets being
+    {(j, i): tableau.psi_parts of psi_{j,i}}, under ((), j, i) (psi_j is
+    psi_{j,s+1}), and psi_j(0) I under ((), j, "b(0)") for each word of
+    TOP_ORDER without links.
+
+    The rows and targets are summed by combo_sum on one phi table over the
+    stacked Z, as the stepper sums its coefficients, and each defect goes
+    through tableau.psi_values, so residuals reflect float evaluation, not
+    pre-cancelled rationals.  The sums are elementwise: each member is
+    exactly its probe's sum alone.
     """
-    keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
-                         for i in (range(2, t.s + 1) if w.links else (t.s + 1,)))
-    parts = {(j, i): psi_parts(j, t, None if i > t.s else i) for j, i in keys}
-    at_zero = {w.psi: psi(w.psi, t, 0.0) for w in WORDS.values()
-               if w.order == TOP_ORDER and not w.links}
-    return parts, at_zero
-
-
-def _phi_tables(t, probes, parts):
-    """{(j, scale): stack of phi_j(scale * Z) over probes} for the pairs of
-    t's coefficients and of the psi targets in parts, from one table on the
-    stacked Z of probes (all of one dimension)."""
-    pairs = t.phi_pairs().union(*(target.phi_pairs() for _, target in parts.values()))
-    return phi_matrix_table(np.stack([p.Z for p in probes]), 1.0, pairs)
-
-
-def _group_sums(t, probes, parts):
-    """(sets, leaves) over one dimension group: the stacks of the sets a nest
-    sums over, row i at each stage i = 2..s + 1 (row s + 1 is the weights
-    b_i(Z)); and the stack of each psi defect in parts, keyed ((), j, i).
-
-    combo_sum sums them on the group's phi table, as the stepper sums its
-    coefficients, and each defect goes through tableau.psi_values, so
-    residuals reflect float evaluation, not pre-cancelled rationals.  The
-    sums are elementwise: each member is exactly its probe's sum alone.
-    """
-    phi = _phi_tables(t, probes, parts)
+    pairs = t.phi_pairs().union(*(target.phi_pairs() for _, target in targets.values()))
+    phi = phi_matrix_table(np.stack([p.Z for p in probes]), 1.0, pairs)
     get = lambda j, scale: phi[j, scale]
+    eye = np.broadcast_to(np.eye(probes[0].d), (len(probes), probes[0].d, probes[0].d))
     # the empty combo, a zero node's target, is the zero matrix here
-    zeros = np.zeros((len(probes), probes[0].d, probes[0].d))
-    mat = lambda combo: combo_sum(combo, get) if combo.terms else zeros
+    mat = lambda combo: combo_sum(combo, get) if combo.terms else 0.0 * eye
     sets = {i: {k: mat(v) for k, v in t.row(i).items()} for i in range(2, t.s + 2)}
+    sets["b(0)"] = {i: float(v.at_zero()) * eye for i, v in t.b.items()}
     leaves = {((), j, where): psi_values(j, t, sets[where], mat(target))
-              for (j, where), (_, target) in parts.items()}
+              for (j, where), (_, target) in targets.items()}
+    leaves |= {((), w.psi, "b(0)"): psi(w.psi, t, 0.0) * eye for w in WORDS.values()
+               if w.order == TOP_ORDER and not w.links}
     return sets, leaves
-
-
-def _probe_tables(t, probes):
-    """(n, coeffs, memo) for each probe n; the probes are grouped by
-    dimension, with one phi table and one set of sums per group.
-
-    coeffs holds the sets a nest sums over, each in stage order: row i at
-    stage i = 2..s + 1 (row s + 1 is b_i(Z)) and "b(0)" (b_i(0) I).  memo is
-    seeded with the leaves: psi_{j,i} under ((), j, i), psi_j = psi_{j,s+1}
-    among them, and psi_j(0) I under ((), j, "b(0)").
-    """
-    for probe in probes:
-        if not isinstance(probe, ProbeSet):
-            raise TypeError(f"a probe must be a ProbeSet, got {probe!r}")
-    parts, at_zero = _defects(t)
-    for d in dict.fromkeys(probe.d for probe in probes):
-        ns = [n for n, probe in enumerate(probes) if probe.d == d]
-        sets, leaves = _group_sums(t, [probes[n] for n in ns], parts)
-        weights = {i: float(v.at_zero()) * np.eye(d) for i, v in t.b.items()}
-        zero = {((), j, "b(0)"): v * np.eye(d) for j, v in at_zero.items()}
-        for k, n in enumerate(ns):
-            coeffs = {where: {i: v[k] for i, v in s.items()} for where, s in sets.items()}
-            coeffs["b(0)"] = weights
-            yield n, coeffs, {**{key: v[k] for key, v in leaves.items()}, **zero}
 
 
 def _nest(p, c, coeffs, memo, key):
@@ -269,19 +235,37 @@ def _nest(p, c, coeffs, memo, key):
 
 
 def _probe_residuals(t, probes):
-    """{(cid, mode): [residual at each probe]}, in probe order; a probe's
-    word values are reduced to residuals together.  A word's outer set is
-    "b(0)" in weakened mode at TOP_ORDER and otherwise the update's row,
-    s + 1, so below TOP_ORDER both modes read one memo entry."""
+    """{(cid, mode): [residual at each probe]}, in probe order.
+
+    The psi targets the words read are taken once per call: psi_{j,i} at
+    every stage i for each word with links, and the weight defect
+    psi_j = psi_{j,s+1} for each word without.  Each dimension group gets
+    one _group_tables; each probe's memo is seeded with its members of the
+    leaves, and its word values are reduced to residuals together.  A
+    word's outer set is "b(0)" in weakened mode at TOP_ORDER and otherwise
+    the update's row, s + 1, so below TOP_ORDER both modes read one memo
+    entry.
+    """
+    for probe in probes:
+        if not isinstance(probe, ProbeSet):
+            raise TypeError(f"a probe must be a ProbeSet, got {probe!r}")
     words = {(cid, mode): (w.links, w.psi, "b(0)" if mode == "weakened"
                            and w.order == TOP_ORDER else t.s + 1)
              for cid, w in WORDS.items() for mode in MODES}
+    keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
+                         for i in (range(2, t.s + 1) if w.links else (t.s + 1,)))
+    targets = {(j, i): psi_parts(j, t, None if i > t.s else i) for j, i in keys}
     c = [float(ci) for ci in t.c]
     residuals = np.empty((len(probes), len(words)))
-    for n, coeffs, memo in _probe_tables(t, probes):
-        values = np.stack([memo[key] if key in memo else _nest(probes[n], c, coeffs, memo, key)
-                           for key in words.values()])
-        residuals[n] = np.abs(values).max(axis=(1, 2))
+    for d in dict.fromkeys(probe.d for probe in probes):
+        ns = [n for n, probe in enumerate(probes) if probe.d == d]
+        sets, leaves = _group_tables(t, [probes[n] for n in ns], targets)
+        for k, n in enumerate(ns):
+            coeffs = {where: {i: v[k] for i, v in s.items()} for where, s in sets.items()}
+            memo = {key: v[k] for key, v in leaves.items()}
+            values = np.stack([memo[key] if key in memo else _nest(probes[n], c, coeffs, memo, key)
+                               for key in words.values()])
+            residuals[n] = np.abs(values).max(axis=(1, 2))
     return dict(zip(words, residuals.T.tolist()))
 
 

@@ -76,11 +76,12 @@ def discrete_l2_error(u, pb, t):
     """sqrt(dx * sum_i (u_i - exact(t)_i)^2) against the problem's exact solution.
 
     u is read by operators.real_array and must have shape (n,), n the
-    problem's dimension; it may hold a NaN, which gives nan.
+    problem's dimension; it may hold a NaN, which gives nan.  t is read by
+    operators.real_scalar.
     """
     if pb.exact is None:
         raise ValueError("problem has no exact solution to compare against")
-    u = real_array(u, "u")
+    u, t = real_array(u, "u"), real_scalar(t, "t")
     if u.shape != (pb.A.n,):
         raise ValueError(f"u has shape {u.shape}, expected {(pb.A.n,)}")
     diff = u - pb.exact(t)

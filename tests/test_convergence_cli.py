@@ -50,6 +50,17 @@ def test_fit_slope_excludes_every_row_it_does_not_use():
     assert slope == pytest.approx(np.log(1e-6 / 3e-8) / np.log(4.0), rel=1e-12)
 
 
+def test_fit_slope_leaves_out_an_infinite_error():
+    """An infinite error is above every floor, so its row was used and the
+    slope came out nan; it is excluded like a NaN row."""
+    rows = (ConvergenceRow(8, 1.0 / 8, 1e-6), ConvergenceRow(16, 1.0 / 16, float("inf")),
+            ConvergenceRow(32, 1.0 / 32, 3e-8))
+    slope, used, excluded = fit_slope(rows)
+    assert [r.n_steps for r in used] == [8, 32]
+    assert [r.n_steps for r in excluded] == [16]
+    assert slope == pytest.approx(np.log(1e-6 / 3e-8) / np.log(4.0), rel=1e-12)
+
+
 def test_fit_slope_needs_two_rows():
     rows = (ConvergenceRow(8, 0.125, 1e-3),
             ConvergenceRow(16, 0.0625, 1e-15))

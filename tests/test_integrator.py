@@ -277,6 +277,7 @@ REAL_SCALAR_SITES = {
     "phi_matrix_table-h": lambda x: phi_matrix_table(-np.eye(2), x, [phi_request(1, 1)]),
     "t0": lambda x: _problem(t0=x, t_end=2.0),
     "t_end": lambda x: _problem(t_end=x),
+    "discrete_l2_error-t": lambda x: discrete_l2_error(np.zeros(4), heat_problem(4), x),
 }
 
 

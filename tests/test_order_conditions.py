@@ -2,6 +2,7 @@
 
 import gc
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import augmented_phi, not_integers
+from exprk import order_conditions
 from exprk.order_conditions import (CONDITION_ORDERS, MODES, TOP_ORDER, WORDS, ProbeSet,
-                                    _bilinear_columns, _defects, _phi_tables,
-                                    _probe_residuals, _probe_tables, check,
+                                    _bilinear_columns, _probe_residuals, check,
                                     condition_residual, draw_probe_sets,
                                     structured_probes)
-from exprk.tableau import ExpRKTableau, PhiCombo, exprk5s8, get_tableau, phi_term
+from exprk.tableau import ExpRKTableau, PhiCombo, exprk5s8, get_tableau, phi_term, psi_parts
 
 F = Fraction
 
@@ -329,15 +330,33 @@ def test_a_zero_node_reached_by_a_weight():
 
 
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "perturbed"])
-def test_phi_table_pairs_follow_the_words(name, tab5):
-    """The pairs _phi_tables derives from WORDS through psi_parts are the set
-    it used to list by hand: t's own pairs, phi_2..phi_4 at every nonzero
-    stage node and phi_2..phi_5 at scale 1."""
+def test_phi_table_pairs_follow_the_words(name, tab5, monkeypatch):
+    """The pairs _group_tables passes to phi_matrix_table, derived from
+    WORDS through psi_parts, are the set it used to list by hand: t's own
+    pairs, phi_2..phi_4 at every nonzero stage node and phi_2..phi_5 at
+    scale 1."""
     t = _perturbed(tab5) if name == "perturbed" else get_tableau(name)
     listed = (t.phi_pairs() | {(j, ci) for j in (2, 3, 4) for ci in t.c[1:] if ci > 0}
               | {(m, F(1)) for m in (2, 3, 4, 5)})
-    probe = draw_probe_sets(1, d=2, seed=4)[0]
-    assert set(_phi_tables(t, [probe], _defects(t)[0])) == listed
+    passed = []
+    table = order_conditions.phi_matrix_table
+    monkeypatch.setattr(order_conditions, "phi_matrix_table",
+                        lambda m, h, keys: passed.append(set(keys)) or table(m, h, keys))
+    _probe_residuals(t, draw_probe_sets(1, d=2, seed=4))
+    assert passed == [listed]
+
+
+def test_check_takes_each_psi_target_once(tab5, monkeypatch):
+    """One check(), over its two dimension groups, calls psi_parts once per
+    distinct (j, i) its words read, not once per group."""
+    calls = []
+    monkeypatch.setattr(order_conditions, "psi_parts",
+                        lambda j, t, i=None: calls.append((j, i)) or psi_parts(j, t, i))
+    assert check(tab5, seed=0).weakened_order5
+    assert {p.d for p in structured_probes()} == {2, 3}
+    want = {(w.psi, i) for w in WORDS.values()
+            for i in (range(2, tab5.s + 1) if w.links else (None,))}
+    assert Counter(calls) == Counter(want)
 
 
 def _stiff_probes(count=8, d=3, seed=3):
@@ -606,20 +625,29 @@ def _unmemoized_residuals(p, c, coeffs, leaves):
 
 
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2"])
-def test_memoized_residuals_equal_the_unmemoized_recursion(name):
+def test_memoized_residuals_equal_the_unmemoized_recursion(name, monkeypatch):
     """The residual loop forms each inner nest, left factor and bilinear lift
     once per probe in one memo, keyed by coefficient set (a row of a, b(Z)
     as row s + 1, or b(0) I), letter and stage; on the 93 default probes every residual
     equals, bit for bit, the recursion that forms each of them where it is
-    read."""
+    read, on each probe's members of the tables _group_tables built."""
     t = get_tableau(name)
     probes = draw_probe_sets(50, d=3, seed=0) + structured_probes()
     assert len(probes) == 93
+    groups = []
+    build = order_conditions._group_tables
+    monkeypatch.setattr(order_conditions, "_group_tables", lambda t, group, targets:
+                        groups.append((group, build(t, group, targets))) or groups[-1][1])
     residuals = _probe_residuals(t, probes)
+    assert sum(len(group) for group, _ in groups) == 93
+    where = {id(p): n for n, p in enumerate(probes)}
     c = [float(ci) for ci in t.c]
-    for n, coeffs, leaves in _probe_tables(t, probes):
-        for key, want in _unmemoized_residuals(probes[n], c, coeffs, leaves).items():
-            assert residuals[key][n] == want, (key, probes[n].label)
+    for group, (sets, leaves) in groups:
+        for k, p in enumerate(group):
+            coeffs = {w: {i: v[k] for i, v in s.items()} for w, s in sets.items()}
+            got = _unmemoized_residuals(p, c, coeffs, {key: v[k] for key, v in leaves.items()})
+            for key, want in got.items():
+                assert residuals[key][where[id(p)]] == want, (key, p.label)
 
 
 def test_check_leaves_no_cyclic_garbage(tab5):

@@ -123,6 +123,15 @@ def test_discrete_l2_error_reads_u_as_a_state(u):
         discrete_l2_error(u, heat_problem(50), 0.0)
 
 
+@pytest.mark.parametrize("t, dtype", [(1 + 0j, "complex128"), ("0.5", "<U3"), (True, "bool")],
+                         ids=["complex", "str", "bool"])
+def test_discrete_l2_error_reads_t_as_a_real_number(t, dtype):
+    """t = 1+0j gave the t = 1 error with numpy's ComplexWarning, and "0.5"
+    raised the unnamed "ufunc 'exp' not supported"."""
+    with pytest.raises(TypeError, match=rf"^t must be real, got dtype {dtype}$"):
+        discrete_l2_error(np.zeros(50), heat_problem(50), t)
+
+
 def test_discrete_l2_error_of_a_nan_state_is_nan():
     pb = heat_problem(50)
     assert np.isnan(discrete_l2_error(np.full(50, np.nan), pb, 0.0))
