@@ -18,7 +18,7 @@ from .tableau import get_tableau
 from .testbed import discrete_l2_error
 
 __all__ = ["ConvergenceRow", "ConvergenceReport", "run_convergence",
-           "fit_slope", "write_csv", "read_csv", "DEFAULT_STEPS", "DEFAULT_FLOOR"]
+           "fit_slope", "write_csv", "DEFAULT_STEPS", "DEFAULT_FLOOR"]
 
 DEFAULT_STEPS = (8, 16, 32, 64, 128, 256, 512)
 DEFAULT_FLOOR = 1e-11
@@ -100,15 +100,3 @@ def write_csv(report, path):
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(report.csv_text())
 
-
-def read_csv(path):
-    """Parse a convergence CSV back into rows."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != "n_steps,h,error":
-        raise ValueError("not a convergence CSV (missing header)")
-    rows = []
-    for ln in lines[1:]:
-        n, h, e = ln.split(",")
-        rows.append(ConvergenceRow(int(n), float(h), float(e)))
-    return tuple(rows)

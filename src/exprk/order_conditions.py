@@ -25,11 +25,13 @@ probes is the (probabilistic) verdict that it holds.
 
 The phi matrices come in stacks: check() groups its probes by dimension d,
 and one builder, _group_tables, makes each group's tables over the stacked
-Z of the group.  From one phi table (phi.phi_matrix_table: one chain and
-one walk, for expRK5s8 on Z/60 to all five scales) it sums the sets a nest
-sums over, the rows of a and the update's row s + 1 (b_i(Z)), and the
+Z of the group.  From one phi table (phi.phi_matrix_table: one Taylor step
+and one walk, for expRK5s8 from Z/60 to all five scales) it sums the sets a
+nest sums over, the rows of a and the update's row s + 1 (b_i(Z)), and the
 leaves, every psi defect the words read; beside them it stacks the set
-"b(0)" of b_i(0) I and the leaves psi_j(0) I.  Weakened mode is no branch
+"b(0)" of b_i(0) I and the leaves psi_j(0) I, both exact at Z = 0: each is
+its exact rational (PhiCombo.at_zero) rounded once, so psi_j(0), which is
+0 for expRK5s8 at j = 2..5, reads 0.  Weakened mode is no branch
 anywhere, only these ordinary sets and leaves: in weakened mode a word
 of TOP_ORDER sums over "b(0)" in place of row s + 1, and without links it
 reads the leaf psi_j(0) I in place of psi_j.  Table and sums compute for each member
@@ -59,7 +61,7 @@ import numpy as np
 from .operators import finite_array, integer, real_scalar
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
 from .phi import build_phi_cache, phi_matrix_table
-from .tableau import combo_sum, eval_combo, psi, psi_parts, psi_values
+from .tableau import combo_sum, eval_combo, psi_combo, psi_parts, psi_values
 
 __all__ = [
     "ProbeSet", "ConditionReport", "ConditionRow", "condition_residual",
@@ -175,7 +177,8 @@ def _group_tables(t, probes, targets):
     b_i(0) I.  leaves holds the psi defect of each target, targets being
     {(j, i): tableau.psi_parts of psi_{j,i}}, under ((), j, i) (psi_j is
     psi_{j,s+1}), and psi_j(0) I under ((), j, "b(0)") for each word of
-    TOP_ORDER without links.
+    TOP_ORDER without links, psi_j(0) being the exact rational
+    tableau.psi_combo(j, t).at_zero() rounded once, as b_i(0) is.
 
     The rows and targets are summed by combo_sum on one phi table over the
     stacked Z, as the stepper sums its coefficients, and each defect goes
@@ -193,8 +196,8 @@ def _group_tables(t, probes, targets):
     sets["b(0)"] = {i: float(v.at_zero()) * eye for i, v in t.b.items()}
     leaves = {((), j, where): psi_values(j, t, sets[where], mat(target))
               for (j, where), (_, target) in targets.items()}
-    leaves |= {((), w.psi, "b(0)"): psi(w.psi, t, 0.0) * eye for w in WORDS.values()
-               if w.order == TOP_ORDER and not w.links}
+    leaves |= {((), w.psi, "b(0)"): float(psi_combo(w.psi, t).at_zero()) * eye
+               for w in WORDS.values() if w.order == TOP_ORDER and not w.links}
     return sets, leaves
 
 

@@ -11,32 +11,34 @@ computes them once per (A, h), as eigenvalue vectors when A supplies an
 eigendecomposition and as matrices otherwise.  The eigenbasis may be a dense
 matrix or, for a large constant-coefficient tridiagonal A, a sine transform,
 in which case a spectral cache holds O(n) numbers in total, each from one
-phi_scalar call in plain float arithmetic.  Matrices come from one
-scaling-and-modified-squaring chain, which yields phi_0..phi_j together from
-n x n products alone, and one walk from its base.  Every requested scale is
-a multiple t of one Y = hM/L, L the least common denominator of the scales;
-the chain runs on Y and the walk reaches each tY along a shortest addition
-chain through the multiples, each step (p + q)Y from pY and qY by phi's
-addition formula.  expRK5s8's 1/5, 1/4, 1/2, 2/3 and 1 are 12Y, 15Y, 30Y,
-40Y and 60Y with L = 60: one chain and nine walk steps, 2, 4, 5, 10, 12,
-15, 30, 40 and 60.
-The chain stops squaring at ||X||_1 <= 3, where a Paterson-Stockmeyer
+phi_scalar call in plain float arithmetic.  Matrices come from one Taylor
+step and one walk.  Every requested scale is a multiple t of one Y = hM/L,
+L the least common denominator of the scales.  The Taylor step gives
+phi_0..phi_j together at X = 2^-s Y, the least s >= 0 with ||X||_1 <= 3,
+from n x n products alone, and the walk takes them to each tY, each step
+(p + q)X from pX and qX by phi's addition formula: its first s steps are
+the doublings X -> 2X -> ... -> Y, the modified squarings, and the rest
+follow a shortest addition chain through the multiples t, times 2^s.
+expRK5s8's 1/5, 1/4, 1/2, 2/3 and 1 are 12Y, 15Y, 30Y, 40Y and 60Y with L
+= 60: s doublings and nine chain steps, 2, 4, 5, 10, 12, 15, 30, 40 and
+60 times 2^s.
+The doublings stop at ||X||_1 <= 3, where a Paterson-Stockmeyer
 evaluation makes its 29-term Taylor step cost 9 products, and that is what
-lets one walk serve every scale: each squaring skipped is rounding error not
-made, which the long walk to 60Y spends.  Every squaring and walk step
-zeroes, in place, each entry below 2^-200 of its matrix's largest: for the
-smoothing A of a parabolic problem the far off-diagonal entries fall to
-1e-150..1e-300 midway through a chain, and their products would run in slow
+lets one walk serve every scale: each doubling skipped is rounding error
+not made, which the long walk to 60Y spends.  Every walk step zeroes, in
+place, each entry below 2^-200 of its matrix's largest: for the smoothing A
+of a parabolic problem the far off-diagonal entries fall to
+1e-150..1e-300 midway through a walk, and their products would run in slow
 subnormal arithmetic, while zeroing them moves no later product by more than
 2^-147 of the bound on its rounding (PHI_FLUSH_RATIO).  A matrix is flushed
 only when its phi_0 holds a nonzero entry below 2^-511, whose square is
-subnormal (PHI_FLUSH_TRIGGER).  phi_matrix_table is the one entry to chain
-and walk: a dense cache, phi_matrix (one key at scale 1, so one chain and
-an empty walk), tableau.eval_combo and the order-condition checker all
-build their matrices through it.  Chains and walks also run on a stack of
-matrices at once, each matrix getting what it would get alone; the checker
-builds its probes' phi tables so.  Every route is real and rejects a
-complex argument (TypeError).
+subnormal (PHI_FLUSH_TRIGGER).  phi_matrix_table is the one entry to the
+Taylor step and the walk: a dense cache, phi_matrix (one key at scale 1, so
+a walk of doublings alone), tableau.eval_combo and the order-condition
+checker all build their matrices through it.  It also takes a stack of
+matrices at once, grouped by s, each matrix getting what it would get
+alone; the checker builds its probes' phi tables so.  Every route is real
+and rejects a complex argument (TypeError).
 """
 
 import math
@@ -54,8 +56,8 @@ from .operators import LinearOperator, finite_array, integer, real_array, real_s
 # cancellation, so a truncated Taylor series is used instead.
 PHI_TAYLOR_RADIUS = 1.0
 PHI_TAYLOR_TERMS = 25
-# A squaring chain scales M until ||M||_1 <= PHI_SQUARING_THETA and sums this
-# many Taylor terms there, truncating at ||X||^29/(29+j)! <= 3^29/29! < 7.8e-18,
+# phi_matrix_table scales M until ||M||_1 <= PHI_SQUARING_THETA, and _taylor
+# sums this many Taylor terms there, truncating at ||X||^29/(29+j)! <= 3^29/29! < 7.8e-18,
 # below the 1/18! < 1.6e-16 of 18 terms at ||X||_1 <= 1.
 PHI_SQUARING_THETA = 3.0
 PHI_SQUARING_TERMS = 29
@@ -122,48 +124,21 @@ def phi_scalar(j, z):
     return val
 
 
-def _squaring_chain(m, jmax):
-    """The (P, jmax+1, n, n) stack of phi_0(M)..phi_jmax(M) from one chain.
+def _taylor(x, jmax):
+    """The (P, jmax+1, n, n) stack of phi_0(X)..phi_jmax(X) for a (P, n, n)
+    stack X of 1-norms at most PHI_SQUARING_THETA (3).
 
-    M is a finite float n x n matrix (P = 1) or a (..., n, n) stack of P of
-    them, as phi_matrix and phi_matrix_table read it by
-    operators.finite_array, and the result holds them in M's order.  Each
-    matrix is scaled by 2^-s, with its own s the least s >= 0 that gives
-    X = 2^-s M a 1-norm of at most PHI_SQUARING_THETA (3).  phi_jmax(X)
-    is the Taylor polynomial of PHI_SQUARING_TERMS (29) terms,
+    phi_jmax(X) is the Taylor polynomial of PHI_SQUARING_TERMS (29) terms,
     sum_r X^r/(r+jmax)!, by Paterson and Stockmeyer (SIAM J. Comput.
-    1973): with b = isqrt(29) = 5, the terms
-    fall into 6 blocks of b, each block's sum of c_r X^r (r < b) is one
-    product of the block coefficients with the stacked powers I..X^(b-1),
-    and the blocks are summed by Horner's rule in X^b, at 9 n x n products
-    in all.  The lower phi_j(X) follow from phi_j = X phi_{j+1} + I/j!, and
-    each of s modified squarings
-
-        phi_j(2X) = 2^-j [phi_0(X) phi_j(X) + sum_{i=1..j} phi_i(X)/(j-i)!]
-
-    takes a matrix's phis one power of two closer to M (Skaflestad & Wright,
-    Appl. Numer. Math. 2009).  Fewer squarings also mean less rounding
-    (Al-Mohy & Higham, SIMAX 2009).  The stack is sorted by s, largest
-    first, so the matrices still squaring at any level are a leading slice
-    of it, and a matrix computes exactly what the chain on it alone
-    computes.  Per matrix, all products are n x n: 9 + jmax + s (jmax + 1)
-    of them.  The squarings alternate between two preallocated stacks (with
-    one n x n scratch per matrix), so a chain allocates nothing per
-    squaring.  Each squaring is a _combine, which zeroes the entries below
-    2^-200 of their matrix's largest (PHI_FLUSH_RATIO) so that the next
-    squaring's products stay out of subnormal arithmetic.  An empty (0, n,
-    n) stack gives an empty result.
+    1973): with b = isqrt(29) = 5, the terms fall into 6 blocks of b, each
+    block's sum of c_r X^r (r < b) is one product of the block coefficients
+    with the stacked powers I..X^(b-1), and the blocks are summed by
+    Horner's rule in X^b, at 9 n x n products in all.  The lower phi_j(X)
+    follow from phi_j = X phi_{j+1} + I/j!, at jmax products more.  Each
+    matrix gets exactly what it gets alone, and an empty (0, n, n) stack
+    gives an empty result.
     """
-    n = m.shape[-1]
-    if m.shape[-2] != n:
-        raise ValueError("matrix must be square")
-    m = m.reshape(-1, n, n)
-    norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
-    s = [max(0, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else 0 for v in norms.tolist()]
-    order = sorted(range(len(s)), key=lambda i: -s[i])
-    s = [s[i] for i in order]
-    x = m[order]
-    np.ldexp(x, -np.array(s, dtype=int)[:, None, None], out=x)
+    n = x.shape[-1]
     b = isqrt(PHI_SQUARING_TERMS)
     blocks = -(-PHI_SQUARING_TERMS // b)
     coeffs = np.zeros(blocks * b)
@@ -186,14 +161,7 @@ def _squaring_chain(m, jmax):
     for k in range(jmax - 1, -1, -1):
         np.matmul(x, phis[:, k + 1], out=phis[:, k])
         _diagonal(phis)[:, k] += 1.0 / factorial(k)
-    # a matrix joins the squarings at its own level s, reading its Taylor
-    # phis from whichever stack is current then: both hold them
-    doubled, scratch = phis.copy(), np.empty_like(x)
-    for k in range(max(s, default=0) - 1, -1, -1):
-        live = sum(sk > k for sk in s)
-        _combine(phis[:live], phis[:live], 1, 1, doubled[:live], scratch[:live])
-        phis, doubled = doubled, phis
-    return phis[np.argsort(order)]
+    return phis
 
 
 def _diagonal(stack):
@@ -217,7 +185,7 @@ def _combine(p_phis, q_phis, p, q, out, scratch):
     Each matrix of out then has its entries below PHI_FLUSH_RATIO (2^-200)
     times its own largest entry set to zero, in place, with scratch holding
     the absolute values of one phi_j at a time.  For a smoothing M the
-    entries far from the diagonal fall to 1e-300 midway through a chain,
+    entries far from the diagonal fall to 1e-300 midway through a walk,
     and products of such entries are subnormal, which the CPU computes in
     slow microcode; zeroed, they cost nothing, and they move no product by
     more than 2^-147 of the bound on its own rounding.  The floor is per
@@ -225,10 +193,9 @@ def _combine(p_phis, q_phis, p, q, out, scratch):
     flushed only when its phi_0 holds a nonzero entry below
     PHI_FLUSH_TRIGGER (2^-511), whose square is subnormal.  phi_0 alone is
     tested, to keep the test to a few passes; on advdiff200 it falls below
-    2^-511 in the same squarings and walk steps as the smallest entry of
-    any phi_j.  A stack with no such entry, as for a small or a
-    non-smoothing M or the checker's 3 x 3 probes, pays those passes and is
-    left as it is.
+    2^-511 in the same walk steps as the smallest entry of any phi_j.  A
+    stack with no such entry, as for a small or a non-smoothing M or the
+    checker's 3 x 3 probes, pays those passes and is left as it is.
     """
     live, width, n = out.shape[:3]
     qpow, mix = _addition_weights(p, q, width - 1)
@@ -263,8 +230,8 @@ def _addition_weights(p, q, jmax):
 
 def phi_matrix(j, m):
     """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): the one-key
-    phi_matrix_table at h = 1 and scale 1, whose walk is empty, so one
-    _squaring_chain on M.  M is read by operators.finite_array as a 2-d
+    phi_matrix_table at h = 1 and scale 1, so one _taylor step and a walk
+    of doublings alone on M.  M is read by operators.finite_array as a 2-d
     array and j by phi_request; an overflowing result raises OverflowError
     as phi_matrix_table does."""
     return phi_matrix_table(finite_array(m, "M", (None, None)), 1.0, [(j, 1)])[j, 1]
@@ -381,58 +348,78 @@ def phi_matrix_table(m, h, keys):
     h is read as build_phi_cache reads it, a finite positive real.  This is
     the one entry to the matrix phi kernel: phi_matrix, eval_combo, the
     order-condition checker and a dense cache all build their matrices
-    here.  Every scale is a
-    multiple t of Y = h M / L, L the least common denominator of all the
-    scales, and one _squaring_chain on Y to the largest j requested, then
-    one _walk along a shortest addition chain through the multiples,
-    reaches each tY.  Where every scale is 2^-k, the
-    shortest chain only doubles, and where ||Y||_1 > 3 as well, each entry
-    is, bit for bit, the chain on its own scale alone.  One walk
-    can serve every scale because the chain squares only to ||X||_1 <= 3.
-    An entry that overflows raises OverflowError naming j, the scale and h.
+    here.  Every scale is a multiple t of Y = h M / L, L the least common
+    denominator of all the scales.  Each matrix of the stack is scaled to
+    X = 2^-s Y, with its own s the least s >= 0 that gives X a 1-norm of
+    at most PHI_SQUARING_THETA (3), and the matrices are grouped by s.  For
+    each group one _taylor step gives phi_0..phi_jmax(X), to the largest j
+    requested, and one _walk reaches each tY from it: its first s steps
+    are the doublings 2^k X + 2^k X, Skaflestad and Wright's modified
+    squarings (Appl. Numer. Math. 2009), and the rest follow a shortest
+    addition chain through the multiples t, each step times 2^s.  Each
+    matrix gets exactly what it gets alone.  Where every scale is 2^-k,
+    the shortest chain only doubles, and where ||Y||_1 > 3 as well, each
+    entry is, bit for bit, the walk on its own scale alone.  One walk can
+    serve every scale because X has ||X||_1 <= 3: fewer squarings mean
+    less rounding (Al-Mohy and Higham, SIMAX 2009), which the long walk to
+    tY spends.  An entry that overflows raises OverflowError naming j, the
+    scale and h.
     """
     h = _step_size(h)
     keys = dict.fromkeys(phi_request(*key) for key in keys)
     if not keys:
         return {}
     m = finite_array(m, "M", (None,) * max(np.ndim(m), 2))
+    n = m.shape[-1]
+    if m.shape[-2] != n:
+        raise ValueError("matrix must be square")
     lcd = math.lcm(*(scale.denominator for _, scale in keys))
     wants = {}
-    for j, scale in keys:
-        wants.setdefault(int(scale * lcd), []).append(j)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _walk(_squaring_chain(h / lcd * m, max(j for j, _ in keys)), wants)
-    return _finite({(j, scale): got[j, int(scale * lcd)].reshape(np.shape(m))
-                    for j, scale in keys}, h)
+    for key in keys:
+        wants.setdefault(int(key.scale * lcd), []).append(key)
+    chain, jmax = _addition_chain(frozenset(wants)), max(j for j, _ in keys)
+    stack = m.reshape(-1, n, n)
+    norms = np.abs(h / lcd * stack).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = [max(0, ceil(log2(v / PHI_SQUARING_THETA))) if v > 0 else 0 for v in norms.tolist()]
+    got, groups = {}, set(s) or {0}
+    for sk in groups:
+        # one group takes the whole stack, without a scatter
+        at = [i for i, v in enumerate(s) if v == sk] if len(groups) > 1 else ...
+        steps = [(1 << k, 1 << k) for k in range(sk)] + [(p << sk, q << sk) for p, q in chain]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, phis in _walk(_taylor(np.ldexp(h / lcd * stack[at], -sk), jmax), steps):
+                for key in wants.get(t >> sk, ()):
+                    got.setdefault(key, np.empty(stack.shape))[at] = phis[:, key.j]
+    return _finite({key: val.reshape(np.shape(m)) for key, val in got.items()}, h)
 
 
-def _walk(base, wants):
-    """{(j, t): phi_j(tY)} for each t -> [j, ...] in wants, each entry a
-    (P, n, n) stack, from base, the (P, jmax+1, n, n) stack of
-    phi_0..phi_jmax(Y) that _squaring_chain gives on Y.
+def _walk(phis, steps):
+    """Yield (1, phis), then (p + q, the stack at (p + q)X) for each step
+    (p, q) in steps, from phis, the (P, jmax+1, n, n) stack of
+    phi_0..phi_jmax(X) that _taylor gives.
 
-    The walk follows _addition_chain(wants): each step forms (p + q)Y from
-    pY and qY by one _combine, into a stack of its own, and a step with p =
-    q is the chain's modified squaring.  A multiple's wanted entries are
-    copied out as it is formed, and its stack is freed after the last step
-    that reads it, or at once if none does, so the walk holds only the
-    stacks it will still read.  Y's own stack, base, is freed so too.
+    Each step forms (p + q)X from pX and qX by one _combine; p and q are 1
+    or earlier sums, and a step with p = q is a modified squaring.  A
+    yielded stack holds until the walk resumes: the walk frees each stack
+    after the last step that reads it, or at once if none does, and writes
+    the next step into the stack it freed last, so it holds only the
+    stacks it will still read and allocates no stack while it holds a
+    free one.
     """
-    chain = _addition_chain(frozenset(wants))
-    last_read = {v: i for i, step in enumerate(chain) for v in step}
-    shape, stacks = base.shape, {1: base}
+    last_read = {v: i for i, step in enumerate(steps) for v in step}
+    stacks, shape, spare = {1: phis}, phis.shape, None
     scratch = np.empty(shape[:1] + shape[2:])
-    got = {(j, 1): base[:, j].copy() for j in wants.get(1, ())}
-    del base
-    for i, (p, q) in enumerate(chain):
+    del phis
+    yield 1, stacks[1]
+    for i, (p, q) in enumerate(steps):
         t = p + q
-        stacks[t] = np.empty(shape)
+        stacks[t], spare = np.empty(shape) if spare is None else spare, None
         _combine(stacks[p], stacks[q], p, q, stacks[t], scratch)
-        got.update({(j, t): stacks[t][:, j].copy() for j in wants.get(t, ())})
-        for v in {p, q, t}:
+        yield t, stacks[t]
+        # t last, so that the spare is the stack the caller still holds
+        for v in sorted({p, q, t}):
             if last_read.get(v, i) == i:
-                del stacks[v]
-    return got
+                spare = stacks.pop(v)
 
 
 @lru_cache(maxsize=None)
@@ -521,9 +508,10 @@ def build_phi_cache(a, h, requests):
     O(n) vector phi_j(scale * h * w), and V is stored once, so no n x n
     matrix is formed besides the basis (and none at all when V is a
     SineBasis).  Dense A gets n x n matrices from phi_matrix_table: one
-    squaring chain to a base Y of which every scale is a multiple, and one
-    walk from Y along a shortest addition chain through those multiples
-    (9 steps for expRK5s8).  Either way PhiCache.get returns an entry as
+    Taylor step at X = 2^-s Y, Y a base of which every scale is a multiple,
+    and one walk whose first s steps are the doublings from X to Y and the
+    rest a shortest addition chain through those multiples (9 steps for
+    expRK5s8).  Either way PhiCache.get returns an entry as
     stored, in the form the integrator's Stepper applies it.
     Duplicate requests collapse; each entry is computed once.  An entry that
     overflows raises OverflowError naming j, the scale and h.

@@ -92,15 +92,6 @@ class PhiCombo:
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, j, s in self.terms:
-            arg = "z" if s == 1 else f"{s} z"
-            parts.append(f"{a} phi{j}({arg})")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def phi_term(alpha, j, scale=1):
     """Single-term combo alpha * phi_j(scale * z)."""

@@ -9,7 +9,7 @@ from conftest import not_integers
 from exprk import convergence
 from exprk.cli import main
 from exprk.convergence import (DEFAULT_FLOOR, DEFAULT_STEPS, ConvergenceRow,
-                               fit_slope, read_csv, run_convergence,
+                               fit_slope, run_convergence,
                                write_csv)
 from exprk.tableau import exprk5s8, tableau_to_text
 from exprk.testbed import heat_problem
@@ -156,23 +156,24 @@ def test_defaults():
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
+def _csv_rows(path):
+    """The rows of a convergence CSV, once its header is checked."""
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    assert header == "n_steps,h,error"
+    return tuple(ConvergenceRow(int(n), float(h), float(e))
+                 for n, h, e in (line.split(",") for line in lines))
+
+
 def test_csv_round_trip(tmp_path):
     pb = heat_problem(20)
     report = run_convergence("expEuler", pb, steps=(4, 8, 16))
     path = tmp_path / "sweep.csv"
     write_csv(report, path)
-    assert read_csv(path) == report.rows
+    assert _csv_rows(path) == report.rows
     first = path.read_bytes()
     write_csv(report, path)
     assert path.read_bytes() == first
     assert first.startswith(b"n_steps,h,error\n")
-
-
-def test_read_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("steps;h;error\n8,0.125,1e-3\n")
-    with pytest.raises(ValueError):
-        read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_cli_converge_with_csv(tmp_path, capsys):
     assert "method expRK2s2 on heat50" in text
     assert "fitted slope: " in text
     assert f"wrote {out}" in text
-    assert len(read_csv(out)) == 3
+    assert len(_csv_rows(out)) == 3
 
 
 def test_cli_converge_undefined_slope(capsys):

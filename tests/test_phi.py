@@ -340,8 +340,8 @@ def test_phi_matrix_rejects_negative_index():
 
 
 def _phi_matrices(jmax, m):
-    """[phi_0(M), ..., phi_jmax(M)] from the one chain on M that
-    phi_matrix_table runs for these requests."""
+    """[phi_0(M), ..., phi_jmax(M)] from the one Taylor step and doublings
+    on M that phi_matrix_table runs for these requests."""
     table = phi_matrix_table(m, 1.0, [phi_request(k, 1) for k in range(jmax + 1)])
     return [table[k, 1] for k in range(jmax + 1)]
 
@@ -364,16 +364,16 @@ def test_phi_matrices_match_augmented_exponential(norm):
         assert np.array_equal(phi_matrix(j, m), _phi_matrices(j, m)[j]), j
 
 
-def test_stacked_squaring_chain_matches_each_matrix_alone():
+def test_stacked_squaring_chain_matches_each_matrix_alone(monkeypatch):
     """A stack whose members scale by different s (a zero matrix and
     ||M||_1 = 0.3, 3 and 1e3, out of s order) holds per member exactly what
-    the chain, and the walk from Y to its multiples, on that member alone
-    compute.  Of three diagonal members, the first loses e^-400 from
-    phi_0(M), below 2^-511 and below 2^-200 of its e^-0.5, and keeps
-    phi_1(-400); the second keeps e^-400..e^-401, all that its phi_0(M)
-    holds, as the flush floor is each matrix's own; the third keeps e^-150,
-    below its floor but above 2^-511, as the flush trigger is each matrix's
-    own."""
+    phi_matrix_table on that member alone computes: the Taylor step, the
+    doublings and the walk from Y to its multiples, grouped by s.  Of three
+    diagonal members, the first loses e^-400 from phi_0(M), below 2^-511
+    and below 2^-200 of its e^-0.5, and keeps phi_1(-400); the second keeps
+    e^-400..e^-401, all that its phi_0(M) holds, as the flush floor is each
+    matrix's own; the third keeps e^-150, below its floor but above 2^-511,
+    as the flush trigger is each matrix's own."""
     rng = np.random.default_rng(5)
     members = [np.zeros((3, 3))]
     for norm in (3.0, 1e3, 0.3):
@@ -382,24 +382,25 @@ def test_stacked_squaring_chain_matches_each_matrix_alone():
         members.append(norm * m / np.abs(m).sum(axis=0).max())
     members += [np.diag([-0.5, -400.0, -1.0]), np.diag([-400.0, -400.5, -401.0]),
                 np.diag([-0.5, -150.0, -1.0])]
-    chain = exprk.phi._squaring_chain(np.stack(members), 4)
-    assert chain.shape == (len(members), 5, 3, 3)
-    assert chain[4, 0, 1, 1] == 0.0 and 0 < chain[4, 1, 1, 1] < 1.0
-    assert np.all(np.diag(chain[5, 0]) > 0) and chain[6, 0, 1, 1] > 0
-    # the walk from Y to 3Y and 10Y (and Y itself), and one that only
-    # doubles, which overwrites its base: each walks a copy
-    walks = [{1: [3], 3: [1, 4], 10: [0, 2]}, {2: [0], 4: [1, 4]}]
-    walked = [exprk.phi._walk(chain.copy(), targets) for targets in walks]
-    for k, m in enumerate(members):
-        alone = exprk.phi._squaring_chain(m, 4)
-        assert alone.shape == (1, 5, 3, 3)
-        assert np.array_equal(chain[k], alone[0]), k
-        for targets, got in zip(walks, walked):
-            mine = exprk.phi._walk(alone.copy(), targets)
-            assert mine.keys() == got.keys()
-            for key in mine:
-                assert got[key].shape == (len(members), 3, 3)
-                assert np.array_equal(got[key][k], mine[key][0]), (k, key)
+    taylor, groups = exprk.phi._taylor, []
+    monkeypatch.setattr(exprk.phi, "_taylor", lambda x, jmax: groups.append(len(x)) or taylor(x, jmax))
+    # Y = M/10 walked to 3Y and 10Y (and Y itself), and Y = M/4, which
+    # only doubles
+    for keys in ([(3, Fraction(1, 10)), (1, Fraction(3, 10)), (4, Fraction(3, 10)),
+                  (0, 1), (1, 1), (2, 1)],
+                 [(2, Fraction(1, 4)), (0, Fraction(1, 2)), (0, 1), (1, 1), (4, 1)]):
+        groups.clear()
+        table = phi_matrix_table(np.stack(members), 1.0, keys)
+        # s = 0, 0, 6, 0, 4, 4, 3 on M/10 and 0, 0, 7, 0, 6, 6, 4 on M/4
+        assert sorted(groups) == [1, 1, 2, 3], keys
+        for k, m in enumerate(members):
+            alone = phi_matrix_table(m, 1.0, keys)
+            assert alone.keys() == table.keys()
+            for key in alone:
+                assert table[key].shape == (len(members), 3, 3)
+                assert np.array_equal(table[key][k], alone[key]), (k, key)
+        assert table[0, 1][4, 1, 1] == 0.0 and 0 < table[1, 1][4, 1, 1] < 1.0
+        assert np.all(np.diag(table[0, 1][5]) > 0) and table[0, 1][6, 1, 1] > 0
 
 
 # OEIS A003313: the length l(n) of a shortest addition chain for n = 1..64
@@ -475,7 +476,7 @@ def test_combine_adds_unequal_multiples(p, q):
     h = 1/64, against augmented expm at (p + q)Y: measured at most 7.8e-15
     of the largest entry."""
     y = advdiff_matrix(50, beta=20.0) / 64 / 60
-    p_phis, q_phis = exprk.phi._squaring_chain(p * y, 4), exprk.phi._squaring_chain(q * y, 4)
+    p_phis, q_phis = (np.stack(_phi_matrices(4, t * y))[None] for t in (p, q))
     out, scratch = np.empty_like(p_phis), np.empty((1, 50, 50))
     exprk.phi._combine(p_phis, q_phis, p, q, out, scratch)
     for j in range(5):
@@ -546,28 +547,29 @@ def _taylor_cases():
 @pytest.mark.parametrize("case", ["symmetric-negative-definite", "diagonal-at-theta",
                                   "stiff-non-normal", "probe-stack"])
 def test_taylor_step_matches_mpmath_at_theta(monkeypatch, case):
-    """At ||X||_1 = theta the chain does not square, so its phi_0..phi_4 are
-    the Paterson-Stockmeyer Taylor step and the recurrence alone; each is
-    within 1e-14 of 40-digit mpmath, relative to its largest entry.  The
-    chain with jmax = 0 sums exp's own series, whose truncation is the
-    largest (theta^M/M!)."""
+    """At ||X||_1 = theta the table at scale 1 does not double, so its
+    phi_0..phi_4 are the Paterson-Stockmeyer Taylor step and the recurrence
+    alone; each is within 1e-14 of 40-digit mpmath, relative to its largest
+    entry.  The Taylor step with jmax = 0 sums exp's own series, whose
+    truncation is the largest (theta^M/M!)."""
     mpmath = pytest.importorskip("mpmath")
     m = _at_theta(_taylor_cases()[case])
     combines = []
     monkeypatch.setattr(exprk.phi, "_combine", lambda *args: combines.append(args))
-    chains = {jmax: exprk.phi._squaring_chain(m, jmax) for jmax in (0, 4)}
+    tables = {jmax: phi_matrix_table(m, 1.0, [(j, 1) for j in range(jmax + 1)])
+              for jmax in (0, 4)}
     assert combines == []
     for k, member in enumerate(m.reshape((-1,) + m.shape[-2:])):
         wants = _mp_augmented_phis(mpmath, 4, member)
-        for jmax, got in chains.items():
+        for jmax, got in tables.items():
             for j in range(jmax + 1):
-                err = np.abs(got[k, j] - wants[j]).max()
+                err = np.abs(got[j, 1].reshape((-1,) + m.shape[-2:])[k] - wants[j]).max()
                 assert err <= 1e-14 * np.abs(wants[j]).max(), (k, jmax, j)
 
 
 def test_empty_stack_gives_empty_entries():
     """A (0, 3, 3) stack has (0, 3, 3) entries, through a walk that adds Y
-    as well as the bare chain."""
+    as well as the bare Taylor step."""
     for keys in ([phi_request(1, 1)], EXPRK5S8_REQUESTS):
         table = phi_matrix_table(np.zeros((0, 3, 3)), 1.0, keys)
         assert table.keys() == set(keys)
@@ -748,23 +750,18 @@ def test_dense_route_matches_augmented_exponential_on_advection_diffusion():
 
 
 def _count_work(monkeypatch):
-    """Record every squaring chain run (its matrix and jmax), the multiple
+    """Record every Taylor step run (its matrix and jmax), the multiple
     p + q that every walk step reaches, and the number of square matrix
     products (the mixing product's operand is not square)."""
-    work = {"chains": [], "steps": [], "products": 0, "in_chain": False}
-    chain, combine, matmul = exprk.phi._squaring_chain, exprk.phi._combine, np.matmul
+    work = {"taylor": [], "steps": [], "products": 0}
+    taylor, combine, matmul = exprk.phi._taylor, exprk.phi._combine, np.matmul
 
-    def counted_chain(m, jmax):
-        work["chains"].append((m, jmax))
-        work["in_chain"] = True
-        try:
-            return chain(m, jmax)
-        finally:
-            work["in_chain"] = False
+    def counted_taylor(x, jmax):
+        work["taylor"].append((x, jmax))
+        return taylor(x, jmax)
 
     def counted_combine(p_phis, q_phis, p, q, out, mixed):
-        if not work["in_chain"]:
-            work["steps"].append(p + q)
+        work["steps"].append(p + q)
         return combine(p_phis, q_phis, p, q, out, mixed)
 
     def counted_matmul(a, b, **kwargs):
@@ -773,20 +770,22 @@ def _count_work(monkeypatch):
             work["products"] += math.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2]))
         return matmul(a, b, **kwargs)
 
-    monkeypatch.setattr(exprk.phi, "_squaring_chain", counted_chain)
+    monkeypatch.setattr(exprk.phi, "_taylor", counted_taylor)
     monkeypatch.setattr(exprk.phi, "_combine", counted_combine)
     monkeypatch.setattr(np, "matmul", counted_matmul)
     return work
 
 
 def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
-    """expRK5s8 on advdiff200 at h = 1/64: one chain on Y = hA/60, with
-    ||Y||_1 = 42.1 and so s = 4 (33 products: 9 for the Taylor step, 4 for
-    the lower phis, 20 for the squarings), and 1/5 = 12Y, 1/4 = 15Y, 1/2 =
-    30Y, 2/3 = 40Y and 1 = 60Y by one walk of 9 steps along a shortest
-    addition chain (45): 78 n x n products, where a walk along the binary
-    digits of each t took 14 steps and 103, a chain and a walk per scale
-    family 167 and a chain per scale 223."""
+    """expRK5s8 on advdiff200 at h = 1/64: Y = hA/60 has ||Y||_1 = 42.1
+    and so s = 4.  One Taylor step on X = Y/16 (13 products: 9 for the
+    Taylor polynomial, 4 for the lower phis) and one walk: 4 doublings to Y
+    (20), then 1/5 = 12Y, 1/4 = 15Y, 1/2 = 30Y, 2/3 = 40Y and 1 = 60Y by 9
+    steps along a shortest addition chain (45), in units of X 32, 64, 80,
+    160, 192, 240, 480, 640 and 960: 78 n x n products, where a walk along
+    the binary digits of each t took 14 steps after the doublings and 103
+    products, a chain and a walk per scale family 167 and a chain per scale
+    223."""
     expms = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: expms.append(m) or expm(m))
@@ -794,9 +793,9 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
     cache = build_phi_cache(DenseOperator(a), h, EXPRK5S8_REQUESTS)
     assert len(EXPRK5S8_REQUESTS) == 17 and len(cache) == 17
-    [(y, jmax)] = work["chains"]
-    assert np.array_equal(y, h / 60 * a) and jmax == 4
-    assert work["steps"] == [2, 4, 5, 10, 12, 15, 30, 40, 60]
+    [(x, jmax)] = work["taylor"]
+    assert np.array_equal(x, [h / 60 * a / 16]) and jmax == 4
+    assert work["steps"] == [2, 4, 8, 16, 32, 64, 80, 160, 192, 240, 480, 640, 960]
     assert work["products"] == 78
     assert expms == []
     for key in EXPRK5S8_REQUESTS:
@@ -806,10 +805,10 @@ def test_dense_cache_walks_the_non_dyadic_scales(monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 50, 200])
 def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
-    """Where ||hM||_1 > theta 2^K, the chain on Y = hM/2^K starts from the
-    same 2^-s hM as the chain on each dyadic scale 2^-k hM alone (k <= K),
-    and the walk's doublings are that chain's last squarings, so every
-    entry is that chain's, bit for bit."""
+    """Where ||hM||_1 > theta 2^K, the walk from Y = hM/2^K starts from the
+    same X = 2^-s hM as the table of each dyadic scale 2^-k hM alone (k <=
+    K), and all its steps are doublings, so every entry is, bit for bit,
+    that table's: the Taylor step on X and its doublings."""
     m, h = advdiff_matrix(n, beta=20.0), 1.0 / 64
     theta = exprk.phi.PHI_SQUARING_THETA
     for keys in [[(1, 1), (2, Fraction(1, 2)), (3, Fraction(1, 4)), (0, 1)],
@@ -820,16 +819,18 @@ def test_dyadic_scales_are_the_chain_on_each_scale_alone(n):
         table = phi_matrix_table(m, h, keys)
         assert len(table) == len(keys)
         for j, scale in keys:
-            alone = exprk.phi._squaring_chain(float(scale) * h * m, jmax)
-            assert np.array_equal(table[j, scale], alone[0, j]), (j, scale)
+            alone = phi_matrix_table(m, float(scale) * h, [(j, 1), (jmax, 1)])
+            assert np.array_equal(table[j, scale], alone[j, 1]), (j, scale)
 
 
 def test_phi_matrix_table_peak_memory():
-    """The chain frees its Taylor powers before it squares, the walk frees
-    each stack after its last read, and _combine's scratch is one n x n
-    matrix: the table's tracemalloc peak stays below 34 n^2 floats.
-    Measured 29.0, the same as with a walk that kept one released stack
-    for its next step, and 29.2 with a walk along the binary digits of each
+    """The Taylor step frees its powers before it returns, the walk frees
+    each stack after its last read and writes the next step into the one it
+    freed last, and _combine's scratch is one n x n matrix: the table's
+    tracemalloc peak stays below 34 n^2 floats.  Measured 29.1, against
+    29.0 with a separate squaring loop before the walk; 30.4 when the walk
+    kept, as its spare, a stack that the caller still held, and 29.2 with
+    a walk along the binary digits of each
     multiple; 42.0 with a pool that kept every released stack and a
     (jmax + 1) n^2 mixing scratch, and 32.0 with a chain and a walk per
     scale family.  (Entries that are views of the walk's last stacks gave
@@ -881,16 +882,16 @@ def _subnormal(stack):
 
 
 def test_flush_keeps_the_chains_out_of_subnormals_and_moves_no_bit(monkeypatch):
-    """On advdiff200 at h = 1/64, without the flush, the chain's last three
-    squarings leave entries below 2^-511, down to 5e-248, whose products in
+    """On advdiff200 at h = 1/64, without the flush, the walk's last three
+    doublings leave entries below 2^-511, down to 5e-248, whose products in
     the next step are subnormal, and entries below 2^-200 of their matrix's
-    largest.  (No stored entry is itself subnormal any more: the chain on
-    hA/60 squares 4 times, where the old dyadic family's squared 10.)  With
+    largest.  (No stored entry is itself subnormal any more: the walk to
+    hA/60 doubles 4 times, where the old dyadic family's squared 10.)  With
     the flush, no stack _combine writes holds a subnormal entry, an entry
     below 2^-511, nor, where phi_0 triggers the flush, an entry in (0,
     2^-200 of its matrix's largest), and the 17 entries of expRK5s8's table
     are bit for bit those built with the flush off (the ratio 0).  The 13
-    stacks are the chain's 4 squarings and the walk's 9 steps."""
+    stacks are the walk's 4 doublings and its 9 addition-chain steps."""
     assert exprk.phi.PHI_FLUSH_RATIO == 2.0 ** -200
     assert exprk.phi.PHI_FLUSH_TRIGGER == 2.0 ** -511
     a, h = advdiff_matrix(200, beta=20.0), 1.0 / 64
@@ -940,22 +941,25 @@ def _probe_sized_z():
 
 
 @pytest.mark.parametrize("m, h, requests, n_chains, steps", [
-    # ||Z||_1 = 0.8 needs no squaring: the chain is its Taylor polynomial at
-    # Y = Z/60, and the walk does the rest
+    # ||Z||_1 = 0.8 needs no doubling: the Taylor step is at Y = Z/60,
+    # and the walk's addition chain does the rest
     pytest.param(_probe_sized_z(), 1.0, EXPRK5S8_REQUESTS, 1,
                  [2, 4, 5, 10, 12, 15, 30, 40, 60], id="probe-sized-z"),
-    # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8
+    # 3/8 and 3/4 are 3Y and 6Y with Y = hM/8, and 24X and 48X with X =
+    # Y/8 after 3 doublings
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
-                 [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1, [2, 3, 6],
-                 id="non-dyadic-family"),
+                 [(1, Fraction(3, 8)), (0, Fraction(3, 4)), (2, Fraction(3, 4))], 1,
+                 [2, 4, 8, 16, 24, 48], id="non-dyadic-family"),
+    # 1/2 and 1 are Y and 2Y with Y = hM/2, and 32X and 64X with X = Y/32
     pytest.param(advdiff_matrix(50, beta=20.0), 1.0 / 64,
-                 sorted(required_requests(get_tableau("expRK2s2"))), 1, [2], id="expRK2s2"),
+                 sorted(required_requests(get_tableau("expRK2s2"))), 1,
+                 [2, 4, 8, 16, 32, 64], id="expRK2s2"),
 ])
 def test_family_chain_entries_match_augmented_exponential(monkeypatch, m, h, requests,
                                                           n_chains, steps):
     work = _count_work(monkeypatch)
     cache = build_phi_cache(DenseOperator(m), h, requests)
-    assert len(work["chains"]) == n_chains
+    assert len(work["taylor"]) == n_chains
     assert sorted(work["steps"]) == steps
     for j, s in requests:
         want = augmented_phi(j, float(s) * h * m)
