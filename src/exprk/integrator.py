@@ -103,10 +103,7 @@ def required_requests(t):
 
 
 def _eval_g(pb, t, u):
-    out = real_array(pb.g(t, u), "g(t, u)")
-    if out.shape != u.shape:
-        raise ValueError(f"g(t, u) returned shape {out.shape}, expected {u.shape}")
-    return out
+    return real_array(pb.g(t, u), "g(t, u)", u.shape)
 
 
 class Stepper:
@@ -137,9 +134,7 @@ class Stepper:
     def __call__(self, tn, un, return_stages=False):
         """u_{n+1} from (tn, un); with return_stages, (u_{n+1}, (U_2, ..., U_s))."""
         pb, t, cache = self.pb, self.t, self.cache
-        un = real_array(un, "un")
-        if un.shape != (pb.A.n,):
-            raise ValueError(f"state has shape {un.shape}, expected ({pb.A.n},)")
+        un = real_array(un, "un", (pb.A.n,))
         act, to_basis, from_basis = cache.apply, cache.to_basis, cache.from_basis
         gn = _eval_g(pb, tn, un)
         fn = to_basis(pb.A.matvec(un) + gn)

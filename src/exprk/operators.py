@@ -12,10 +12,13 @@ A, a SineBasis that applies the eigenvectors as a fast sine transform
 without forming them.
 
 Caller input is read here, one reader per kind: real_array for any real
-array, real_scalar for a real number, finite_array for an array of given
-shape whose entries must all be finite (an operator's entries, an initial
-state, a probe matrix), and integer for every count and index.  Each raises
-an error naming the argument it read.
+array, and for its shape when one is given (a length, None for any, or a
+named length such as ("n", "n") for a square matrix); real_scalar for a
+real number and positive_real for one that must be finite and positive (a
+step size, a tolerance); finite_array for an array of given shape whose
+entries must all be finite (an operator's entries, an initial state, a
+probe matrix); and integer for every count and index.  Each raises an
+error naming the argument it read.
 """
 
 import hashlib
@@ -32,34 +35,49 @@ import numpy as np
 DST_MIN_N = 512
 
 
-def real_array(x, name):
+def real_array(x, name, shape=None):
     """x as a float ndarray; a complex x, a str or a bool raises TypeError
-    naming it (True would read as 1.0)."""
+    naming it (True would read as 1.0).  A shape, when given, is checked: a
+    None in it matches any length, and a str names a length that must be
+    equal wherever it appears, so ("n", "n") is a square matrix.  Another
+    shape raises ValueError naming x."""
     a = np.asarray(x)
-    if a.dtype == float:
-        return a
-    if a.dtype.kind in "bcSU":
-        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
-    return a.astype(float)
+    if a.dtype != float:
+        if a.dtype.kind in "bcSU":
+            raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+        a = a.astype(float)
+    # a concrete shape that matches costs one tuple comparison
+    if shape is not None and a.shape != shape:
+        # each name holds its last length, so an earlier one that differs fails
+        named = {k: m for k, m in zip(shape, a.shape) if isinstance(k, str)}
+        if a.ndim != len(shape) or any(k is not None and named.get(k, k) != m
+                                       for k, m in zip(shape, a.shape)):
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def real_scalar(x, name):
     """x as a float, read by real_array; an x of any shape but a scalar's
-    raises TypeError naming it.  No range is checked: each caller checks
-    its own."""
+    raises TypeError naming it.  No range is checked: positive_real checks
+    one, and each other caller its own."""
     a = real_array(x, name)
     if a.ndim:
         raise TypeError(f"{name} must be a real scalar, got shape {a.shape}")
     return float(a)
 
 
+def positive_real(x, name):
+    """x read by real_scalar; ValueError naming it unless finite and positive."""
+    x = real_scalar(x, name)
+    if not 0 < x < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    return x
+
+
 def finite_array(x, name, shape):
-    """x as a float ndarray of the given shape, read by real_array; a None
-    in shape matches any length.  Another shape or a non-finite entry
-    raises ValueError naming it."""
-    a = real_array(x, name)
-    if a.ndim != len(shape) or any(k is not None and k != m for k, m in zip(shape, a.shape)):
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    """x as a float ndarray of the given shape, read by real_array; a
+    non-finite entry raises ValueError naming it."""
+    a = real_array(x, name, shape)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has a non-finite entry")
     return a
@@ -130,7 +148,7 @@ class ZeroOperator(LinearOperator):
         return self._n
 
     def matvec(self, u):
-        return np.zeros_like(real_array(u, "u"))
+        return np.zeros_like(real_array(u, "u", (self._n,)))
 
     def dense(self):
         return np.zeros((self._n, self._n))
@@ -156,7 +174,7 @@ class DiagonalOperator(LinearOperator):
         return self.diag.size
 
     def matvec(self, u):
-        return self.diag * real_array(u, "u")
+        return self.diag * real_array(u, "u", (self.n,))
 
     def dense(self):
         return np.diag(self.diag)
@@ -217,7 +235,7 @@ class SymTridiagonalOperator(LinearOperator):
         return self.diag.size
 
     def matvec(self, u):
-        u = real_array(u, "u")
+        u = real_array(u, "u", (self.n,))
         out = self.diag * u
         out[:-1] += self.off * u[1:]
         out[1:] += self.off * u[:-1]
@@ -257,16 +275,16 @@ class DenseOperator(LinearOperator):
     """General dense A."""
 
     def __init__(self, a):
-        self.a = finite_array(a, "a", (None, None))
-        if self.a.shape[0] != self.a.shape[1] or self.a.size < 1:
-            raise ValueError("matrix must be square")
+        self.a = finite_array(a, "a", ("n", "n"))
+        if self.a.size < 1:
+            raise ValueError("a must not be empty")
 
     @property
     def n(self):
         return self.a.shape[0]
 
     def matvec(self, u):
-        return self.a @ real_array(u, "u")
+        return self.a @ real_array(u, "u", (self.n,))
 
     def dense(self):
         return self.a.copy()

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import finite_array, integer, real_scalar
+from .operators import finite_array, integer, positive_real
 # build_phi_cache and eval_combo are unused here; perfbench's tracer wraps them by name
 from .phi import build_phi_cache, phi_matrix_table
 from .tableau import combo_sum, eval_combo, psi_combo, psi_parts, psi_values
@@ -72,9 +72,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ProbeSet:
     """One bundle of probe matrices: Z plays hA; J, K, L interleave; B is
-    bilinear, stored as a rank-3 tensor acting by B(u, v)_r = sum T_rpq u_p v_q."""
+    bilinear, stored as a rank-3 tensor acting by B(u, v)_r = sum T_rpq u_p v_q.
 
-    d: int
+    Each is read by operators.finite_array: Z as a nonempty square matrix,
+    whose size is the dimension d, then J, K, L as d x d and B as d x d x d."""
+
     Z: np.ndarray
     J: np.ndarray
     K: np.ndarray
@@ -84,9 +86,15 @@ class ProbeSet:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "d", integer(self.d, "probe d", 1))
-        for name, dims in zip("ZJKLB", [(self.d, self.d)] * 4 + [(self.d,) * 3]):
+        object.__setattr__(self, "Z", finite_array(self.Z, "probe Z", ("d", "d")))
+        if not self.d:
+            raise ValueError("probe Z must not be empty")
+        for name, dims in zip("JKLB", [(self.d,) * 2] * 3 + [(self.d,) * 3]):
             object.__setattr__(self, name, finite_array(getattr(self, name), f"probe {name}", dims))
+
+    @property
+    def d(self):
+        return len(self.Z)
 
 
 def draw_probe_sets(count, d=3, seed=0):
@@ -97,7 +105,7 @@ def draw_probe_sets(count, d=3, seed=0):
     for k in range(count):
         mats = [rng.uniform(-1.0, 1.0, size=(d, d)) for _ in range(4)]
         tensor = rng.uniform(-1.0, 1.0, size=(d, d, d))
-        out.append(ProbeSet(d, *mats, tensor, seed=seed + k, label=f"random-{k}"))
+        out.append(ProbeSet(*mats, tensor, seed=seed + k, label=f"random-{k}"))
     return out
 
 
@@ -121,7 +129,7 @@ def structured_probes():
         d = len(z)
         tensor = np.zeros((d, d, d))
         tensor[range(d), range(d), range(d)] = 1.0
-        out.append(ProbeSet(d, np.diag(z), j, j, j, tensor, label=f"structured-{k}"))
+        out.append(ProbeSet(np.diag(z), j, j, j, tensor, label=f"structured-{k}"))
     return out
 
 
@@ -257,7 +265,7 @@ def _probe_residuals(t, probes):
              for cid, w in WORDS.items() for mode in MODES}
     keys = dict.fromkeys((w.psi, i) for w in WORDS.values()
                          for i in (range(2, t.s + 1) if w.links else (t.s + 1,)))
-    targets = {(j, i): psi_parts(j, t, None if i > t.s else i) for j, i in keys}
+    targets = {(j, i): psi_parts(j, t, i) for j, i in keys}
     c = [float(ci) for ci in t.c]
     residuals = np.empty((len(probes), len(words)))
     for d in dict.fromkeys(probe.d for probe in probes):
@@ -343,9 +351,7 @@ def check(t, tolerance=1e-9, p=None, seed=0):
     pass, and the weakened verdict: every weakened row passes (below
     TOP_ORDER those rows are the strong ones).
     """
-    tolerance = real_scalar(tolerance, "tolerance")
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    tolerance = positive_real(tolerance, "tolerance")
     if p is None:
         probes = draw_probe_sets(50, d=3, seed=seed)
     else:

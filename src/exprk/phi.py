@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import LinearOperator, finite_array, integer, real_array, real_scalar
+from .operators import LinearOperator, finite_array, integer, positive_real, real_array
 
 # Below this modulus the downward recurrence from exp(z) loses digits to
 # cancellation, so a truncated Taylor series is used instead.
@@ -231,10 +231,10 @@ def _addition_weights(p, q, jmax):
 def phi_matrix(j, m):
     """Matrix phi_j(M), j >= 0 (phi_0 is the exponential): the one-key
     phi_matrix_table at h = 1 and scale 1, so one _taylor step and a walk
-    of doublings alone on M.  M is read by operators.finite_array as a 2-d
-    array and j by phi_request; an overflowing result raises OverflowError
-    as phi_matrix_table does."""
-    return phi_matrix_table(finite_array(m, "M", (None, None)), 1.0, [(j, 1)])[j, 1]
+    of doublings alone on M.  M is read by operators.finite_array as a
+    square matrix and j by phi_request; an overflowing result raises
+    OverflowError as phi_matrix_table does."""
+    return phi_matrix_table(finite_array(m, "M", ("n", "n")), 1.0, [(j, 1)])[j, 1]
 
 
 def _phi_values(j, zs):
@@ -345,7 +345,7 @@ def phi_matrix_table(m, h, keys):
     an exact rational in (0, 1] (0.5 and "1/2" are the key (j, 1/2)), and
     equal keys give one entry.  M is a square matrix or a (..., n, n) stack
     of them, read by operators.finite_array, and each entry has M's shape;
-    h is read as build_phi_cache reads it, a finite positive real.  This is
+    h is read by operators.positive_real, as build_phi_cache reads it.  This is
     the one entry to the matrix phi kernel: phi_matrix, eval_combo, the
     order-condition checker and a dense cache all build their matrices
     here.  Every scale is a multiple t of Y = h M / L, L the least common
@@ -365,14 +365,12 @@ def phi_matrix_table(m, h, keys):
     tY spends.  An entry that overflows raises OverflowError naming j, the
     scale and h.
     """
-    h = _step_size(h)
+    h = positive_real(h, "h")
     keys = dict.fromkeys(phi_request(*key) for key in keys)
     if not keys:
         return {}
-    m = finite_array(m, "M", (None,) * max(np.ndim(m), 2))
+    m = finite_array(m, "M", (None,) * (np.ndim(m) - 2) + ("n", "n"))
     n = m.shape[-1]
-    if m.shape[-2] != n:
-        raise ValueError("matrix must be square")
     lcd = math.lcm(*(scale.denominator for _, scale in keys))
     wants = {}
     for key in keys:
@@ -483,14 +481,6 @@ def _chain_search(chain, steps, targets, budget, tally):
     return None
 
 
-def _step_size(h):
-    """h read by operators.real_scalar; ValueError unless finite and positive."""
-    h = real_scalar(h, "h")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError("step size must be positive and finite")
-    return h
-
-
 def _finite(table, h):
     """table, once every entry is checked finite."""
     for (j, scale), val in table.items():
@@ -518,7 +508,7 @@ def build_phi_cache(a, h, requests):
     """
     if not isinstance(a, LinearOperator):
         raise TypeError("a must be a LinearOperator")
-    h = _step_size(h)
+    h = positive_real(h, "h")
     keys = sorted({phi_request(*r) for r in requests})
     eig = a.eigendecomposition()
     if eig is None:

@@ -123,9 +123,7 @@ def eval_combo(f, z):
     if np.ndim(z) == 0:
         zval = real_scalar(z, "z")
         return combo_sum(f, lambda j, s: phi_scalar(j, float(s) * zval))
-    z = finite_array(z, "z", (None, None))
-    if z.shape[0] != z.shape[1]:
-        raise ValueError("z must be a scalar or a square matrix")
+    z = finite_array(z, "z", ("n", "n"))
     phi = phi_matrix_table(z, 1.0, f.phi_pairs())
     return combo_sum(f, lambda j, s: phi[j, s]) if f.terms else np.zeros_like(z)
 
@@ -309,14 +307,13 @@ def psi_parts(j, t, i=None):
     """(coefficient combos by stage, target combo) of one psi defect.
 
     It is psi_{j,i}: row i against c_i^j phi_j(c_i z), the empty combo at a
-    zero node.  An explicit i is a stage 2..s; i None is the update, stage
-    s + 1, so it gives the weight defect psi_j: the weights b_k against
-    phi_j(z).  The defect is sum_k coeff_k c_k^{j-1}/(j-1)! - target.
+    zero node.  i is a stage 2..s + 1 (IndexError past s + 1, from
+    t.node); i None or s + 1 is the update, so it gives the weight defect
+    psi_j: the weights b_k against phi_j(z).  The defect is
+    sum_k coeff_k c_k^{j-1}/(j-1)! - target.
     """
     j = integer(j, "psi index", 2)
     stage = t.s + 1 if i is None else integer(i, "stage index", 2)
-    if i is not None and stage > t.s:
-        raise IndexError(f"stage index {stage} out of range 2..{t.s}")
     ci = t.node(stage)
     return t.row(stage), (phi_term(ci ** j, j, ci) if ci > 0 else PhiCombo())
 
@@ -334,14 +331,14 @@ def psi_values(j, t, coeffs, target):
 
 
 def psi(j, t, z, i=None):
-    """psi_j(z) (i None) or psi_{j,i}(z) at scalar or square-matrix z."""
+    """psi_j(z) (i None or s + 1) or psi_{j,i}(z) at scalar or square-matrix z."""
     coeffs, target = psi_parts(j, t, i)
     return psi_values(j, t, {k: eval_combo(v, z) for k, v in coeffs.items()},
                       eval_combo(target, z))
 
 
 def psi_combo(j, t, i=None):
-    """psi_j (i None) or psi_{j,i} as an exact PhiCombo."""
+    """psi_j (i None or s + 1) or psi_{j,i} as an exact PhiCombo."""
     coeffs, target = psi_parts(j, t, i)
     return sum((Fraction(t.node(k) ** (j - 1), factorial(j - 1)) * v
                 for k, v in coeffs.items()), -target)

@@ -16,7 +16,8 @@ import re
 import numpy as np
 
 from .integrator import SemilinearProblem
-from .operators import SymTridiagonalOperator, integer, real_array, real_scalar
+from .operators import (SymTridiagonalOperator, integer, positive_real, real_array,
+                        real_scalar)
 
 __all__ = [
     "Grid1D", "heat_problem", "heat_forcing", "discrete_l2_error",
@@ -34,9 +35,10 @@ class Grid1D:
 
 
 def heat_forcing(x, t):
-    """Forcing Phi(x, t) = x(1-x)e^t + 2e^t - 1/(1 + x^2(1-x)^2 e^{2t})."""
+    """Forcing Phi(x, t) = x(1-x)e^t + 2e^t - 1/(1 + x^2(1-x)^2 e^{2t}); x is
+    read by operators.real_array and t by operators.real_scalar."""
     x = real_array(x, "x")
-    return _forcing(x * (1.0 - x), t)
+    return _forcing(x * (1.0 - x), real_scalar(t, "t"))
 
 
 def _forcing(q, t):
@@ -75,15 +77,13 @@ def problem_by_name(name):
 def discrete_l2_error(u, pb, t):
     """sqrt(dx * sum_i (u_i - exact(t)_i)^2) against the problem's exact solution.
 
-    u is read by operators.real_array and must have shape (n,), n the
-    problem's dimension; it may hold a NaN, which gives nan.  t is read by
+    u is read by operators.real_array with shape (n,), n the problem's
+    dimension; it may hold a NaN, which gives nan.  t is read by
     operators.real_scalar.
     """
     if pb.exact is None:
         raise ValueError("problem has no exact solution to compare against")
-    u, t = real_array(u, "u"), real_scalar(t, "t")
-    if u.shape != (pb.A.n,):
-        raise ValueError(f"u has shape {u.shape}, expected {(pb.A.n,)}")
+    u, t = real_array(u, "u", (pb.A.n,)), real_scalar(t, "t")
     diff = u - pb.exact(t)
     dx = 1.0 / (u.size + 1)
     return float(np.sqrt(dx * np.sum(diff * diff)))
@@ -95,12 +95,9 @@ def stability_bound_check(a, h, n):
     Evaluated eigenvalue-wise through the geometric-sum closed form
     x * e^x (e^{nx} - 1)/(e^x - 1) with x = h*lambda, written with expm1 for
     accuracy near 0.  For symmetric A with spectrum <= 0 the value is bounded
-    by 1 uniformly in h and n.
+    by 1 uniformly in h and n; h is read by operators.positive_real.
     """
-    n = integer(n, "n", 1)
-    h = real_scalar(h, "h")
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"need finite h > 0, got h = {h!r}")
+    n, h = integer(n, "n", 1), positive_real(h, "h")
     lam = a.eigenvalues()
     if lam.max() > 1e-12:
         raise ValueError("operator must be negative semidefinite")

@@ -15,11 +15,11 @@ from exprk.integrator import (BlowUpError, SemilinearProblem, Stepper,
                               StepRecord, integrate, required_requests)
 from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              SymTridiagonalOperator, ZeroOperator, finite_array,
-                             integer, real_scalar)
+                             integer, positive_real, real_array, real_scalar)
 from exprk.order_conditions import ProbeSet, check
 from exprk.phi import PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table, phi_request
 from exprk.tableau import ExpRKTableau, classical_limit, eval_combo, get_tableau, phi_term
-from exprk.testbed import discrete_l2_error, heat_problem, stability_bound_check
+from exprk.testbed import discrete_l2_error, heat_forcing, heat_problem, stability_bound_check
 
 F = Fraction
 
@@ -120,7 +120,7 @@ def test_step_returns_stages(tab5):
 def test_stepper_validates_state_and_tableau(tab5):
     pb = _nonstiff_problem()
     stepper = Stepper(pb, tab5, 0.125)
-    with pytest.raises(ValueError, match=r"state has shape \(3,\), expected \(1,\)"):
+    with pytest.raises(ValueError, match=r"^un has shape \(3,\), expected \(1,\)$"):
         stepper(0.0, np.ones(3))
     with pytest.raises(TypeError):
         Stepper(pb, "expRK5s8", 0.125)
@@ -240,7 +240,9 @@ def test_real_scalar_refuses_what_is_not_one_real_number(x, error, message):
 
 
 @pytest.mark.parametrize("x, shape", [([[1, 2], [3, 4]], (2, 2)), ([[1, 2]], (None, 2)),
-                                      ([1, 2, 3], (None,)), (np.zeros((0, 3)), (None, None))])
+                                      ([1, 2, 3], (None,)), (np.zeros((0, 3)), (None, None)),
+                                      (np.eye(3), ("n", "n")), (np.zeros((4, 2, 2)), (None, "n", "n")),
+                                      (np.zeros((2, 3, 2)), ("n", 3, "n"))])
 def test_finite_array_reads_a_finite_array_of_the_shape(x, shape):
     got = finite_array(x, "x", shape)
     assert got.dtype == float and np.array_equal(got, np.asarray(x, dtype=float))
@@ -251,6 +253,10 @@ def test_finite_array_reads_a_finite_array_of_the_shape(x, shape):
     (np.zeros((2, 3)), (None, 2), "x has shape (2, 3), expected (None, 2)"),
     (np.zeros(4), (None, None), "x has shape (4,), expected (None, None)"),
     (np.zeros((1, 1)), (None,), "x has shape (1, 1), expected (None,)"),
+    (np.zeros((2, 3)), ("n", "n"), "x has shape (2, 3), expected ('n', 'n')"),
+    (np.zeros((2, 2, 3)), (None, "n", "n"), "x has shape (2, 2, 3), expected (None, 'n', 'n')"),
+    (np.zeros((2, 2)), ("n", "n", "n"), "x has shape (2, 2), expected ('n', 'n', 'n')"),
+    (np.zeros((2, 3, 3)), ("n", 3, "n"), "x has shape (2, 3, 3), expected ('n', 3, 'n')"),
     (np.array([0.0, np.nan]), (None,), "x has a non-finite entry"),
     (np.array([[-np.inf]]), (1, 1), "x has a non-finite entry"),
 ])
@@ -258,6 +264,33 @@ def test_finite_array_refuses_another_shape_or_a_non_finite_entry(x, shape, mess
     with pytest.raises(ValueError) as info:
         finite_array(x, "x", shape)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x", [0.25, np.int64(1), np.array(1e-300), 1.7e308])
+def test_positive_real_reads_a_finite_positive_real_as_a_float(x):
+    got = positive_real(x, "h")
+    assert type(got) is float and got == float(x)
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (0, ValueError, "h must be finite and positive, got 0.0"),
+    (-1, ValueError, "h must be finite and positive, got -1.0"),
+    (np.nan, ValueError, "h must be finite and positive, got nan"),
+    (np.inf, ValueError, "h must be finite and positive, got inf"),
+    ("0.5", TypeError, "h must be real, got dtype <U3"),
+    ([0.5], TypeError, "h must be a real scalar, got shape (1,)"),
+])
+def test_positive_real_refuses_what_is_not_a_finite_positive_real(x, error, message):
+    with pytest.raises(error) as info:
+        positive_real(x, "h")
+    assert str(info.value) == message
+
+
+def test_real_array_checks_a_shape_but_not_the_entries():
+    got = real_array([np.nan, np.inf], "u", (2,))
+    assert got.dtype == float and np.isnan(got[0]) and np.isinf(got[1])
+    with pytest.raises(ValueError, match=r"^u has shape \(2,\), expected \(3,\)$"):
+        real_array([np.nan, np.inf], "u", (3,))
 
 
 def _problem(**kw):
@@ -278,6 +311,7 @@ REAL_SCALAR_SITES = {
     "t0": lambda x: _problem(t0=x, t_end=2.0),
     "t_end": lambda x: _problem(t_end=x),
     "discrete_l2_error-t": lambda x: discrete_l2_error(np.zeros(4), heat_problem(4), x),
+    "heat_forcing-t": lambda x: heat_forcing(np.zeros(2), x),
 }
 
 
@@ -294,8 +328,8 @@ def test_real_scalar_sites_refuse_an_array_naming_it(site, x):
 
 @pytest.mark.parametrize("h, error, message", [
     ("0.5", TypeError, "^h must be real, got dtype <U3$"),
-    (-1, ValueError, "^step size must be positive and finite$"),
-    (np.inf, ValueError, "^step size must be positive and finite$"),
+    (-1, ValueError, "^h must be finite and positive, got -1.0$"),
+    (np.inf, ValueError, "^h must be finite and positive, got inf$"),
 ])
 def test_phi_matrix_table_reads_its_step_size_as_build_phi_cache_does(h, error, message):
     """phi_matrix_table took h as given: "0.5" raised the unnamed
@@ -346,22 +380,25 @@ def test_problem_nonlinearity_must_be_callable():
 
 def _probe_set(name, x):
     mats = {k: np.zeros((2, 2)) for k in "ZJKL"} | {"B": np.zeros((2, 2, 2))}
-    return ProbeSet(2, **(mats | {name: x}))
+    return ProbeSet(**(mats | {name: x}))
 
 
 # Every array a caller passes whose entries must be finite, read by
-# operators.finite_array: a shape it must have and a shape it must not.
+# operators.finite_array: a shape it must have and the shapes it must not.
 FINITE_ARRAY_SITES = {
-    "u0": ((2,), (3,), lambda x: _problem(u0=x)),
-    "DiagonalOperator-diag": ((2,), (2, 2), DiagonalOperator),
-    "SymTridiagonalOperator-diag": ((2,), (2, 2), lambda x: SymTridiagonalOperator(x, np.ones(1))),
-    "off": ((1,), (2,), lambda x: SymTridiagonalOperator(-np.ones(2), x)),
-    "a": ((2, 2), (2,), DenseOperator),
-    **{f"probe {k}": ((2, 2), (3, 3), lambda x, k=k: _probe_set(k, x)) for k in "ZJKL"},
-    "probe B": ((2, 2, 2), (2, 2), lambda x: _probe_set("B", x)),
-    "phi_matrix-M": ((2, 2), (2, 2, 2), lambda x: phi_matrix(1, x)),
-    "phi_matrix_table-M": ((2, 2), (2,), lambda x: phi_matrix_table(x, 1.0, [phi_request(1, 1)])),
-    "eval_combo-z": ((2, 2), (2,), lambda x: eval_combo(phi_term(1, 1), x)),
+    "u0": ((2,), [(3,)], lambda x: _problem(u0=x)),
+    "DiagonalOperator-diag": ((2,), [(2, 2)], DiagonalOperator),
+    "SymTridiagonalOperator-diag": ((2,), [(2, 2)], lambda x: SymTridiagonalOperator(x, np.ones(1))),
+    "off": ((1,), [(2,)], lambda x: SymTridiagonalOperator(-np.ones(2), x)),
+    "a": ((2, 2), [(2,), (2, 3)], DenseOperator),
+    # Z sets the dimension, so a 3 x 3 Z makes J the mismatch
+    "probe Z": ((2, 2), [(2,), (2, 3)], lambda x: _probe_set("Z", x)),
+    **{f"probe {k}": ((2, 2), [(3, 3)], lambda x, k=k: _probe_set(k, x)) for k in "JKL"},
+    "probe B": ((2, 2, 2), [(2, 2)], lambda x: _probe_set("B", x)),
+    "phi_matrix-M": ((2, 2), [(2, 2, 2), (2, 3)], lambda x: phi_matrix(1, x)),
+    "phi_matrix_table-M": ((2, 2), [(2,), (2, 3)],
+                           lambda x: phi_matrix_table(x, 1.0, [phi_request(1, 1)])),
+    "eval_combo-z": ((2, 2), [(2,), (2, 3)], lambda x: eval_combo(phi_term(1, 1), x)),
 }
 
 
@@ -370,10 +407,11 @@ def test_finite_array_sites_refuse_another_shape_naming_it(site):
     """Each message was the site's own ("diagonal must be a finite 1-d array",
     "matrix must be square", "probe Z must be finite 2x2", ...), most of
     them naming no argument."""
-    _, wrong, make = FINITE_ARRAY_SITES[site]
+    _, wrongs, make = FINITE_ARRAY_SITES[site]
     name = re.escape(site.rpartition("-")[2])
-    with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(wrong))}, expected "):
-        make(np.zeros(wrong))
+    for wrong in wrongs:
+        with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(wrong))}, expected "):
+            make(np.zeros(wrong))
 
 
 @pytest.mark.parametrize("site", FINITE_ARRAY_SITES)
@@ -386,6 +424,32 @@ def test_finite_array_sites_refuse_a_nan_entry_naming_it(site):
         make(x)
 
 
+# Every array read by operators.real_array with a shape it must have, which
+# may hold a non-finite entry: that shape, and the site's reader.
+REAL_ARRAY_SHAPE_SITES = {
+    "un": ((2,), lambda x: Stepper(_problem(), get_tableau("expEuler"), 0.1)(0.0, x)),
+    "g(t, u)": ((2,), lambda x: integrate(_problem(g=lambda t, u: x), get_tableau("expEuler"), 1)),
+    "discrete_l2_error-u": ((4,), lambda x: discrete_l2_error(x, heat_problem(4), 0.0)),
+    **{f"{type(op).__name__}.matvec-u": ((2,), op.matvec)
+       for op in (ZeroOperator(2), DiagonalOperator(-np.ones(2)), DenseOperator(-np.eye(2)),
+                  SymTridiagonalOperator(-2.0 * np.ones(2), np.ones(1)))},
+}
+
+
+@pytest.mark.parametrize("site", REAL_ARRAY_SHAPE_SITES)
+def test_real_array_shape_sites_refuse_another_shape_naming_it(site):
+    """DiagonalOperator([1.0, 2.0]).matvec([5.0]) broadcast to [5. 10.],
+    ZeroOperator(2).matvec returned zeros of any length, and the
+    tridiagonal matvec raised numpy's unnamed "non-broadcastable output
+    operand"; a NaN is not refused at these sites."""
+    shape, make = REAL_ARRAY_SHAPE_SITES[site]
+    name = site.rpartition("-")[2]
+    for wrong in [(3,), (1,), (), shape * 2]:
+        message = f"{name} has shape {wrong}, expected {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(np.full(wrong, np.nan))
+
+
 @pytest.mark.parametrize("make", [lambda: DiagonalOperator([]),
                                   lambda: SymTridiagonalOperator([], [])],
                          ids=["diagonal", "tridiagonal"])
@@ -393,6 +457,17 @@ def test_an_empty_diagonal_is_refused_naming_diag(make):
     """SymTridiagonalOperator([], []) said "off has shape (0,), expected
     (-1,)", naming the off diagonal for an empty main diagonal."""
     with pytest.raises(ValueError, match="^diag must not be empty$"):
+        make()
+
+
+@pytest.mark.parametrize("name, make", [
+    ("a", lambda: DenseOperator(np.zeros((0, 0)))),
+    ("probe Z", lambda: ProbeSet(*[np.zeros((0, 0))] * 4, np.zeros((0, 0, 0)))),
+], ids=["dense", "probe"])
+def test_an_empty_matrix_is_refused_naming_it(name, make):
+    """A 0 x 0 matrix is square: DenseOperator said "matrix must be square"
+    and ProbeSet(0, ...) "probe d must be >= 1"."""
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
         make()
 
 
@@ -563,7 +638,7 @@ def test_g_of_wrong_shape_is_rejected(bad):
     pb = SemilinearProblem(A=DiagonalOperator(np.array([-1.0, -2.0, -3.0])),
                            g=lambda t, u: bad(u), u0=np.ones(3))
     for name in ("expRK5s8", "expEuler"):
-        with pytest.raises(ValueError, match=r"g\(t, u\) returned shape .* expected \(3,\)"):
+        with pytest.raises(ValueError, match=r"^g\(t, u\) has shape .* expected \(3,\)$"):
             integrate(pb, get_tableau(name), 2)
 
 

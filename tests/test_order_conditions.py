@@ -24,7 +24,7 @@ def _zero_z_probes(count=8, d=3, seed=77):
     """Random J/K/L/B probes with Z pinned to the zero matrix."""
     out = []
     for p in draw_probe_sets(count, d=d, seed=seed):
-        out.append(ProbeSet(d=p.d, Z=np.zeros((d, d)), J=p.J, K=p.K, L=p.L,
+        out.append(ProbeSet(Z=np.zeros((d, d)), J=p.J, K=p.K, L=p.L,
                             B=p.B, seed=p.seed, label="zero-Z"))
     return out
 
@@ -74,20 +74,6 @@ def test_draw_probe_sets_takes_numpy_integers():
     assert all(np.array_equal(p.B, q.B) for p, q in zip(got, want))
 
 
-@pytest.mark.parametrize("d, error", not_integers(1))
-def test_probe_set_dimension_is_read_as_an_integer(d, error):
-    """ProbeSet(True, ...) with 1x1 matrices was accepted with d = True."""
-    one = np.ones((1, 1))
-    with pytest.raises(error, match="^probe d must be "):
-        ProbeSet(d, one, one, one, one, np.ones((1, 1, 1)))
-
-
-def test_probe_set_takes_a_numpy_integer_dimension():
-    one = np.ones((1, 1))
-    p = ProbeSet(np.int64(1), one, one, one, one, np.ones((1, 1, 1)))
-    assert type(p.d) is int and p.d == 1
-
-
 def test_draw_probe_sets_deterministic_and_bounded():
     a = draw_probe_sets(5, d=3, seed=11)
     b = draw_probe_sets(5, d=3, seed=11)
@@ -133,7 +119,7 @@ def test_condition1_near_zero_on_random_probes(tab5):
 
 def test_condition2_euler_identity_probe():
     d = 2
-    p = ProbeSet(d=d, Z=np.eye(d), J=np.eye(d), K=np.eye(d), L=np.eye(d),
+    p = ProbeSet(Z=np.eye(d), J=np.eye(d), K=np.eye(d), L=np.eye(d),
                  B=np.zeros((d, d, d)), label="eye")
     r = condition_residual(2, get_tableau("expEuler"), p, "strong")
     assert r > 0.01
@@ -270,7 +256,7 @@ def test_a_nan_residual_fails_its_condition(tab5):
     """J of 1e300 overflows condition 6's products to a NaN residual at one
     probe; the row must fail, not report the other probes' maximum."""
     q = draw_probe_sets(1, d=3, seed=2)[0]
-    huge = ProbeSet(3, q.Z, 1e300 * q.J, q.K, q.L, q.B, label="huge-J")
+    huge = ProbeSet(q.Z, 1e300 * q.J, q.K, q.L, q.B, label="huge-J")
     with np.errstate(over="ignore", invalid="ignore"):
         rep = check(tab5, tolerance=1e-9, p=[huge] + draw_probe_sets(2, d=3, seed=5))
     assert np.isnan(rep.row(6, "strong").residual)
@@ -293,7 +279,7 @@ def test_worst_probe_names_the_probe_of_each_worst_residual(tab5):
     # them; so a_87 J overflows to an all-inf matrix, and condition 6's next
     # product multiplies it by psi_{2,7}, also a multiple of I, whose exact
     # zeros make inf * 0: a NaN residual by construction
-    huge = ProbeSet(3, -np.eye(3), np.full((3, 3), 1.7e308), probes[2].K, probes[2].L,
+    huge = ProbeSet(-np.eye(3), np.full((3, 3), 1.7e308), probes[2].K, probes[2].L,
                     probes[2].B, label="huge-J")
     with np.errstate(over="ignore", invalid="ignore"):
         rep = check(t, tolerance=1e-9, p=probes[:2] + [huge] + probes[3:])
@@ -355,7 +341,7 @@ def test_check_takes_each_psi_target_once(tab5, monkeypatch):
     assert check(tab5, seed=0).weakened_order5
     assert {p.d for p in structured_probes()} == {2, 3}
     want = {(w.psi, i) for w in WORDS.values()
-            for i in (range(2, tab5.s + 1) if w.links else (None,))}
+            for i in (range(2, tab5.s + 1) if w.links else (tab5.s + 1,))}
     assert Counter(calls) == Counter(want)
 
 
@@ -370,7 +356,7 @@ def _stiff_probes(count=8, d=3, seed=3):
         z = q @ np.diag(-1e3 * u) @ q.T + rng.uniform(-1.0, 1.0, (d, d))
         j, kk, ll = (rng.uniform(-1.0, 1.0, (d, d)) for _ in range(3))
         tensor = rng.uniform(-1.0, 1.0, (d, d, d))
-        out.append(ProbeSet(d, z, j, kk, ll, tensor, seed=seed, label=f"stiff-{k}"))
+        out.append(ProbeSet(z, j, kk, ll, tensor, seed=seed, label=f"stiff-{k}"))
     return out
 
 

@@ -140,7 +140,7 @@ _R2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
 
 def _probe(**mats):
     d = {name: np.eye(2) for name in "ZJKL"}
-    return ProbeSet(2, **{**d, "B": np.zeros((2, 2, 2)), **mats})
+    return ProbeSet(**{**d, "B": np.zeros((2, 2, 2)), **mats})
 
 
 @pytest.mark.parametrize("name, call", [
@@ -161,6 +161,7 @@ def _probe(**mats):
     ("table entry", lambda: PhiCache({(1, 1): _C2})),
     ("un", lambda: Stepper(heat_problem(4), get_tableau("expEuler"), 0.1)(0.0, np.ones(4) + 1j)),
     ("x", lambda: heat_forcing(np.array([0.5j]), 0.0)),
+    ("t", lambda: heat_forcing(np.array([0.5]), 1j)),
     ("u", lambda: discrete_l2_error(np.ones(4) + 1j, heat_problem(4), 0.0)),
     ("x", lambda: SineBasis(2) @ (np.ones(2) + 1j)),
 ] + [("u", lambda op=op: op.matvec(np.ones(2) + 1j))
@@ -168,7 +169,7 @@ def _probe(**mats):
                 SymTridiagonalOperator(-2.0 * np.ones(2), np.ones(1)))],
     ids=["dense", "diagonal", "tridiagonal-diag", "tridiagonal-off", "u0", "g", "probe-Z",
          "probe-B", "phi_matrix", "phi_matrix_table", "eval_combo", "h", "PhiCache", "Stepper",
-         "heat_forcing", "discrete_l2_error", "SineBasis", "matvec-zero", "matvec-diagonal",
+         "heat_forcing", "heat_forcing-t", "discrete_l2_error", "SineBasis", "matvec-zero", "matvec-diagonal",
          "matvec-dense", "matvec-tridiagonal"])
 def test_complex_input_is_rejected_not_truncated(name, call):
     """Each entry point raises TypeError naming the complex argument, before

@@ -175,8 +175,8 @@ def test_weighted_psi4_stage_sum_vanishes(tab5):
 def test_psi_validation(tab5):
     with pytest.raises(ValueError):
         psi(1, tab5, 0.5)
-    with pytest.raises(IndexError):
-        psi(2, tab5, 0.5, 9)
+    with pytest.raises(IndexError, match="^stage index 10 out of range 1..9$"):
+        psi(2, tab5, 0.5, 10)
     with pytest.raises(ValueError):
         psi_combo(1, tab5, 3)
 
@@ -213,14 +213,15 @@ def _zero_node_tableau():
 
 @pytest.mark.parametrize("name", ["expRK5s8", "expEuler", "expRK2s2", "zero-node"])
 def test_the_update_is_stage_s_plus_one(name):
-    """row(s + 1) is b at node(s + 1) = 1, so psi_j is psi_{j,s+1}; past
-    the update there is no stage."""
+    """row(s + 1) is b at node(s + 1) = 1, so psi_j is psi_{j,s+1}, whether
+    i is None or s + 1; past the update there is no stage."""
     t = _zero_node_tableau() if name == "zero-node" else get_tableau(name)
     assert t.row(t.s + 1) == t.b and t.node(t.s + 1) == 1
     with pytest.raises(IndexError):
         t.node(t.s + 2)
     for j in (2, 3, 4, 5):
         assert psi_parts(j, t) == (t.row(t.s + 1), phi_term(1, j))
+        assert psi_parts(j, t, t.s + 1) == psi_parts(j, t)
 
 
 @pytest.mark.parametrize("method", ["node", "row"])

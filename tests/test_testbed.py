@@ -189,7 +189,7 @@ def test_stability_bound_validation():
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
 def test_stability_bound_rejects_a_step_that_is_not_finite(h):
-    with pytest.raises(ValueError, match="finite h > 0"):
+    with pytest.raises(ValueError, match=f"^h must be finite and positive, got {h!r}$"):
         stability_bound_check(DiagonalOperator(np.array([-1.0])), h, 5)
 
 
