@@ -56,10 +56,11 @@ class SemilinearProblem:
 
     A is a LinearOperator and g a callable mapping (t, u) to a vector of the
     state dimension; exact, when given, maps t to the true solution vector
-    and enables error measurement.  The constructor checks A and g (TypeError
-    naming them), reads u0 by operators.finite_array as a vector of A's
-    dimension and t0, t_end by operators.real_scalar, and stores them as a
-    float ndarray and floats; the interval must be finite with t0 < t_end.
+    and enables error measurement.  The constructor checks A, g and exact
+    (TypeError naming them), reads u0 by operators.finite_array as a vector
+    of A's dimension and t0, t_end by operators.real_scalar, and stores them
+    as a float ndarray and floats; the interval must be finite with
+    t0 < t_end.
     """
 
     A: LinearOperator
@@ -73,8 +74,9 @@ class SemilinearProblem:
     def __post_init__(self):
         if not isinstance(self.A, LinearOperator):
             raise TypeError(f"A must be a LinearOperator, got {type(self.A).__name__}")
-        if not callable(self.g):
-            raise TypeError(f"g must be callable, got {self.g!r}")
+        for name, f in (("g", self.g), ("exact", self.exact)):
+            if not (callable(f) or name == "exact" and f is None):
+                raise TypeError(f"{name} must be callable, got {f!r}")
         t0, t_end = real_scalar(self.t0, "t0"), real_scalar(self.t_end, "t_end")
         if not -np.inf < t0 < t_end < np.inf:
             raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")

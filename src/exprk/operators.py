@@ -13,7 +13,8 @@ without forming them.
 
 Caller input is read here, one reader per kind: real_array for any real
 array, and for its shape when one is given (a length, None for any, or a
-named length such as ("n", "n") for a square matrix); real_scalar for a
+named length such as ("n", "n") for a square matrix, which must not be 0:
+the one check that an array is not empty); real_scalar for a
 real number and positive_real for one that must be finite and positive (a
 step size, a tolerance); finite_array for an array of given shape whose
 entries must all be finite (an operator's entries, an initial state, a
@@ -39,8 +40,9 @@ def real_array(x, name, shape=None):
     """x as a float ndarray; a complex x, a str or a bool raises TypeError
     naming it (True would read as 1.0).  A shape, when given, is checked: a
     None in it matches any length, and a str names a length that must be
-    equal wherever it appears, so ("n", "n") is a square matrix.  Another
-    shape raises ValueError naming x."""
+    equal wherever it appears, so ("n", "n") is a square matrix, and must be
+    at least 1.  Another shape, or a named length of 0, raises ValueError
+    naming x."""
     a = np.asarray(x)
     if a.dtype != float:
         if a.dtype.kind in "bcSU":
@@ -53,6 +55,8 @@ def real_array(x, name, shape=None):
         if a.ndim != len(shape) or any(k is not None and named.get(k, k) != m
                                        for k, m in zip(shape, a.shape)):
             raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if 0 in named.values():
+            raise ValueError(f"{name} must not be empty")
     return a
 
 
@@ -165,9 +169,7 @@ class DiagonalOperator(LinearOperator):
     """A = diag(d)."""
 
     def __init__(self, diag):
-        self.diag = finite_array(diag, "diag", (None,))
-        if self.diag.size < 1:
-            raise ValueError("diag must not be empty")
+        self.diag = finite_array(diag, "diag", ("n",))
 
     @property
     def n(self):
@@ -194,7 +196,8 @@ class SineBasis:
 
     Used like the ndarray V it stands for: S is symmetric and its own
     inverse, so V @ x and V.T @ x are the same O(n log n) transform along the
-    first axis of x, and np.asarray(V) forms the dense matrix on demand.
+    first axis of x, which real_array reads as length n, and np.asarray(V)
+    forms the dense matrix on demand.
     """
 
     def __init__(self, n):
@@ -209,7 +212,8 @@ class SineBasis:
         return self
 
     def __matmul__(self, x):
-        return self._dst(real_array(x, "x"), type=1, axis=0, norm="ortho")
+        x = real_array(x, "x", self.shape[:1] + (None,) * (np.ndim(x) - 1))
+        return self._dst(x, type=1, axis=0, norm="ortho")
 
     def __array__(self, dtype=None, copy=None):
         return (self @ np.eye(self.shape[0])).astype(dtype or float, copy=False)
@@ -224,9 +228,7 @@ class SymTridiagonalOperator(LinearOperator):
     """
 
     def __init__(self, diag, off):
-        self.diag = finite_array(diag, "diag", (None,))
-        if self.diag.size < 1:
-            raise ValueError("diag must not be empty")
+        self.diag = finite_array(diag, "diag", ("n",))
         self.off = finite_array(off, "off", (self.diag.size - 1,))
         self._eig = None
 
@@ -276,8 +278,6 @@ class DenseOperator(LinearOperator):
 
     def __init__(self, a):
         self.a = finite_array(a, "a", ("n", "n"))
-        if self.a.size < 1:
-            raise ValueError("a must not be empty")
 
     @property
     def n(self):

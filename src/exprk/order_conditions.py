@@ -87,8 +87,6 @@ class ProbeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "Z", finite_array(self.Z, "probe Z", ("d", "d")))
-        if not self.d:
-            raise ValueError("probe Z must not be empty")
         for name, dims in zip("JKLB", [(self.d,) * 2] * 3 + [(self.d,) * 3]):
             object.__setattr__(self, name, finite_array(getattr(self, name), f"probe {name}", dims))
 

@@ -285,22 +285,21 @@ class PhiCache:
     SineBasis that applies the DST-I; the cache only uses V @ y and V.T @ x.
     A dense cache stores the matrices themselves, and its basis is the
     identity.  The entries tell the two apart: 1-d entries make a spectral
-    cache and 2-d ones a dense cache; a table that mixes them raises
-    ValueError.
+    cache and 2-d ones a dense cache.  Each entry is read by
+    operators.real_array with the first entry's shape, so a table that mixes
+    lengths, or vectors and matrices, raises ValueError naming the entry.
     """
 
     def __init__(self, table, basis=None):
         self.basis = basis
         self._table = {}
+        shape = np.shape(next(iter(table.values()), ()))
         for key, val in table.items():
             # a view, so that the caller's own array stays writable
-            val = real_array(val, "table entry").view()
+            val = real_array(val, "table entry", shape).view()
             val.flags.writeable = False
             self._table[phi_request(*key)] = val
-        ndims = {val.ndim for val in self._table.values()}
-        if len(ndims) > 1:
-            raise ValueError("a phi table holds eigenvalue vectors or matrices, not both")
-        self.spectral = ndims == {1}
+        self.spectral = len(shape) == 1
 
     def get(self, j, scale):
         """The stored entry for phi_j(scale * h * A); CacheMissError on a miss.

@@ -78,13 +78,13 @@ def discrete_l2_error(u, pb, t):
     """sqrt(dx * sum_i (u_i - exact(t)_i)^2) against the problem's exact solution.
 
     u is read by operators.real_array with shape (n,), n the problem's
-    dimension; it may hold a NaN, which gives nan.  t is read by
-    operators.real_scalar.
+    dimension, and exact(t) with u's shape; either may hold a NaN, which
+    gives nan.  t is read by operators.real_scalar.
     """
     if pb.exact is None:
         raise ValueError("problem has no exact solution to compare against")
     u, t = real_array(u, "u", (pb.A.n,)), real_scalar(t, "t")
-    diff = u - pb.exact(t)
+    diff = u - real_array(pb.exact(t), "exact(t)", u.shape)
     dx = 1.0 / (u.size + 1)
     return float(np.sqrt(dx * np.sum(diff * diff)))
 
@@ -99,7 +99,9 @@ def stability_bound_check(a, h, n):
     """
     n, h = integer(n, "n", 1), positive_real(h, "h")
     lam = a.eigenvalues()
-    if lam.max() > 1e-12:
+    # relative to the spectrum: eigvalsh may round a zero eigenvalue up to a
+    # few 1e-16 * ||A||, so an absolute bound refuses a stiff semidefinite A
+    if lam.max() > 1e-12 * (1 + np.abs(lam).max()):
         raise ValueError("operator must be negative semidefinite")
     x = h * lam
     x = x[x != 0.0]

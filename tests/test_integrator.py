@@ -17,7 +17,8 @@ from exprk.operators import (DenseOperator, DiagonalOperator, SineBasis,
                              SymTridiagonalOperator, ZeroOperator, finite_array,
                              integer, positive_real, real_array, real_scalar)
 from exprk.order_conditions import ProbeSet, check
-from exprk.phi import PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table, phi_request
+from exprk.phi import (PhiCache, PhiRequest, build_phi_cache, phi_matrix, phi_matrix_table,
+                       phi_request)
 from exprk.tableau import ExpRKTableau, classical_limit, eval_combo, get_tableau, phi_term
 from exprk.testbed import discrete_l2_error, heat_forcing, heat_problem, stability_bound_check
 
@@ -373,9 +374,13 @@ def test_problem_operator_must_be_a_linear_operator():
 
 
 def test_problem_nonlinearity_must_be_callable():
-    """g=None failed at the first step: 'NoneType' object is not callable."""
+    """g=None failed at the first step: 'NoneType' object is not callable.
+    exact=5 was accepted, and run_convergence integrated every step count
+    before the error failed with 'int' object is not callable."""
     with pytest.raises(TypeError, match="^g must be callable, got None$"):
         _problem(g=None)
+    with pytest.raises(TypeError, match="^exact must be callable, got 5$"):
+        _problem(exact=5)
 
 
 def _probe_set(name, x):
@@ -433,6 +438,11 @@ REAL_ARRAY_SHAPE_SITES = {
     **{f"{type(op).__name__}.matvec-u": ((2,), op.matvec)
        for op in (ZeroOperator(2), DiagonalOperator(-np.ones(2)), DenseOperator(-np.eye(2)),
                   SymTridiagonalOperator(-2.0 * np.ones(2), np.ones(1)))},
+    # x may have more axes after its first, each of any length
+    "SineBasis-x": ((2,), lambda x: SineBasis(2) @ x, (3,), (1,), ()),
+    # every entry is read with the first entry's shape
+    "PhiCache-table entry": ((4,), lambda x: PhiCache({(1, 1): np.ones(4), (2, 1): x})),
+    "exact(t)": ((2,), lambda x: discrete_l2_error(np.ones(2), _problem(exact=lambda t: x), 0.0)),
 }
 
 
@@ -441,10 +451,13 @@ def test_real_array_shape_sites_refuse_another_shape_naming_it(site):
     """DiagonalOperator([1.0, 2.0]).matvec([5.0]) broadcast to [5. 10.],
     ZeroOperator(2).matvec returned zeros of any length, and the
     tridiagonal matvec raised numpy's unnamed "non-broadcastable output
-    operand"; a NaN is not refused at these sites."""
-    shape, make = REAL_ARRAY_SHAPE_SITES[site]
+    operand".  SineBasis(2) @ np.ones(3) ran a length-3 DST, a PhiCache
+    took entries of lengths 4 and 3, and an exact(t) of 0.0 measured u
+    against 0 (0.8165 for u = (1, 1)).  A NaN is not refused at these
+    sites."""
+    shape, make, *wrongs = REAL_ARRAY_SHAPE_SITES[site]
     name = site.rpartition("-")[2]
-    for wrong in [(3,), (1,), (), shape * 2]:
+    for wrong in wrongs or [(3,), (1,), (), shape * 2]:
         message = f"{name} has shape {wrong}, expected {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(np.full(wrong, np.nan))
@@ -463,10 +476,16 @@ def test_an_empty_diagonal_is_refused_naming_diag(make):
 @pytest.mark.parametrize("name, make", [
     ("a", lambda: DenseOperator(np.zeros((0, 0)))),
     ("probe Z", lambda: ProbeSet(*[np.zeros((0, 0))] * 4, np.zeros((0, 0, 0)))),
-], ids=["dense", "probe"])
+    ("M", lambda: phi_matrix(1, np.zeros((0, 0)))),
+    ("z", lambda: eval_combo(phi_term(1, 1), np.zeros((0, 0)))),
+    ("M", lambda: phi_matrix_table(np.zeros((2, 0, 0)), 1.0, [phi_request(1, 1)])),
+], ids=["dense", "probe", "phi_matrix", "eval_combo", "phi_matrix_table"])
 def test_an_empty_matrix_is_refused_naming_it(name, make):
     """A 0 x 0 matrix is square: DenseOperator said "matrix must be square"
-    and ProbeSet(0, ...) "probe d must be >= 1"."""
+    and ProbeSet(0, ...) "probe d must be >= 1", and phi_matrix and
+    eval_combo failed with numpy's unnamed "cannot reshape array of size 0
+    into shape (0,0)".  A (0, n, n) stack is valid: its first axis is any
+    length."""
     with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
         make()
 

@@ -163,14 +163,16 @@ def _probe(**mats):
     ("x", lambda: heat_forcing(np.array([0.5j]), 0.0)),
     ("t", lambda: heat_forcing(np.array([0.5]), 1j)),
     ("u", lambda: discrete_l2_error(np.ones(4) + 1j, heat_problem(4), 0.0)),
+    ("exact(t)", lambda: discrete_l2_error(np.ones(2), SemilinearProblem(
+        A=ZeroOperator(2), g=lambda t, u: u, u0=np.ones(2), exact=lambda t: np.ones(2) + 1j), 0.0)),
     ("x", lambda: SineBasis(2) @ (np.ones(2) + 1j)),
 ] + [("u", lambda op=op: op.matvec(np.ones(2) + 1j))
      for op in (ZeroOperator(2), DiagonalOperator(-np.ones(2)), DenseOperator(_R2),
                 SymTridiagonalOperator(-2.0 * np.ones(2), np.ones(1)))],
     ids=["dense", "diagonal", "tridiagonal-diag", "tridiagonal-off", "u0", "g", "probe-Z",
          "probe-B", "phi_matrix", "phi_matrix_table", "eval_combo", "h", "PhiCache", "Stepper",
-         "heat_forcing", "heat_forcing-t", "discrete_l2_error", "SineBasis", "matvec-zero", "matvec-diagonal",
-         "matvec-dense", "matvec-tridiagonal"])
+         "heat_forcing", "heat_forcing-t", "discrete_l2_error", "exact", "SineBasis",
+         "matvec-zero", "matvec-diagonal", "matvec-dense", "matvec-tridiagonal"])
 def test_complex_input_is_rejected_not_truncated(name, call):
     """Each entry point raises TypeError naming the complex argument, before
     numpy could warn and drop its imaginary part."""
@@ -686,13 +688,14 @@ def test_cache_diagonal_and_zero_routes():
 def test_cache_form_follows_its_entries():
     """1-d entries make a spectral cache, which applies an entry
     elementwise, and 2-d entries a dense one, which applies it as a matrix;
-    a table that mixes them is refused."""
+    a table that mixes them is refused, naming the entry that differs from
+    the first."""
     vec, mat = np.array([2.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     spectral = PhiCache({(1, 1): vec, (2, Fraction(1, 2)): vec})
     assert spectral.spectral and spectral.apply(vec, np.array([1.0, 2.0])).tolist() == [2.0, 6.0]
     dense = PhiCache({(1, 1): mat, (2, Fraction(1, 2)): mat})
     assert not dense.spectral and dense.apply(mat, np.array([1.0, 2.0])).tolist() == [2.0, 1.0]
-    with pytest.raises(ValueError, match="not both"):
+    with pytest.raises(ValueError, match=r"^table entry has shape \(2, 2\), expected \(2,\)$"):
         PhiCache({(1, 1): vec, (2, Fraction(1, 2)): mat})
 
 

@@ -185,6 +185,11 @@ def test_stability_bound_validation():
         stability_bound_check(a, 0.1, 0)
     with pytest.raises(ValueError):
         stability_bound_check(DiagonalOperator(np.array([0.5])), 0.1, 5)
+    # semidefinite relative to the spectrum: eigvalsh rounds the zero
+    # eigenvalues of this rank-one A up to 4.2e-11 (n = 5) .. 1.1e-7 (n = 200)
+    for n in (5, 50, 200):
+        v = np.random.default_rng(0).standard_normal(n)
+        assert stability_bound_check(DenseOperator(-1e6 * np.outer(v, v)), 0.1, 5) <= 1.0
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
